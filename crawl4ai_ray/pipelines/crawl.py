@@ -1,19 +1,27 @@
-"""The crawl engine: a Ray-Data-native BFS/Best-First/DFS frontier loop.
+"""The crawl engine: one Ray-Data-native epoch driver for BFS and
+Best-First frontiers, plus a serial DFS.
 
 Restructuring of the reference's deep-crawl strategies
-(/root/reference/crawl4ai/deep_crawling/bfs_strategy.py:155-227 batch BFS,
-bff_strategy.py:139-269 best-first, dfs_strategy.py:27-111 DFS) into the
-epoch-loop architecture of SURVEY.md §3.4:
+(deep_crawling/bfs_strategy.py:155-227 batch BFS, bff_strategy.py:139-269
+best-first, dfs_strategy.py:27-111 DFS) into the epoch-loop architecture of
+SURVEY.md §3.4.  ``CrawlEngine.run`` is the one epoch driver:
 
-    driver epoch loop:
-      frontier_e (checkpointed parquet)
-        → repartition → map_batches(FetchStage actor pool)   [politeness RPC + fetch]
-        → map_batches(extract_batch)                         [links/spans/metadata]
-        → write docs_e (+ lineage columns)                   [sink]
-      discovery: links → canonicalize → filter/score → seen anti-join
-        → next frontier (checkpointed)
+    resume or seed
+    per epoch N:
+      take frontier N (frontier policy) → frontier/epoch=N/part-*.parquet
+        → map_batches(fetch)                      [politeness + fetch]
+        → map_batches(extract_batch) (→ enrich)   [links/spans/metadata]
+        → write docs/epoch=N (+ lineage columns)  [sink]
+      discovery (discovery mode) → next frontier
+      politeness-shard counters → metrics/epoch=N (one row per shard)
+      manifest (commit point) → run_iter listener
 
-Two discovery modes:
+Two frontier policies: a BFS level (``_LevelFrontier``: one whole depth
+level per epoch) or a Best-First heap (the top ``best_first_batch`` URLs
+per epoch — ``_HeapFrontier`` on the driver, ``_ShardedHeapFrontier`` as
+per-shard heap actors).
+
+Two discovery modes (``CrawlConfig.deterministic``):
 
   * ``deterministic=True`` (parity): the link-fold runs on the driver over
     the epoch's *candidate link keys only* (never the documents), replaying
@@ -25,9 +33,12 @@ Two discovery modes:
 
   * ``deterministic=False`` (scale): discovery stays a Dataset pipeline end
     to end — flatten links → canonicalize → filter/score → sharded
-    ``check_and_add`` inside map_batches (first caller wins).  No driver
+    ``check_and_add`` in driver-paced chunks (first caller wins).  No driver
     fold, no global sort; ordering within an epoch is free, epoch
     boundaries stay deterministic.  This is the 10^10-URL path.
+
+DFS (``_run_dfs``) stays outside the driver: it is serial, runs no Ray
+pipeline and has no epochs, manifest or metrics.
 
 Checkpoint/resume: see state/checkpoint.py.  Every docs/metrics row carries
 ``(frontier_epoch, shard_id, bloom_generation)`` lineage.
@@ -36,15 +47,17 @@ Checkpoint/resume: see state/checkpoint.py.  Every docs/metrics row carries
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import os
 import shutil
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
@@ -63,6 +76,16 @@ from ..urlnorm import (
 )
 
 INF = math.inf
+# scale-mode seen anti-join (and revalidation refetch): driver-held keys per
+# round — peak driver memory is O(this), never O(epoch frontier)
+SEEN_ROUND_CHUNK = 65536
+# scale best-first: pop this many merge-rounds per pipeline pass — popping
+# k·batch in ONE pop_global_batch call is exactly "k successive pops with no
+# pushes between", so within-pass priority order is preserved while the
+# fixed pipeline-launch cost amortizes k×.  The tradeoff (standard frontier
+# greediness) is that discoveries from the pass can't preempt URLs later in
+# the same pass.
+BEST_FIRST_ROUNDS_PER_PASS = 8
 
 
 @dataclass
@@ -72,18 +95,12 @@ class CrawlConfig:
     include_external: bool = False
     score_threshold: float = -INF
     strategy: str = "bfs"  # bfs | best_first | dfs
-    # best_first: per-shard heap actors + driver k-way merge instead of one
-    # driver heap (the 10^10 frontier shape; url tiebreak on score ties)
-    best_first_sharded: bool = False
     num_seen_shards: int = 4
     num_politeness_shards: int = 2
-    fetch_concurrency: int = 4
+    # unread since the frontier is staged as part files (one fetch batch per
+    # part); kept because existing callers pass it
     fetch_batch_size: int = 128
-    extract_batch_size: int = 128
-    # scale-mode seen anti-join: driver-held candidate keys per round — peak
-    # driver memory is O(this), never O(epoch frontier)
-    seen_round_chunk: int = 65536
-    # per-fetch-actor session overlap (reference max_session_permit=20,
+    # per-fetch-task session overlap (reference max_session_permit=20,
     # async_dispatcher.py:155); forced to 1 when the politeness budget is
     # zero and the transport is in-process (CPU-bound — threads only hurt)
     max_sessions: int = 20
@@ -91,32 +108,41 @@ class CrawlConfig:
     max_delay: float = 60.0
     max_retries: int = 3
     seed: int = 42
-    deterministic: bool = True
+    deterministic: bool = True  # discovery mode: parity fold vs scale stream
     exact_seen: bool = True
     seen_capacity_per_shard: int = 1_000_000
     seen_error_rate: float = 0.01
     filter_factory: object = None  # () -> FilterChain
     scorer_factory: object = None  # () -> URLScorer
     best_first_batch: int = 10
-    # scale best-first: pop this many merge-rounds per pipeline pass —
-    # popping k·batch in ONE pop_global_batch call is exactly "k successive
-    # pops with no pushes between", so within-pass priority order is
-    # preserved while the fixed pipeline-launch cost amortizes k×.  The
-    # tradeoff (standard frontier greediness) is that discoveries from the
-    # pass can't preempt URLs later in the same pass.
-    best_first_rounds_per_pass: int = 8
     enrich: bool = False  # post-extract quality/langid/simhash enrichment
-    keep_markdown: bool = True  # False drops the derivable markdown column
-    #                             before the docs sink (spans are the
-    #                             authoritative payload; halves sink bytes)
-    fetch_actor_pool: bool = False  # True ⇒ actor-pool fetch stage (stateful
-    #                                 transports); False ⇒ task-based (warm
-    #                                 worker reuse across epochs)
     max_epochs: int | None = None  # stop after N epochs (kill point for resume tests)
-    preseed_visited: bool = False  # scale mode: add seeds to seen (reference batch
-    #                                BFS does NOT — bfs_strategy.py:176 leaves the
-    #                                seed out of `visited`, so a link back to the
-    #                                seed re-crawls it; parity keeps that quirk)
+
+
+def _fail_fsspec_http_import_once() -> None:
+    """Ray Data probes ``fsspec.implementations.http`` on every path
+    resolution (read_parquet / write_parquet).  Without ``aiohttp`` that
+    import fails and is re-run on each call, and a thread racing another's
+    attempt can see the half-imported module: ``ImportError`` instead of the
+    ``ModuleNotFoundError`` Ray catches.  run_iter's two threads do exactly
+    that.  A ``None`` entry in ``sys.modules`` turns every later attempt into
+    an immediate ``ModuleNotFoundError``."""
+    import sys
+
+    try:
+        import fsspec.implementations.http  # noqa: F401
+    except ImportError:
+        sys.modules["fsspec.implementations.http"] = None
+
+
+def _canonical_seeds(seeds: list[str]) -> list[str]:
+    """Seeds normalized as their own base, invalid ones dropped."""
+    out = []
+    for s in seeds:
+        canon = normalize_url_for_deep_crawl(s, s)
+        if canon and is_valid_frontier_url(canon):
+            out.append(canon)
+    return out
 
 
 def _can_process(url: str, depth: int, filter_chain) -> bool:
@@ -138,31 +164,15 @@ def _frontier_table(rows: list[dict], epoch: int, num_shards: int) -> pa.Table:
         hosts = [r["host"] for r in rows]
         host_hashes = [r["host_hash"] for r in rows]
         url_hashes = [r["url_hash"] for r in rows]
-        return pa.table(
-            {
-                "frontier_rank": pa.array(range(len(rows)), type=pa.int64()),
-                "url": pa.array(urls, type=pa.string()),
-                "url_hash": pa.array(url_hashes, type=pa.uint64()),
-                "host": pa.array(hosts, type=pa.string()),
-                "host_hash": pa.array(host_hashes, type=pa.uint64()),
-                "depth": pa.array([r["depth"] for r in rows], type=pa.int32()),
-                "parent_url": pa.array(
-                    [r.get("parent_url") or "" for r in rows], type=pa.string()
-                ),
-                "score": pa.array([r.get("score", 0.0) for r in rows], type=pa.float32()),
-                "epoch": pa.array([epoch] * len(rows), type=pa.int32()),
-                "shard_id": pa.array(
-                    [hh % num_shards for hh in host_hashes], type=pa.int32()
-                ),
-            }
-        )
-    hosts = [host_of(u) for u in urls]
-    host_hashes = [h64(h) for h in hosts]
+    else:
+        hosts = [host_of(u) for u in urls]
+        host_hashes = [h64(h) for h in hosts]
+        url_hashes = [h64(u) for u in urls]
     return pa.table(
         {
             "frontier_rank": pa.array(range(len(rows)), type=pa.int64()),
             "url": pa.array(urls, type=pa.string()),
-            "url_hash": pa.array([h64(u) for u in urls], type=pa.uint64()),
+            "url_hash": pa.array(url_hashes, type=pa.uint64()),
             "host": pa.array(hosts, type=pa.string()),
             "host_hash": pa.array(host_hashes, type=pa.uint64()),
             "depth": pa.array([r["depth"] for r in rows], type=pa.int32()),
@@ -202,30 +212,6 @@ def _frontier_part_from_keys(
             "shard_id": pa.array((hh % num_shards).astype(np.int32), type=pa.int32()),
         }
     )
-
-
-class _SeenCheckStage:
-    """Stateless map_batches fn capturing seen-shard handles: sharded
-    check_and_add (scale-mode anti-join; SURVEY.md §2.6)."""
-
-    def __init__(self, shards, num_shards: int):
-        self.shards = shards
-        self.num_shards = num_shards
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        hosts = batch.column("host").to_pylist()
-        buckets: dict[int, list[int]] = {}
-        for i, h in enumerate(hosts):
-            buckets.setdefault(h64(h) % self.num_shards, []).append(i)
-        refs = {
-            sid: self.shards[sid].check_and_add.remote([urls[i] for i in idx])
-            for sid, idx in buckets.items()
-        }
-        fresh = np.zeros(len(urls), dtype=bool)
-        for sid, idx in buckets.items():
-            fresh[idx] = ray.get(refs[sid])
-        return batch.filter(pa.array(fresh))
 
 
 def _flatten_links(batch: pa.Table, include_external: bool) -> pa.Table:
@@ -311,7 +297,7 @@ class CrawlEngine:
             # I/O or politeness sleeps); with a zero budget and an in-process
             # transport the work is CPU-bound and threads just add GIL
             # contention — measured 723→537 URLs/s on the sf0.1 bench
-            max_sessions=1 if zero_budget else getattr(config, "max_sessions", 20),
+            max_sessions=1 if zero_budget else config.max_sessions,
         )
         self._filter_stage = FilterScoreStage(
             filter_factory=config.filter_factory,
@@ -319,12 +305,11 @@ class CrawlEngine:
             filter_url_col="href",
             score_url_col="url",
         )
-        self._seen_check_stage = _SeenCheckStage(
-            self.seen.shards, config.num_seen_shards
-        )
         # run_iter() hook: called with the epoch number right after that
-        # epoch's docs + manifest are durable (commit point)
+        # epoch's docs + manifest are durable (commit point); one slot, so
+        # at most one run_iter per engine holds it (the lock)
         self._epoch_listener = None
+        self._run_iter_lock = threading.Lock()
 
     def shutdown(self) -> None:
         """Kill shard actors (tests create many engines per session)."""
@@ -337,30 +322,45 @@ class CrawlEngine:
                 pass
 
     # ------------------------------------------------------------- setup
+    def _score(self, url: str) -> float:
+        return self.scorer.score(url) if self.scorer else 0.0
+
     def _seed_frontier(self, seeds: list[str], epoch: int) -> pa.Table:
-        rows = []
-        for s in seeds:
-            canon = normalize_url_for_deep_crawl(s, s)
-            if canon and is_valid_frontier_url(canon):
-                rows.append({"url": canon, "depth": 0, "parent_url": None, "score": 0.0})
+        rows = [
+            {"url": u, "depth": 0, "parent_url": None, "score": 0.0}
+            for u in _canonical_seeds(seeds)
+        ]
         return _frontier_table(rows, epoch, self.config.num_seen_shards)
 
-    def _resume_state(self) -> tuple[int, pa.Table | None]:
+    def _frontier_urls(self, epoch: int) -> list[str]:
+        """URLs of the staged ``frontier/epoch=N/`` parts ([] if none)."""
+        d = self.store.epoch_dir("frontier", epoch)
+        if not (os.path.isdir(d) and os.listdir(d)):
+            return []
+        return pq.read_table(d, columns=["url"]).column("url").to_pylist()
+
+    def _resume(self) -> int:
+        """Reload ``pages_crawled`` and the seen shards from the last
+        committed manifest; return the epoch to run next (0: nothing
+        committed).  Parity rebuilds seen from its ``seen`` deltas; scale
+        mode adds to seen exactly what enters the frontier, so there the
+        frontier parts of epochs 1..last+1 are the seen set."""
         manifest = self.store.read_manifest()
         if manifest is None:
-            return (0, None)
+            return 0
         last_done = manifest["epoch"]
         self.pages_crawled = manifest["pages_crawled"]
-        seen_tbl = self.store.read_group("seen", upto_epoch=last_done)
-        if seen_tbl is not None and seen_tbl.num_rows:
-            urls = seen_tbl.column("url").to_pylist()
-            hosts = [host_of(u) for u in urls]
-            self.seen.load_partitioned(urls, hosts)
-        nxt = self.store.read_epoch_table("frontier", last_done + 1)
-        return (last_done + 1, nxt)
+        if manifest["seen_source"] == "seen_deltas":
+            tbl = self.store.read_group("seen", upto_epoch=last_done)
+            urls = tbl.column("url").to_pylist() if tbl is not None else []
+        else:
+            urls = [u for e in range(1, last_done + 2) for u in self._frontier_urls(e)]
+        if urls:
+            self.seen.load_partitioned(urls, [host_of(u) for u in urls])
+        return last_done + 1
 
     # ------------------------------------------------------------ epochs
-    def _stage_frontier(self, frontier: pa.Table, epoch: int, group: str = "frontier_in") -> str:
+    def _stage_frontier(self, frontier: pa.Table, epoch: int, group: str = "frontier") -> str:
         """Stage a frontier table as a directory of parquet part files sized
         for full read fan-out (≤ 4×CPUs files)."""
         n = frontier.num_rows
@@ -374,37 +374,22 @@ class CrawlEngine:
 
     def _transform_from_ds(self, ds, epoch: int):
         """Attach fetch → extract (→ enrich) → lineage to a frontier Dataset."""
-        cfg = self.config
-        if getattr(cfg, "fetch_actor_pool", False):
-            ds = ds.map_batches(
-                FetchStage,
-                fn_constructor_kwargs={
-                    "transport": self.transport,
-                    "politeness_shards": self.politeness.shards,
-                    "num_politeness_shards": cfg.num_politeness_shards,
-                },
-                batch_size=cfg.fetch_batch_size,
-                batch_format="pyarrow",
-                concurrency=(1, cfg.fetch_concurrency),
-                zero_copy_batch=True,
-            )
-        else:
-            ds = ds.map_batches(
-                self._fetch_fn,
-                batch_size=None,  # batch == block; parallelism is set by the
-                #                   input file count (coalescing to a target
-                #                   batch_size would merge small epochs into
-                #                   one or two tasks)
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
+        ds = ds.map_batches(
+            self._fetch_fn,
+            batch_size=None,  # batch == block; parallelism is set by the
+            #                   input file count (coalescing to a target
+            #                   batch_size would merge small epochs into
+            #                   one or two tasks)
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
         ds = ds.map_batches(
             extract_batch,
             batch_size=None,
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        if getattr(cfg, "enrich", False):
+        if self.config.enrich:
             from ..stages.extract import enrich_batch
 
             ds = ds.map_batches(
@@ -416,11 +401,8 @@ class CrawlEngine:
 
         gens = self.seen.generations()
         bloom_gen = max(gens) if gens else 0
-        keep_markdown = getattr(cfg, "keep_markdown", True)
 
         def _add_lineage(batch: pa.Table) -> pa.Table:
-            if not keep_markdown and "markdown" in batch.column_names:
-                batch = batch.drop_columns(["markdown"])
             n = batch.num_rows
             batch = batch.append_column(
                 "doc_id",
@@ -441,30 +423,16 @@ class CrawlEngine:
             _add_lineage, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
         )
 
-    def _epoch_transform_ds(self, frontier: pa.Table, epoch: int):
-        """Stage a frontier table to parquet parts (read fan-out: one read
-        task per file — a single file's block generator trickles through
-        backpressure and serializes the epoch; from_arrow on table slices
-        re-pickles the parent buffer per slice) and attach the transform
-        chain.  Task-based map_batches reuses warm workers across epochs."""
-        input_dir = self._stage_frontier(frontier, epoch)
-        return self._transform_from_ds(ray.data.read_parquet(input_dir), epoch)
-
-    def _run_epoch_pipeline(self, frontier: pa.Table, epoch: int):
-        """Parity path: ONE streaming execution fetch→extract→lineage→parquet,
-        then a column-PRUNED readback (links + bookkeeping only — the wide
-        doc payload never round-trips) materialized for the driver fold."""
-        t0 = time.time()
-        ds = self._epoch_transform_ds(frontier, epoch)
+    def _run_epoch_pipeline(self, input_dir: str, epoch: int) -> list[dict]:
+        """Parity path: ONE streaming execution fetch→extract→lineage→parquet
+        over the staged frontier parts, then a column-PRUNED readback (links
+        + bookkeeping only — the wide doc payload never round-trips) in
+        frontier order for the driver fold."""
         docs_dir = self.store.docs_epoch_dir(epoch)
+        ds = self._transform_from_ds(ray.data.read_parquet(input_dir), epoch)
         ds.write_parquet(docs_dir)
-        ext = ray.data.read_parquet(
-            docs_dir,
-            columns=[
-                "frontier_rank", "url", "depth", "success", "links", "shard_id",
-            ],
-        ).materialize()
-        return ext, time.time() - t0
+        cols = ["frontier_rank", "url", "depth", "success", "links"]
+        return pq.read_table(docs_dir, columns=cols).sort_by("frontier_rank").to_pylist()
 
     def _epoch_candidate_ds(self, input_dir: str, epoch: int):
         """One epoch's streaming chain up to the gated candidate keys
@@ -537,7 +505,7 @@ class CrawlEngine:
             _local_dedup, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
         )
 
-    def _run_epoch_scale(self, input_dir: str, epoch: int):
+    def _run_epoch_scale(self, input_dir: str, epoch: int) -> tuple[str | None, int]:
         """Scale path: ONE streaming execution per epoch, and the driver
         never holds a row.  The chain is
 
@@ -547,14 +515,12 @@ class CrawlEngine:
               → sharded check_and_add       (first caller wins)
               → emit next-frontier part     (write parquet, forward count)
 
-        so all the driver collects is one count per batch plus the
-        politeness-shard counters (metrics).  The next epoch reads the
-        frontier parts this epoch wrote; those parts double as the seen-set
-        delta for resume (scale mode adds to seen exactly what enters the
-        frontier)."""
+        so all the driver collects is one count per batch.  The next epoch
+        reads the frontier parts this epoch wrote; those parts double as the
+        seen-set delta for resume (scale mode adds to seen exactly what
+        enters the frontier).  Returns (next frontier dir or None, rows)."""
         cfg = self.config
-        t0 = time.time()
-        next_dir = os.path.join(self.store.root, "frontier", f"epoch={epoch + 1}")
+        next_dir = self.store.epoch_dir("frontier", epoch + 1)
         shutil.rmtree(next_dir, ignore_errors=True)
         os.makedirs(next_dir, exist_ok=True)
         next_epoch = epoch + 1
@@ -564,7 +530,7 @@ class CrawlEngine:
         # only (url/hashes/host/depth/parent/score — never the documents).
         # ``iter_batches`` preserves pipeline block order, so the per-chunk
         # check_and_add elects the SAME first-wins winners as a single
-        # ordered round, while peak driver memory is O(seen_round_chunk)
+        # ordered round, while peak driver memory is O(SEEN_ROUND_CHUNK)
         # instead of O(epoch frontier) — at the 10^10-URL design point an
         # epoch's key set can be tens of GB, which must never sit on the
         # driver at once.  Each fresh chunk is staged straight into the
@@ -572,15 +538,13 @@ class CrawlEngine:
         # delta).  In-task ray.get on the shard actors stalls workers and
         # triggers raylet spawn storms at high parallelism, so driver-paced
         # rounds stay.
-        import pyarrow.parquet as _pq
-
         keys = cand.select_columns(
             ["url", "url_hash", "host", "host_hash", "src_depth", "src_url", "score"]
         )
         next_n = 0
         part_seq = 0
         for batch in keys.iter_batches(
-            batch_size=cfg.seen_round_chunk, batch_format="pyarrow"
+            batch_size=SEEN_ROUND_CHUNK, batch_format="pyarrow"
         ):
             if batch.num_rows == 0:
                 continue
@@ -594,23 +558,10 @@ class CrawlEngine:
                 fresh_tbl, rank_offset=next_n, epoch=next_epoch,
                 num_shards=num_shards,
             )
-            _pq.write_table(part, f"{next_dir}/part-{part_seq:05d}.parquet")
+            pq.write_table(part, f"{next_dir}/part-{part_seq:05d}.parquet")
             part_seq += 1
             next_n += part.num_rows
-
-        counters = ray.get(
-            [s.drain_counters.remote() for s in self.politeness.shards]
-        )
-        fetched = sum(c["fetched"] for c in counters)
-        self.pages_crawled += fetched
-        remaining = cfg.max_pages - self.pages_crawled
-        if next_n > remaining:
-            next_n = self._trim_frontier_dir(
-                next_dir, int(max(0, remaining)), next_epoch, num_shards
-            )
-        wall = time.time() - t0
-        m = self._write_metrics_from_counters(counters, epoch, wall)
-        return (next_dir if next_n else None), next_n, m, wall
+        return (next_dir if next_n else None), next_n
 
     def _trim_frontier_dir(
         self, next_dir: str, keep_n: int, epoch: int, num_shards: int
@@ -619,8 +570,6 @@ class CrawlEngine:
         rows by (score desc, url asc) — a BOUNDED heap (heapq.nsmallest holds
         ≤ keep_n rows) over the streamed parts, then restage.  Only runs in
         the crawl's final epochs when the cap actually binds."""
-        import heapq
-
         if keep_n <= 0:
             shutil.rmtree(next_dir, ignore_errors=True)
             os.makedirs(next_dir, exist_ok=True)
@@ -641,13 +590,13 @@ class CrawlEngine:
             keep_n, _iter_rows(), key=lambda r: (-r["score"], r["url"])
         )
         tbl = _frontier_table(rows, epoch, num_shards)
-        self._stage_frontier(tbl, epoch, group="frontier")
+        self._stage_frontier(tbl, epoch)
         return len(rows)
 
-    def _write_metrics_from_counters(
-        self, counters: list[dict], epoch: int, wall_s: float
-    ) -> dict:
-        """Metrics table from politeness-shard counters (scale path)."""
+    def _write_metrics(self, counters: list[dict], epoch: int, wall_s: float) -> None:
+        """The epoch's metrics table, one row per politeness shard, from the
+        outcome counters its fetch tasks reported (robots denials →
+        ``skipped``, non-200 fetches → ``failed``)."""
         gens = self.seen.generations()
         bloom_gen = max(gens) if gens else 0
         n = len(counters)
@@ -663,23 +612,14 @@ class CrawlEngine:
             }
         )
         self.store.write_epoch_table("metrics", epoch, tbl)
-        return {
-            "fetched": sum(c["fetched"] for c in counters),
-            "failed": sum(c["failed"] + c["denied"] for c in counters),
-        }
 
     # ------------------------------------------------ parity-mode discovery
-    def _discover_deterministic(self, ext, epoch: int) -> list[dict]:
-        """Driver fold over candidate link keys, replaying the reference's
-        sequential link_discovery (bfs_strategy.py:81-152) in
-        (source frontier order, link position) order."""
+    def _discover_deterministic(self, cand: list[dict], epoch: int) -> list[dict]:
+        """Driver fold over candidate link keys (``cand``: the epoch's pruned
+        doc rows in frontier order), replaying the reference's sequential
+        link_discovery (bfs_strategy.py:81-152) in (source frontier order,
+        link position) order."""
         cfg = self.config
-        cand = (
-            ext.select_columns(["frontier_rank", "url", "depth", "success", "links"])
-            .take_all()
-        )
-        cand.sort(key=lambda r: r["frontier_rank"])
-
         # pre-normalize all candidate links + bulk prior-seen query
         all_norms: list[str] = []
         per_source: list[dict] = []
@@ -720,7 +660,7 @@ class CrawlEngine:
                     continue
                 if not _can_process(link["href"], next_depth, self.filter_chain):
                     continue
-                score = self.scorer.score(norm) if self.scorer else 0.0
+                score = self._score(norm)
                 if score < cfg.score_threshold:
                     continue
                 local_seen.add(norm)
@@ -741,23 +681,13 @@ class CrawlEngine:
         return next_frontier
 
     # ---------------------------------------------------------- checkpoints
-    def _write_seen_delta(
-        self,
-        urls: list[str],
-        epoch: int,
-        url_hashes: list[int] | None = None,
-        host_hashes: list[int] | None = None,
-    ) -> None:
-        if url_hashes is None:
-            url_hashes = [h64(u) for u in urls]
-        if host_hashes is None:
-            host_hashes = [h64(host_of(u)) for u in urls]
+    def _write_seen_delta(self, urls: list[str], epoch: int) -> None:
         tbl = pa.table(
             {
                 "url": pa.array(urls, type=pa.string()),
-                "url_hash": pa.array(url_hashes, type=pa.uint64()),
+                "url_hash": pa.array([h64(u) for u in urls], type=pa.uint64()),
                 "shard_id": pa.array(
-                    [hh % self.config.num_seen_shards for hh in host_hashes],
+                    [h64(host_of(u)) % self.config.num_seen_shards for u in urls],
                     type=pa.int32(),
                 ),
                 "epoch": pa.array([epoch] * len(urls), type=pa.int32()),
@@ -766,72 +696,86 @@ class CrawlEngine:
         )
         self.store.write_epoch_table("seen", epoch, tbl)
 
-    def _write_metrics(self, ext, epoch: int, wall_s: float) -> dict:
-        # partial aggregation inside map_batches (one row per shard per
-        # batch), tiny final fold on the driver — never row-level collect
-        def _partial(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            shard = np.asarray(b.column("shard_id").to_numpy(zero_copy_only=False))
-            success = np.asarray(
-                b.column("success").to_numpy(zero_copy_only=False)
-            ).astype(bool)
-            sids = np.unique(shard)
-            return pa.table(
-                {
-                    "shard_id": pa.array(sids.tolist(), type=pa.int32()),
-                    "fetched": pa.array(
-                        [int(success[shard == s].sum()) for s in sids], type=pa.int64()
-                    ),
-                    "failed": pa.array(
-                        [int((~success[shard == s]).sum()) for s in sids],
-                        type=pa.int64(),
-                    ),
-                }
-            )
-
-        stats = ext.map_batches(
-            _partial, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        ).take_all()
-        per_shard: dict[int, dict] = {}
-        for r in stats:
-            d = per_shard.setdefault(r["shard_id"], {"fetched": 0, "failed": 0})
-            d["fetched"] += r["fetched"]
-            d["failed"] += r["failed"]
-        gens = self.seen.generations()
-        bloom_gen = max(gens) if gens else 0
-        tbl = pa.table(
-            {
-                "epoch": pa.array([epoch] * len(per_shard), type=pa.int32()),
-                "shard_id": pa.array(list(per_shard), type=pa.int32()),
-                "bloom_generation": pa.array([bloom_gen] * len(per_shard), type=pa.int32()),
-                "fetched": pa.array([d["fetched"] for d in per_shard.values()], type=pa.int64()),
-                "skipped": pa.array([0] * len(per_shard), type=pa.int64()),
-                "failed": pa.array([d["failed"] for d in per_shard.values()], type=pa.int64()),
-                "wall_s": pa.array([wall_s] * len(per_shard), type=pa.float64()),
-            }
-        )
-        self.store.write_epoch_table("metrics", epoch, tbl)
-        return {
-            "fetched": sum(d["fetched"] for d in per_shard.values()),
-            "failed": sum(d["failed"] for d in per_shard.values()),
-        }
-
     # ---------------------------------------------------------------- run
     def run(self, seeds: list[str], resume: bool = False) -> dict:
-        if self.config.strategy == "bfs":
-            return self._run_bfs(seeds, resume)
-        if self.config.strategy == "best_first":
-            if self.config.deterministic:
-                return self._run_best_first(seeds)
-            return self._run_best_first_scale(seeds)
-        if self.config.strategy == "dfs":
+        """The epoch driver for BFS and Best-First in both discovery modes.
+        The frontier policy (``_LevelFrontier`` / ``_HeapFrontier`` /
+        ``_ShardedHeapFrontier``) supplies each epoch's staged frontier and
+        its fetch→discovery step; everything else — resume or seed, the loop
+        guards, the epoch wall clock, metrics, manifest, listener and summary
+        — happens here once.  Only BFS resumes: the heaps (and DFS's stack)
+        are never checkpointed."""
+        cfg = self.config
+        if cfg.strategy not in ("bfs", "best_first", "dfs"):
+            raise ValueError(f"unknown strategy {cfg.strategy}")
+        if resume and cfg.strategy != "bfs":
+            raise ValueError(
+                f"resume: {cfg.strategy} cannot rebuild its frontier from a "
+                "checkpoint; only bfs resumes"
+            )
+        if cfg.strategy == "dfs":
             return self._run_dfs(seeds)
-        raise ValueError(f"unknown strategy {self.config.strategy}")
+        if cfg.strategy == "bfs":
+            frontier = _LevelFrontier(self, seeds, resume)
+        elif cfg.deterministic:
+            frontier = _HeapFrontier(self, seeds)
+        else:
+            frontier = _ShardedHeapFrontier(self, seeds)
+        epoch = frontier.start_epoch
+        epochs_run = total_fetched = 0
+        t_start = time.time()
+        try:
+            while self.pages_crawled < cfg.max_pages and (
+                cfg.max_epochs is None or epochs_run < cfg.max_epochs
+            ):
+                t0 = time.time()
+                input_dir = frontier.take(epoch)
+                if input_dir is None:
+                    break
+                frontier.crawl(input_dir, epoch)
+                # fetch tasks report outcomes fire-and-forget; they are
+                # submitted before the tasks finish, so they precede this drain
+                counters = ray.get(
+                    [s.drain_counters.remote() for s in self.politeness.shards]
+                )
+                fetched = sum(c["fetched"] for c in counters)
+                total_fetched += fetched
+                if not cfg.deterministic:
+                    self.pages_crawled += fetched  # parity counts in its fold
+                self._write_metrics(counters, epoch, time.time() - t0)
+                self.store.write_manifest(
+                    {
+                        "strategy": cfg.strategy,
+                        "epoch": epoch,
+                        "pages_crawled": self.pages_crawled,
+                        "num_seen_shards": cfg.num_seen_shards,
+                        "bloom_generations": self.seen.generations(),
+                        "deterministic": cfg.deterministic,
+                        "seen_source": (
+                            "seen_deltas" if cfg.deterministic else "frontier_dirs"
+                        ),
+                    }
+                )
+                self._notify_epoch(epoch)
+                epoch += 1
+                epochs_run += 1
+        finally:
+            frontier.close()
+        wall_total = time.time() - t_start
+        return {
+            "epochs": epoch,
+            "pages_crawled": self.pages_crawled,
+            "fetched": total_fetched,
+            "seen_size": self.seen.total_size(),
+            "wall_s": wall_total,
+            "urls_per_s": total_fetched / wall_total if wall_total > 0 else 0.0,
+        }
 
     def _notify_epoch(self, epoch: int) -> None:
-        if self._epoch_listener is not None:
-            self._epoch_listener(epoch)
+        # one read: run_iter's teardown may clear the slot concurrently
+        listener = self._epoch_listener
+        if listener is not None:
+            listener(epoch)
 
     def run_iter(self, seeds: list[str], resume: bool = False,
                  max_buffered_epochs: int = 2):
@@ -852,12 +796,15 @@ class CrawlEngine:
         from the same place either way.  The final summary dict is exposed
         as ``self.last_run_stats`` after exhaustion (and raised exceptions
         propagate).  DFS is serial with no epoch structure — use ``run()``.
+        One run_iter per engine at a time: a second raises RuntimeError.
         """
         import queue as _queue
-        import threading
 
         if self.config.strategy == "dfs":
             raise ValueError("run_iter: dfs has no epoch structure; use run()")
+        if not self._run_iter_lock.acquire(blocking=False):
+            raise RuntimeError("run_iter: another run_iter on this engine is active")
+        _fail_fsspec_http_import_once()
 
         q: _queue.Queue = _queue.Queue(maxsize=max(1, max_buffered_epochs))
         done = object()
@@ -899,6 +846,7 @@ class CrawlEngine:
                 except _queue.Empty:
                     pass
             t.join()
+            self._run_iter_lock.release()
         if "error" in box:
             raise box["error"]
         self.last_run_stats = box["stats"]
@@ -980,10 +928,10 @@ class CrawlEngine:
             ),
             batch_format="pyarrow", zero_copy_batch=True,
         )
-        # stream stale URLs in bounded driver chunks (seen_round_chunk
+        # stream stale URLs in bounded driver chunks (SEEN_ROUND_CHUNK
         # pattern), one refetch pipeline per chunk
         rows: list[dict] = []
-        chunk = self.config.seen_round_chunk
+        chunk = SEEN_ROUND_CHUNK
         for b in stale_ds.iter_batches(batch_size=chunk, batch_format="pyarrow"):
             rows.extend(
                 {"url": u, "depth": int(d), "parent_url": None, "score": 0.0}
@@ -1004,422 +952,28 @@ class CrawlEngine:
         """Fetch+extract+lineage the given URLs into a fresh docs epoch
         (revalidation refresh — no frontier expansion, no seen mutation)."""
         frontier = _frontier_table(rows, epoch, self.config.num_seen_shards)
-        ds = self._epoch_transform_ds(frontier, epoch)
-        docs_dir = self.store.docs_epoch_dir(epoch)
-        ds.write_parquet(docs_dir)
+        input_dir = self._stage_frontier(frontier, epoch, group="refetch")
+        ds = self._transform_from_ds(ray.data.read_parquet(input_dir), epoch)
+        ds.write_parquet(self.store.docs_epoch_dir(epoch))
         n = len(rows)
         manifest = self.store.read_manifest() or {}
         manifest.update({"revalidation_epoch": epoch, "revalidation_refetched": n})
         self.store.write_manifest(manifest)
         return n
 
-    def _run_bfs(self, seeds: list[str], resume: bool) -> dict:
-        if self.config.deterministic:
-            return self._run_bfs_parity(seeds, resume)
-        return self._run_bfs_scale(seeds, resume)
-
-    def _run_bfs_parity(self, seeds: list[str], resume: bool) -> dict:
-        cfg = self.config
-        epoch = 0
-        frontier: pa.Table | None = None
-        if resume:
-            epoch, frontier = self._resume_state()
-        if frontier is None and epoch == 0:
-            frontier = self._seed_frontier(seeds, 0)
-        total_fetched = 0
-        epochs_run = 0
-        t_start = time.time()
-        while (
-            frontier is not None
-            and frontier.num_rows > 0
-            and self.pages_crawled < cfg.max_pages
-        ):
-            if cfg.max_epochs is not None and epochs_run >= cfg.max_epochs:
-                break
-            self.store.write_epoch_table(
-                "frontier", epoch, frontier, row_group_size=cfg.fetch_batch_size
-            )
-            ext, wall = self._run_epoch_pipeline(frontier, epoch)
-            m = self._write_metrics(ext, epoch, wall)
-            # fold increments pages_crawled per success in frontier order
-            next_rows = self._discover_deterministic(ext, epoch)
-            total_fetched += m["fetched"]
-            next_table = (
-                _frontier_table(next_rows, epoch + 1, cfg.num_seen_shards)
-                if next_rows
-                else None
-            )
-            if next_table is not None:
-                self.store.write_epoch_table(
-                    "frontier", epoch + 1, next_table,
-                    row_group_size=cfg.fetch_batch_size,
-                )
-            self.store.write_manifest(
-                {
-                    "strategy": "bfs",
-                    "epoch": epoch,
-                    "pages_crawled": self.pages_crawled,
-                    "num_seen_shards": cfg.num_seen_shards,
-                    "bloom_generations": self.seen.generations(),
-                    "deterministic": True,
-                }
-            )
-            self._notify_epoch(epoch)
-            frontier = next_table
-            epoch += 1
-            epochs_run += 1
-        wall_total = time.time() - t_start
-        return {
-            "epochs": epoch,
-            "pages_crawled": self.pages_crawled,
-            "fetched": total_fetched,
-            "seen_size": self.seen.total_size(),
-            "wall_s": wall_total,
-            "urls_per_s": total_fetched / wall_total if wall_total > 0 else 0.0,
-        }
-
-    def _run_bfs_scale(self, seeds: list[str], resume: bool) -> dict:
-        """Throughput path: frontier lives as parquet part directories; the
-        driver moves only directory names, counts and counters between
-        epochs (SURVEY.md §3.4 at 10^10 scale)."""
-        cfg = self.config
-        epoch = 0
-        input_dir: str | None = None
-        n = 0
-        if resume:
-            epoch, input_dir, n = self._resume_scale()
-        if input_dir is None and epoch == 0:
-            seed_tbl = self._seed_frontier(seeds, 0)
-            if cfg.preseed_visited:
-                urls = seed_tbl.column("url").to_pylist()
-                self.seen.add(urls, [host_of(u) for u in urls])
-            input_dir = self._stage_frontier(seed_tbl, 0, group="frontier")
-            n = seed_tbl.num_rows
-        total_fetched = 0
-        epochs_run = 0
-        t_start = time.time()
-        while input_dir and n > 0 and self.pages_crawled < cfg.max_pages:
-            if cfg.max_epochs is not None and epochs_run >= cfg.max_epochs:
-                break
-            next_dir, next_n, m, wall = self._run_epoch_scale(input_dir, epoch)
-            total_fetched += m["fetched"]
-            self.store.write_manifest(
-                {
-                    "strategy": "bfs",
-                    "epoch": epoch,
-                    "pages_crawled": self.pages_crawled,
-                    "num_seen_shards": cfg.num_seen_shards,
-                    "bloom_generations": self.seen.generations(),
-                    "deterministic": False,
-                    "seen_source": "frontier_dirs",
-                    "preseed_visited": cfg.preseed_visited,
-                }
-            )
-            self._notify_epoch(epoch)
-            input_dir, n = next_dir, next_n
-            epoch += 1
-            epochs_run += 1
-        wall_total = time.time() - t_start
-        return {
-            "epochs": epoch,
-            "pages_crawled": self.pages_crawled,
-            "fetched": total_fetched,
-            "seen_size": self.seen.total_size(),
-            "wall_s": wall_total,
-            "urls_per_s": total_fetched / wall_total if wall_total > 0 else 0.0,
-        }
-
-    def _resume_scale(self) -> tuple[int, str | None, int]:
-        """Rebuild seen shards from the frontier part dirs (epochs ≥ 1 hold
-        exactly the URLs added to seen; epoch 0 seeds only under
-        preseed_visited) and continue at the last uncompleted epoch."""
-        import pyarrow.parquet as pq
-
-        manifest = self.store.read_manifest()
-        if manifest is None:
-            return (0, None, 0)
-        last_done = manifest["epoch"]
-        self.pages_crawled = manifest["pages_crawled"]
-        urls: list[str] = []
-        start = 0 if manifest.get("preseed_visited") else 1
-        for e in range(start, last_done + 2):
-            d = os.path.join(self.store.root, "frontier", f"epoch={e}")
-            if os.path.isdir(d) and os.listdir(d):
-                urls.extend(pq.read_table(d, columns=["url"]).column("url").to_pylist())
-        if urls:
-            self.seen.load_partitioned(urls, [host_of(u) for u in urls])
-        nxt = os.path.join(self.store.root, "frontier", f"epoch={last_done + 1}")
-        if os.path.isdir(nxt) and os.listdir(nxt):
-            n = pq.read_table(nxt, columns=["url"]).num_rows
-            return (last_done + 1, nxt, n)
-        return (last_done + 1, None, 0)
-
-    # ------------------------------------------------------- best-first
-    def _run_best_first(self, seeds: list[str]) -> dict:
-        """Driver-heap Best-First (parity with bff_strategy.py:139-269):
-        one global priority queue ordered (-score, depth, seq); URLs join
-        ``visited`` at POP time (bff:205-207 — unlike BFS, duplicates may sit
-        in the queue); link_discovery applies validity+filters but NO score
-        threshold (bff:92-137); batches of ``best_first_batch`` run through
-        the same Ray fetch+extract pipeline; processing stops mid-batch when
-        max_pages is reached (bff:233-238).
-
-        ``cfg.best_first_sharded`` switches the queue to per-shard heap
-        actors + a driver k-way merge (state/frontier_heap.py — the 10^10
-        shape: the driver holds O(shards×batch) rows per round, never the
-        frontier).  Score ties then break by url instead of the reference's
-        global insertion seq (a distributed frontier has no global seq);
-        the crawled SET matches, and order matches whenever scores are
-        distinct."""
-        cfg = self.config
-        sharded = getattr(cfg, "best_first_sharded", False)
-        sheap = None
-        heap: list[tuple[float, int, int, str, str | None]] = []
-        if sharded:
-            from ..state.frontier_heap import ShardedFrontierHeap
-
-            sheap = ShardedFrontierHeap(cfg.num_seen_shards)
-        seq = 0
-        visited: set[str] = set()
-        depths: dict[str, int] = {}
-        seed_rows: list[dict] = []
-        for s in seeds:
-            canon = normalize_url_for_deep_crawl(s, s)
-            if canon and is_valid_frontier_url(canon):
-                score = self.scorer.score(canon) if self.scorer else 0.0
-                if sharded:
-                    seed_rows.append(
-                        {"url": canon, "host": host_of(canon), "score": score,
-                         "depth": 0, "parent_url": None}
-                    )
-                else:
-                    heapq.heappush(heap, (-score, 0, seq, canon, None))
-                depths[canon] = 0
-                seq += 1
-        if sharded and seed_rows:
-            sheap.push_batch(seed_rows)
-        batch_idx = 0
-        total_fetched = 0
-        t_start = time.time()
-        while (sheap.total_size() if sharded else len(heap)) and self.pages_crawled < cfg.max_pages:
-            batch_rows = []
-            newly_visited: list[str] = []
-            if sharded:
-                for row in sheap.pop_global_batch(cfg.best_first_batch):
-                    url = row["url"]
-                    if url in visited:
-                        continue
-                    visited.add(url)
-                    newly_visited.append(url)
-                    batch_rows.append(
-                        {"url": url, "depth": row["depth"],
-                         "parent_url": row["parent_url"], "score": row["score"]}
-                    )
-            else:
-                for _ in range(cfg.best_first_batch):
-                    if not heap:
-                        break
-                    neg_score, depth, _, url, parent = heapq.heappop(heap)
-                    if url in visited:
-                        continue
-                    visited.add(url)
-                    newly_visited.append(url)
-                    batch_rows.append(
-                        {"url": url, "depth": depth, "parent_url": parent, "score": -neg_score}
-                    )
-            if not batch_rows:
-                continue
-            frontier = _frontier_table(batch_rows, batch_idx, cfg.num_seen_shards)
-            self.store.write_epoch_table(
-                "frontier", batch_idx, frontier, row_group_size=cfg.fetch_batch_size
-            )
-            ext, wall = self._run_epoch_pipeline(frontier, batch_idx)
-            cand = ext.select_columns(
-                ["frontier_rank", "url", "depth", "success", "links"]
-            ).take_all()
-            cand.sort(key=lambda r: r["frontier_rank"])
-            push_buffer: list[dict] = []
-            for row in cand:
-                if not row["success"]:
-                    continue
-                self.pages_crawled += 1
-                total_fetched += 1
-                if self.pages_crawled >= cfg.max_pages:
-                    break  # mid-batch stop (bff:233-238)
-                next_depth = row["depth"] + 1
-                if next_depth > cfg.max_depth:
-                    continue
-                if cfg.max_pages - self.pages_crawled <= 0:
-                    continue
-                for link in row["links"] or []:
-                    if not link["internal"] and not cfg.include_external:
-                        continue
-                    norm = normalize_url_for_deep_crawl(link["href"], row["url"])
-                    if not norm or norm in visited:
-                        continue
-                    if not _can_process(link["href"], next_depth, self.filter_chain):
-                        continue
-                    depths[norm] = next_depth
-                    new_depth = depths.get(norm, next_depth)
-                    score = self.scorer.score(norm) if self.scorer else 0.0
-                    if sharded:
-                        push_buffer.append(
-                            {"url": norm, "host": host_of(norm), "score": score,
-                             "depth": new_depth, "parent_url": row["url"]}
-                        )
-                    else:
-                        heapq.heappush(heap, (-score, new_depth, seq, norm, row["url"]))
-                    seq += 1
-            if sharded and push_buffer:
-                sheap.push_batch(push_buffer)
-            self._write_seen_delta(newly_visited, batch_idx)
-            self._write_metrics(ext, batch_idx, wall)
-            self.store.write_manifest(
-                {
-                    "strategy": "best_first",
-                    "epoch": batch_idx,
-                    "pages_crawled": self.pages_crawled,
-                    "num_seen_shards": cfg.num_seen_shards,
-                    "bloom_generations": self.seen.generations(),
-                    "deterministic": True,
-                }
-            )
-            self._notify_epoch(batch_idx)
-            batch_idx += 1
-        wall_total = time.time() - t_start
-        if sheap is not None:
-            sheap.shutdown()
-        if visited:
-            self.seen.add(sorted(visited), [host_of(u) for u in sorted(visited)])
-        return {
-            "epochs": batch_idx,
-            "pages_crawled": self.pages_crawled,
-            "fetched": total_fetched,
-            "seen_size": len(visited),
-            "wall_s": wall_total,
-            "urls_per_s": total_fetched / wall_total if wall_total > 0 else 0.0,
-        }
-
-    def _run_best_first_scale(self, seeds: list[str]) -> dict:
-        """Scale-mode Best-First — the north-star shape at 10^10: a sharded
-        priority frontier (per-shard heap actors + driver k-way merge,
-        state/frontier_heap.py) feeding the SAME distributed discovery
-        chain as BFS-scale.  Per round:
-
-            pop global top-k (O(shards×k) driver rows)
-              → pop-time visited via the sharded seen filter (bloom at
-                scale — first-wins, reference bff:205-207 semantics)
-              → fetch→extract→sink docs→flatten→canonicalize→filter→gate
-              → candidate keys stream back in bounded chunks and PUSH into
-                the heap shards (urls queued at most once; re-pushes of
-                popped urls die at the next pop's seen check)
-
-        The driver never holds more than max(best_first_batch × shards,
-        seen_round_chunk) rows.  Ordering: (score desc, depth, url) — the
-        url tiebreak documented at _run_best_first applies here too."""
-        from ..state.frontier_heap import ShardedFrontierHeap
-
-        cfg = self.config
-        sheap = ShardedFrontierHeap(cfg.num_seen_shards)
-        seed_rows = []
-        for u in seeds:
-            canon = normalize_url_for_deep_crawl(u, u)
-            if canon and is_valid_frontier_url(canon):
-                score = self.scorer.score(canon) if self.scorer else 0.0
-                seed_rows.append(
-                    {"url": canon, "host": host_of(canon), "score": score,
-                     "depth": 0, "parent_url": None}
-                )
-        if seed_rows:
-            sheap.push_batch(seed_rows)
-        batch_idx = 0
-        total_fetched = 0
-        t_start = time.time()
-        while self.pages_crawled < cfg.max_pages:
-            if cfg.max_epochs is not None and batch_idx >= cfg.max_epochs:
-                break
-            pass_size = max(
-                cfg.best_first_batch,
-                min(
-                    cfg.best_first_batch * cfg.best_first_rounds_per_pass,
-                    cfg.max_pages - self.pages_crawled,
-                ),
-            )
-            popped = sheap.pop_global_batch(pass_size)
-            if not popped:
-                break
-            fresh = self.seen.check_and_add(
-                [r["url"] for r in popped], [host_of(r["url"]) for r in popped]
-            )
-            rows = [r for r, f in zip(popped, fresh) if f]
-            if not rows:
-                continue
-            frontier = _frontier_table(rows, batch_idx, cfg.num_seen_shards)
-            input_dir = self._stage_frontier(frontier, batch_idx, group="frontier")
-            t0 = time.time()
-            cand = self._epoch_candidate_ds(input_dir, batch_idx)
-            keys = cand.select_columns(["url", "host", "src_depth", "src_url", "score"])
-            for b in keys.iter_batches(
-                batch_size=cfg.seen_round_chunk, batch_format="pyarrow"
-            ):
-                if b.num_rows == 0:
-                    continue
-                sheap.push_batch(
-                    [
-                        {"url": u, "host": h, "score": float(sc),
-                         "depth": int(d) + 1, "parent_url": p}
-                        for u, h, sc, d, p in zip(
-                            b.column("url").to_pylist(),
-                            b.column("host").to_pylist(),
-                            b.column("score").to_pylist(),
-                            b.column("src_depth").to_pylist(),
-                            b.column("src_url").to_pylist(),
-                        )
-                    ]
-                )
-            counters = ray.get(
-                [sh.drain_counters.remote() for sh in self.politeness.shards]
-            )
-            fetched = sum(c["fetched"] for c in counters)
-            self.pages_crawled += fetched
-            total_fetched += fetched
-            m = self._write_metrics_from_counters(counters, batch_idx, time.time() - t0)
-            self.store.write_manifest(
-                {
-                    "strategy": "best_first",
-                    "epoch": batch_idx,
-                    "pages_crawled": self.pages_crawled,
-                    "num_seen_shards": cfg.num_seen_shards,
-                    "bloom_generations": self.seen.generations(),
-                    "deterministic": False,
-                }
-            )
-            self._notify_epoch(batch_idx)
-            batch_idx += 1
-        wall_total = time.time() - t_start
-        sheap.shutdown()
-        return {
-            "epochs": batch_idx,
-            "pages_crawled": self.pages_crawled,
-            "fetched": total_fetched,
-            "seen_size": self.seen.total_size(),
-            "wall_s": wall_total,
-            "urls_per_s": total_fetched / wall_total if wall_total > 0 else 0.0,
-        }
-
     # -------------------------------------------------------------- dfs
     def _run_dfs(self, seeds: list[str]) -> dict:
         """Sequential DFS parity mode (dfs_strategy.py:27-111): LIFO stack,
         children pushed reversed so the first-discovered link is crawled
         next.  Inherently serial — provided for ordering parity, not scale
-        (SURVEY.md §2.8)."""
+        (SURVEY.md §2.8).
+
+        Deliberately outside the epoch driver in ``run``: DFS runs no Ray
+        pipeline and has no epochs, manifest or metrics (``run_iter``
+        rejects it), so routing it through the loop would add code."""
         cfg = self.config
-        stack: list[tuple[str, str | None, int]] = []
+        stack = [(u, None, 0) for u in reversed(_canonical_seeds(seeds))]
         visited: set[str] = set()
-        for s in reversed(seeds):
-            canon = normalize_url_for_deep_crawl(s, s)
-            if canon and is_valid_frontier_url(canon):
-                stack.append((canon, None, 0))
         transport = self.transport
         from ..state.politeness import RobotsGate
 
@@ -1455,8 +1009,7 @@ class CrawlEngine:
                     continue
                 if not _can_process(link["href"], next_depth, self.filter_chain):
                     continue
-                score = self.scorer.score(norm) if self.scorer else 0.0
-                if score < cfg.score_threshold:
+                if self._score(norm) < cfg.score_threshold:
                     continue
                 visited.add(norm)
                 discovered.append((norm, url, next_depth))
@@ -1486,3 +1039,196 @@ class CrawlEngine:
             if f.endswith(".parquet")
         ]
         return ray.data.read_parquet(files)
+
+
+# ------------------------------------------------------- frontier policies
+class _Frontier:
+    """What ``CrawlEngine.run`` asks of a frontier policy: ``take(epoch)``
+    stages the epoch's frontier as ``frontier/epoch=N/`` parts and returns
+    that dir (None when exhausted); ``crawl(input_dir, epoch)`` runs fetch →
+    extract → sink → discovery over it; ``close()`` releases the policy's
+    actors.  ``start_epoch`` is where the run begins."""
+
+    start_epoch = 0
+
+    def close(self) -> None:
+        pass
+
+
+class _LevelFrontier(_Frontier):
+    """BFS: epoch N crawls the whole depth-N level, staged by the epoch
+    before (by the seed or by resume for the first).  Discovery is the
+    driver fold (parity) or the streaming seen check (scale)."""
+
+    def __init__(self, engine: CrawlEngine, seeds: list[str], resume: bool):
+        self.engine = engine
+        self.start_epoch = engine._resume() if resume else 0
+        if self.start_epoch == 0:
+            seed = engine._seed_frontier(seeds, 0)
+            self.n = seed.num_rows
+            self.dir = engine._stage_frontier(seed, 0) if self.n else None
+        else:
+            self.dir = engine.store.epoch_dir("frontier", self.start_epoch)
+            self.n = len(engine._frontier_urls(self.start_epoch))
+
+    def take(self, epoch: int) -> str | None:
+        eng, cfg = self.engine, self.engine.config
+        remaining = cfg.max_pages - eng.pages_crawled
+        if not cfg.deterministic and self.n > remaining:
+            # scale max_pages cap; parity truncates per source in its fold
+            self.n = eng._trim_frontier_dir(
+                self.dir, int(remaining), epoch, cfg.num_seen_shards
+            )
+        return self.dir if self.n else None
+
+    def crawl(self, input_dir: str, epoch: int) -> None:
+        eng, cfg = self.engine, self.engine.config
+        if not cfg.deterministic:
+            self.dir, self.n = eng._run_epoch_scale(input_dir, epoch)
+            return
+        # fold increments pages_crawled per success in frontier order
+        nxt = eng._discover_deterministic(eng._run_epoch_pipeline(input_dir, epoch), epoch)
+        self.n = len(nxt)
+        if nxt:
+            tbl = _frontier_table(nxt, epoch + 1, cfg.num_seen_shards)
+            self.dir = eng._stage_frontier(tbl, epoch + 1)
+
+
+class _HeapFrontier(_Frontier):
+    """Parity Best-First (bff_strategy.py:139-269): one driver heap ordered
+    (-score, depth, insertion seq) — the reference's tie-break.  URLs join
+    ``visited`` at POP time (bff:205-207 — duplicates may sit in the heap);
+    discovery applies validity + filters but NO score threshold
+    (bff:92-137); the fold stops counting mid-batch at max_pages
+    (bff:233-238) although the whole batch was fetched."""
+
+    def __init__(self, engine: CrawlEngine, seeds: list[str]):
+        self.engine = engine
+        self.heap: list[tuple[float, int, int, str, str | None]] = []
+        self.seq = itertools.count()
+        self.visited: set[str] = set()
+        self.popped: list[str] = []
+        for url in _canonical_seeds(seeds):
+            self._push(url, 0, None)
+
+    def _push(self, url: str, depth: int, parent: str | None) -> None:
+        item = (-self.engine._score(url), depth, next(self.seq), url, parent)
+        heapq.heappush(self.heap, item)
+
+    def take(self, epoch: int) -> str | None:
+        rows: list[dict] = []
+        while self.heap and not rows:
+            for _ in range(self.engine.config.best_first_batch):
+                if not self.heap:
+                    break
+                neg_score, depth, _, url, parent = heapq.heappop(self.heap)
+                if url in self.visited:
+                    continue
+                self.visited.add(url)
+                rows.append(
+                    {"url": url, "depth": depth, "parent_url": parent, "score": -neg_score}
+                )
+        if not rows:
+            return None
+        self.popped = [r["url"] for r in rows]
+        tbl = _frontier_table(rows, epoch, self.engine.config.num_seen_shards)
+        return self.engine._stage_frontier(tbl, epoch)
+
+    def crawl(self, input_dir: str, epoch: int) -> None:
+        eng, cfg = self.engine, self.engine.config
+        for row in eng._run_epoch_pipeline(input_dir, epoch):
+            if not row["success"]:
+                continue
+            eng.pages_crawled += 1
+            if eng.pages_crawled >= cfg.max_pages:
+                break  # mid-batch stop (bff:233-238)
+            next_depth = row["depth"] + 1
+            if next_depth > cfg.max_depth:
+                continue
+            for link in row["links"] or []:
+                if not link["internal"] and not cfg.include_external:
+                    continue
+                norm = normalize_url_for_deep_crawl(link["href"], row["url"])
+                if not norm or norm in self.visited:
+                    continue
+                if not _can_process(link["href"], next_depth, eng.filter_chain):
+                    continue
+                self._push(norm, next_depth, row["url"])
+        eng.seen.add(self.popped, [host_of(u) for u in self.popped])
+        eng._write_seen_delta(self.popped, epoch)
+
+
+class _ShardedHeapFrontier(_Frontier):
+    """Scale Best-First — the north-star shape at 10^10: a sharded priority
+    frontier (per-shard heap actors + driver k-way merge,
+    state/frontier_heap.py) feeding the SAME streaming discovery chain as
+    BFS-scale.  Per epoch:
+
+        pop global top-k (O(shards×k) driver rows)
+          → pop-time visited via the sharded seen filter (bloom at scale —
+            first-wins, reference bff:205-207 semantics)
+          → fetch→extract→sink docs→flatten→canonicalize→filter→gate
+          → candidate keys stream back in bounded chunks and PUSH into the
+            heap shards (urls queued at most once; re-pushes of popped urls
+            die at the next pop's seen check)
+
+    The driver never holds more than max(best_first_batch × shards,
+    SEEN_ROUND_CHUNK) rows.  Ordering is (score desc, depth, url): a
+    distributed frontier has no global insertion seq, so score ties break by
+    url instead of the parity heap's seq; the crawled set is the same."""
+
+    def __init__(self, engine: CrawlEngine, seeds: list[str]):
+        from ..state.frontier_heap import ShardedFrontierHeap
+
+        self.engine = engine
+        self.heap = ShardedFrontierHeap(engine.config.num_seen_shards)
+        rows = [
+            {"url": u, "host": host_of(u), "score": engine._score(u),
+             "depth": 0, "parent_url": None}
+            for u in _canonical_seeds(seeds)
+        ]
+        if rows:
+            self.heap.push_batch(rows)
+
+    def take(self, epoch: int) -> str | None:
+        eng, cfg = self.engine, self.engine.config
+        rows: list[dict] = []
+        while not rows:
+            pass_size = max(
+                cfg.best_first_batch,
+                min(
+                    cfg.best_first_batch * BEST_FIRST_ROUNDS_PER_PASS,
+                    cfg.max_pages - eng.pages_crawled,
+                ),
+            )
+            popped = self.heap.pop_global_batch(pass_size)
+            if not popped:
+                return None
+            fresh = eng.seen.check_and_add(
+                [r["url"] for r in popped], [host_of(r["url"]) for r in popped]
+            )
+            rows = [r for r, f in zip(popped, fresh) if f]
+        return eng._stage_frontier(_frontier_table(rows, epoch, cfg.num_seen_shards), epoch)
+
+    def crawl(self, input_dir: str, epoch: int) -> None:
+        cand = self.engine._epoch_candidate_ds(input_dir, epoch)
+        keys = cand.select_columns(["url", "host", "src_depth", "src_url", "score"])
+        for b in keys.iter_batches(batch_size=SEEN_ROUND_CHUNK, batch_format="pyarrow"):
+            if b.num_rows == 0:
+                continue
+            self.heap.push_batch(
+                [
+                    {"url": u, "host": h, "score": float(sc),
+                     "depth": int(d) + 1, "parent_url": p}
+                    for u, h, sc, d, p in zip(
+                        b.column("url").to_pylist(),
+                        b.column("host").to_pylist(),
+                        b.column("score").to_pylist(),
+                        b.column("src_depth").to_pylist(),
+                        b.column("src_url").to_pylist(),
+                    )
+                ]
+            )
+
+    def close(self) -> None:
+        self.heap.shutdown()

@@ -1,9 +1,9 @@
-"""Fetch stage — stateful actor-pool map_batches over the frontier.
+"""Fetch stage — task-based map_batches over the frontier.
 
-``FetchStage`` is a callable class for
-``ds.map_batches(FetchStage, fn_constructor_kwargs=..., concurrency=N,
-batch_format="pyarrow")``: the transport and the politeness shard handles are
-built/captured ONCE per actor in ``__init__``; ``__call__`` handles one Arrow
+The crawl engine builds ONE ``FetchStage`` (transport + politeness shard
+handles captured in ``__init__``) and passes the instance to
+``ds.map_batches(stage, batch_format="pyarrow")``; warm task workers reuse
+the deserialized object across epochs.  ``__call__`` handles one Arrow
 batch.  Per batch it:
 
   1. groups URLs by host and asks each host's owning politeness shard for a

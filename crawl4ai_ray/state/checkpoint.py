@@ -1,17 +1,23 @@
 """Epoch-granular checkpoint store — partitioned Parquet + a JSON manifest.
 
 Replaces the reference's per-URL JSON state callback + SQLite page cache
-(/root/reference/crawl4ai/deep_crawling/bfs_strategy.py:213-223,
-async_database.py:530-542) with an idempotent, resumable layout:
+(deep_crawling/bfs_strategy.py:213-223, async_database.py:530-542) with an
+idempotent, resumable layout:
 
-    <dir>/manifest.json                 driver manifest (atomic tmp+rename)
-    <dir>/docs/epoch=N/part-*.parquet   extracted documents (spans + lineage)
-    <dir>/seen/epoch=N.parquet          seen-set delta added in epoch N
-    <dir>/frontier/epoch=N.parquet      frontier consumed by epoch N
-    <dir>/metrics/epoch=N.parquet       per-shard counters for epoch N
+    <dir>/manifest.json                    driver manifest (atomic tmp+rename)
+    <dir>/docs/epoch=N/part-*.parquet      extracted documents (spans + lineage)
+    <dir>/seen/epoch=N.parquet             seen-set delta added in epoch N
+                                           (parity discovery only)
+    <dir>/frontier/epoch=N/part-*.parquet  frontier consumed by epoch N,
+                                           staged once (read fan-out parts)
+    <dir>/metrics/epoch=N.parquet          epoch N's fetch counters, one row
+                                           per politeness shard
+    <dir>/refetch/epoch=N/part-*.parquet   URLs a revalidation refetched
 
-Resume contract (north rule): read manifest → rebuild seen shards from the
-``seen`` deltas (bloom generation += 1) → continue at ``epoch+1`` without
+Resume contract (north rule): read manifest → rebuild seen shards
+(bloom generation += 1) from the ``seen`` deltas — or, in scale discovery,
+from the frontier parts of epochs 1..N+1, which hold exactly what entered
+seen — → continue at ``epoch+1`` from ``frontier/epoch=N+1/`` without
 re-fetching any URL already in ``seen``.  A partial epoch that never
 committed its manifest entry is simply re-run; docs for it are overwritten
 (`docs/epoch=N/` is removed before rewrite), which makes the re-run
@@ -61,7 +67,9 @@ class CheckpointStore:
         os.makedirs(d, exist_ok=True)
         return os.path.join(d, f"epoch={epoch}.parquet")
 
-    _epoch_file = epoch_file  # back-compat alias
+    def epoch_dir(self, group: str, epoch: int) -> str:
+        """Part-file directory of one epoch of a sharded group."""
+        return os.path.join(self.root, group, f"epoch={epoch}")
 
     def write_epoch_table(
         self, group: str, epoch: int, table: pa.Table, row_group_size: int | None = None
@@ -75,7 +83,7 @@ class CheckpointStore:
         ``ray.data.read_parquet`` spawns one read task per file — a single
         file reads in ONE task whose SplitBlocks generator trickles blocks
         through backpressure and serializes the downstream stage."""
-        d = os.path.join(self.root, group, f"epoch={epoch}")
+        d = self.epoch_dir(group, epoch)
         shutil.rmtree(d, ignore_errors=True)
         os.makedirs(d, exist_ok=True)
         n = table.num_rows
@@ -109,14 +117,8 @@ class CheckpointStore:
                 pq.write_table(chunk.combine_chunks(), os.path.join(d, f"part-{i:05d}.parquet"))
         return d
 
-    def read_epoch_table(self, group: str, epoch: int) -> pa.Table | None:
-        path = self._epoch_file(group, epoch)
-        if not os.path.exists(path):
-            return None
-        return pq.read_table(path)
-
     def read_group(self, group: str, upto_epoch: int | None = None) -> pa.Table | None:
-        """Concatenate all epochs of a flat group (seen/frontier/metrics)."""
+        """Concatenate all epochs of a flat group (seen/metrics)."""
         d = os.path.join(self.root, group)
         if not os.path.isdir(d):
             return None

@@ -54,7 +54,6 @@ def tiny_run(tmp_path_factory, ray_session):
         max_depth=4,
         num_seen_shards=3,
         num_politeness_shards=2,
-        fetch_concurrency=2,
         fetch_batch_size=16,
         deterministic=True,
         include_external=True,
@@ -445,60 +444,6 @@ def test_partition_by_host_groups(ray_session):
     assert sum(r["n"] for r in out) == 40
 
 
-def test_fetch_actor_pool_mode(tmp_path, ray_session):
-    """The actor-pool fetch stage (stateful-transport form) produces the
-    same crawl as the task-based default."""
-    params = CorpusParams(n_hosts=2, pages_per_host=15, seed=4)
-    a, _ = _run_engine(
-        tmp_path, params,
-        CrawlConfig(max_depth=4, num_seen_shards=2, deterministic=True),
-        name="tasks",
-    )
-    b, _ = _run_engine(
-        tmp_path, params,
-        CrawlConfig(max_depth=4, num_seen_shards=2, deterministic=True,
-                    fetch_actor_pool=True, fetch_concurrency=2),
-        name="actors",
-    )
-    ta = sorted((r["url"], r["frontier_epoch"]) for r in _docs_table(a).select(["url", "frontier_epoch"]).to_pylist())
-    tb = sorted((r["url"], r["frontier_epoch"]) for r in _docs_table(b).select(["url", "frontier_epoch"]).to_pylist())
-    assert ta == tb
-
-
-def test_best_first_sharded_heap_equivalence(tmp_path, ray_session):
-    """Sharded-frontier Best-First (per-shard heap actors + k-way merge)
-    crawls the same page SET as the driver-heap parity mode.  Uncapped: with
-    a max_pages cap and tied scores the two tiebreaks (url vs insertion
-    seq) legitimately select different page subsets, so set-equality is the
-    exhaustive-crawl contract."""
-    params = CorpusParams(n_hosts=2, pages_per_host=20, seed=3)
-
-    def scorer_factory():
-        return KeywordRelevanceScorer(["p/1"])
-
-    base = dict(
-        strategy="best_first", max_depth=4, num_seen_shards=2,
-        fetch_batch_size=8, scorer_factory=scorer_factory, best_first_batch=10,
-    )
-    eng1, s1 = _run_engine(
-        tmp_path, params, CrawlConfig(**base), name="bf_heap"
-    )
-    eng2, s2 = _run_engine(
-        tmp_path, params, CrawlConfig(**base, best_first_sharded=True),
-        name="bf_sharded",
-    )
-    urls1 = sorted(r["url"] for r in _docs_table(eng1).select(["url"]).to_pylist())
-    urls2 = sorted(r["url"] for r in _docs_table(eng2).select(["url"]).to_pylist())
-    assert urls1 == urls2
-    assert s1["pages_crawled"] == s2["pages_crawled"]
-    # priority still drives batch assignment in sharded mode
-    d2 = [
-        (r["url"], r["frontier_epoch"])
-        for r in _docs_table(eng2).select(["url", "frontier_epoch"]).to_pylist()
-    ]
-    assert any("/p/1" in u for u, e in d2 if e <= 1)
-
-
 def test_crawl_with_politeness_budget_threaded_fetch(tmp_path, ray_session):
     """Nonzero politeness budget: FetchStage takes the acquire-RPC grant
     path and overlaps fetches with its thread pool (max_sessions>1).  The
@@ -626,7 +571,6 @@ def test_run_iter_streams_epochs_while_crawling(ray_session, tmp_path):
         max_depth=3,
         num_seen_shards=2,
         num_politeness_shards=2,
-        fetch_concurrency=2,
         fetch_batch_size=16,
         deterministic=True,
         include_external=True,
@@ -677,4 +621,111 @@ def test_run_iter_rejects_dfs(ray_session, tmp_path):
     )
     with pytest.raises(ValueError):
         next(iter(engine.run_iter(params.seeds())))
+    engine.shutdown()
+
+
+# (frontier policy, discovery mode) pairs the epoch driver runs
+MODES = [
+    pytest.param("bfs", True, id="bfs-parity"),
+    pytest.param("bfs", False, id="bfs-scale"),
+    pytest.param("best_first", True, id="best_first-parity"),
+    pytest.param("best_first", False, id="best_first-scale"),
+]
+
+
+@pytest.mark.parametrize("strategy,deterministic", MODES)
+def test_metrics_reconcile_with_docs(tmp_path, ray_session, strategy, deterministic):
+    """Every epoch's metrics rows account for every doc row of that epoch:
+    fetched + skipped + failed = rows, skipped = robots 403s, fetched =
+    successes — in all four (frontier policy × discovery mode) runs.  A
+    max_epochs run stops after that many committed epochs in each mode."""
+    params = CorpusParams(n_hosts=2, pages_per_host=24, seed=21, p_404=0.15,
+                          private_every=3)
+    base = dict(
+        strategy=strategy, deterministic=deterministic, exact_seen=deterministic,
+        max_depth=6, num_seen_shards=2, num_politeness_shards=2,
+        best_first_batch=8,
+    )
+    engine, summary = _run_engine(tmp_path, params, CrawlConfig(**base), name="full")
+    docs = _docs_table(engine).select(["frontier_epoch", "status_code", "success"])
+    want: dict[int, dict] = {}
+    for r in docs.to_pylist():
+        d = want.setdefault(r["frontier_epoch"], {"rows": 0, "denied": 0, "ok": 0})
+        d["rows"] += 1
+        d["denied"] += r["status_code"] == 403
+        d["ok"] += r["success"]
+    got: dict[int, dict] = {}
+    for r in engine.store.read_group("metrics").to_pylist():
+        d = got.setdefault(r["epoch"], {"fetched": 0, "skipped": 0, "failed": 0})
+        for k in d:
+            d[k] += r[k]
+    assert sum(d["denied"] for d in want.values()) > 0
+    assert sum(d["rows"] - d["ok"] - d["denied"] for d in want.values()) > 0
+    assert sorted(got) == sorted(want) == list(range(summary["epochs"]))
+    for e, w in want.items():
+        g = got[e]
+        assert g["fetched"] + g["skipped"] + g["failed"] == w["rows"], e
+        assert g["skipped"] == w["denied"], e
+        assert g["fetched"] == w["ok"], e
+    assert summary["fetched"] == sum(w["ok"] for w in want.values())
+    engine.shutdown()
+
+    capped, s_capped = _run_engine(
+        tmp_path, params, CrawlConfig(**base, max_epochs=2), name="capped"
+    )
+    assert s_capped["epochs"] == 2
+    assert capped.store.read_manifest()["epoch"] == 1
+    assert {r["frontier_epoch"] for r in _docs_table(capped).to_pylist()} == {0, 1}
+    capped.shutdown()
+
+
+@pytest.mark.parametrize("strategy,deterministic", MODES)
+def test_no_valid_seed_runs_no_epoch(tmp_path, ray_session, strategy, deterministic):
+    """Seeds that all fail normalization leave an empty frontier: the run
+    commits no epoch instead of staging an empty one."""
+    params = CorpusParams(n_hosts=1, pages_per_host=5, seed=7)
+    engine, summary = _run_engine(
+        tmp_path, params,
+        CrawlConfig(strategy=strategy, deterministic=deterministic,
+                    exact_seen=deterministic),
+        seeds=["not a url"],
+    )
+    assert summary["epochs"] == 0 and summary["fetched"] == 0
+    assert engine.store.read_manifest() is None
+    engine.shutdown()
+
+
+@pytest.mark.parametrize("strategy", ["best_first", "dfs"])
+def test_resume_rejected_without_checkpointed_frontier(tmp_path, ray_session, strategy):
+    """Best-First and DFS cannot rebuild their heap or stack from a
+    checkpoint, so run(resume=True) refuses instead of starting over."""
+    params = CorpusParams(n_hosts=1, pages_per_host=5, seed=7)
+    engine = CrawlEngine(
+        SyntheticTransport(params), CrawlConfig(strategy=strategy),
+        str(tmp_path / strategy), robots_bodies=robots_map(params),
+    )
+    with pytest.raises(ValueError, match="resume"):
+        engine.run(params.seeds(), resume=True)
+    assert not engine.store.docs_dirs()
+    engine.shutdown()
+
+
+def test_run_iter_rejects_concurrent_iteration(tmp_path, ray_session):
+    """One engine has one epoch-listener slot: a second run_iter while the
+    first is active raises, and the first still streams every epoch."""
+    params = CorpusParams(n_hosts=2, pages_per_host=15, seed=7)
+    engine = CrawlEngine(
+        SyntheticTransport(params),
+        CrawlConfig(max_depth=3, num_seen_shards=2, deterministic=True),
+        str(tmp_path / "iter"), robots_bodies=robots_map(params),
+    )
+    first = engine.run_iter(params.seeds())
+    epochs = [next(first)[0]]
+    with pytest.raises(RuntimeError):
+        next(engine.run_iter(params.seeds()))
+    epochs += [e for e, _ in first]
+    assert epochs == list(range(engine.last_run_stats["epochs"]))
+    assert len(epochs) >= 2
+    # the slot is free again once the first iteration is exhausted
+    assert list(engine.run_iter(params.seeds(), resume=True)) == []
     engine.shutdown()
