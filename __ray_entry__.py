@@ -33,7 +33,6 @@ def entry() -> Any:
         max_depth=4,
         num_seen_shards=2,
         num_politeness_shards=1,
-        fetch_batch_size=32,
         deterministic=True,
     )
     engine = CrawlEngine(

@@ -63,7 +63,6 @@ def crawl_headline(num_cpus: int, scale: float) -> dict:
         max_depth=12,
         num_seen_shards=max(8, num_cpus // 2),
         num_politeness_shards=max(4, num_cpus // 4),
-        fetch_batch_size=128,
         best_first_batch=2048,  # scale best-first: pop-round granularity
         deterministic=False,   # scale path: distributed discovery
         exact_seen=False,      # bloom-only (FP budget p=0.01)

@@ -97,9 +97,6 @@ class CrawlConfig:
     strategy: str = "bfs"  # bfs | best_first | dfs
     num_seen_shards: int = 4
     num_politeness_shards: int = 2
-    # unread since the frontier is staged as part files (one fetch batch per
-    # part); kept because existing callers pass it
-    fetch_batch_size: int = 128
     # per-fetch-task session overlap (reference max_session_permit=20,
     # async_dispatcher.py:155); forced to 1 when the politeness budget is
     # zero and the transport is in-process (CPU-bound — threads only hurt)

@@ -10,7 +10,9 @@ Engineering rules applied throughout (the 100 TB contract):
   * per-batch work is vectorized (pyarrow.compute / numpy); Python loops
     only where a kernel doesn't exist (regex over strings);
   * aggregations pre-combine inside map_batches before the small groupby;
-  * small sides of joins broadcast via ray.put, never shuffled;
+  * every equi-join is one ``stages/join.py::keyed_join`` call, which makes
+    the one broadcast-or-exchange decision from a row count the query
+    already has (parquet footer metadata, never a scan);
   * floats that cross the DuckDB comparison are rounded identically on
     both sides.
 """
@@ -34,6 +36,7 @@ from ..functions.textstats import (
     token_count,
 )
 from ..hashing import h64
+from ..stages.join import keyed_join
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -129,18 +132,9 @@ def q1_pricing_summary(sf_dir: str):
     return pa.Table.from_pylist(out)
 
 
-# Size-adaptive dim-join regime switch: spec-bounded dimensions (nation=25,
-# region=5 rows) ALWAYS broadcast; the customer dimension scales with the
-# fact data (10^8-10^10 rows at the 100-TB design point), so it broadcasts
-# only below this row count — above it the dim rides the cluster as a
-# Dataset and attaches via the tagged-union key attach (_token_attach,
-# key_col="c_custkey").  The threshold is checked against parquet METADATA
-# (no data read) so the driver never materializes an over-threshold dim.
-DIM_BROADCAST_MAX_ROWS = 2_000_000
-
-
 def _parquet_num_rows(path: str) -> int:
-    """Row count from parquet footer metadata only — O(files), no column IO."""
+    """Row count from parquet footer metadata only — O(files), no column IO:
+    the ``right_rows`` the queries hand to ``keyed_join``."""
     import glob
     import os
 
@@ -181,126 +175,88 @@ def _orders_custkey_partials(sf_dir: str):
     )
 
 
-def revenue_by_nation(sf_dir: str,
-                      dim_broadcast_threshold: int = DIM_BROADCAST_MAX_ROWS):
-    """Orders→customer→nation revenue rollup, size-adaptive on the customer
-    dimension (SURVEY.md §2.6).  Broadcast regime (dim ≤ threshold rows):
-    custkey→nation dict rides ray.put, only the fact table streams.  Scale
-    regime (dim above threshold): the customer dim is NEVER materialized on
-    the driver — per-batch custkey-grain cents partials attach the nation
-    name via the tagged-union key attach (one all-to-all on c_custkey),
-    then a second per-batch partial folds to the 25-row nation grain.
-    Orphan FKs drop like the oracle's inner join in both regimes."""
+def _nation_revenue(sf_dir: str) -> list[dict]:
+    """Order revenue in exact int cents at the (r_name, n_name) grain, the
+    core of ``revenue_by_nation`` and ``revenue_rollup``: per-batch
+    custkey-grain cents partials attach (region, nation) with one
+    ``keyed_join`` against the customer dim (broadcast or exchange by its
+    footer row count), fold to the nation grain per batch, then one small
+    groupby sum.  Orphan FKs drop like the oracles' inner joins."""
     import pyarrow.parquet as pq
 
-    nation = pq.read_table(f"{sf_dir}/nation.parquet")  # spec-bounded: 25 rows
-    nk_to_name = dict(
-        zip(
+    nation = pq.read_table(f"{sf_dir}/nation.parquet")  # spec-bounded: 25
+    region = pq.read_table(f"{sf_dir}/region.parquet")  # spec-bounded: 5
+    rk_to_region = dict(
+        zip(region.column("r_regionkey").to_pylist(),
+            region.column("r_name").to_pylist())
+    )
+    nk_ref = ray.put({
+        nk: (rk_to_region[rk], name)
+        for nk, name, rk in zip(
             nation.column("n_nationkey").to_pylist(),
             nation.column("n_name").to_pylist(),
+            nation.column("n_regionkey").to_pylist(),
         )
+    })
+
+    def _cust_dim(b: pa.Table) -> pa.Table:
+        lookup = ray.get(nk_ref)
+        pairs = [lookup.get(nk) for nk in b.column("c_nationkey").to_pylist()]
+        keep = [i for i, p in enumerate(pairs) if p is not None]
+        return pa.table(
+            {
+                "c_custkey": b.column("c_custkey").take(pa.array(keep, type=pa.int64())),
+                "r_name": pa.array([pairs[i][0] for i in keep], type=pa.string()),
+                "n_name": pa.array([pairs[i][1] for i in keep], type=pa.string()),
+            }
+        )
+
+    attached = keyed_join(
+        _orders_custkey_partials(sf_dir),
+        _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]).map_batches(
+            _cust_dim, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "c_custkey", how="inner",
+        right_rows=_parquet_num_rows(f"{sf_dir}/customer.parquet"),
     )
 
-    n_cust = _parquet_num_rows(f"{sf_dir}/customer.parquet")
-    if n_cust <= dim_broadcast_threshold:
-        cust = pq.read_table(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-        )
-        cust_to_nation = {
-            ck: nk_to_name[nk]
-            for ck, nk in zip(
-                cust.column("c_custkey").to_pylist(),
-                cust.column("c_nationkey").to_pylist(),
-            )
-        }
-        lookup_ref = ray.put(cust_to_nation)
-
-        def _partial(b: pa.Table) -> pa.Table:
-            from ..functions.numeric import cents
-
-            lookup = ray.get(lookup_ref)
-            keys = b.column("o_custkey").to_pylist()
-            # orphan FKs drop like the oracle's inner join ('' never a nation)
-            names = np.array([lookup.get(k, "") for k in keys])
-            totals_c = cents(_np(b, "o_totalprice"))
-            keep = names != ""
-            names, totals_c = names[keep], totals_c[keep]
-            uniq, inv = np.unique(names, return_inverse=True)
-            rc = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(rc, inv, totals_c)
-            return pa.table(
-                {
-                    "n_name": pa.array(uniq.tolist(), type=pa.string()),
-                    "revenue_c": pa.array(rc.tolist(), type=pa.int64()),
-                    "n_orders": pa.array(
-                        np.bincount(inv).astype(np.int64).tolist(),
-                        type=pa.int64(),
-                    ),
-                }
-            )
-
-        nation_grain = _read(
-            sf_dir, "orders", columns=["o_custkey", "o_totalprice"]
-        ).map_batches(_partial, batch_format="pyarrow", zero_copy_batch=True)
-    else:
-        nk_ref = ray.put(nk_to_name)
-
-        def _cust_dim(b: pa.Table) -> pa.Table:
-            lookup = ray.get(nk_ref)
-            names = [
-                lookup.get(nk, "")
-                for nk in b.column("c_nationkey").to_pylist()
-            ]
-            t = pa.table(
-                {
-                    "c_custkey": b.column("c_custkey"),
-                    "n_name": pa.array(names, type=pa.string()),
-                }
-            )
-            return t.filter(pc.not_equal(t.column("n_name"), ""))
-
-        cust_ds = _read(
-            sf_dir, "customer", columns=["c_custkey", "c_nationkey"]
-        ).map_batches(_cust_dim, batch_format="pyarrow", zero_copy_batch=True)
-
-        attached = _token_attach(
-            _orders_custkey_partials(sf_dir),
-            cust_ds,
-            msg_cols={"revenue_c": pa.int64(), "n_orders": pa.int64()},
-            data_cols={"n_name": pa.string()},
-            key_col="c_custkey",
-            key_type=pa.int64(),
+    def _fine_partial(b: pa.Table) -> pa.Table:
+        agg: dict[tuple, list[int]] = {}
+        for rn, nn, rc, cnt in zip(
+            b.column("r_name").to_pylist(),
+            b.column("n_name").to_pylist(),
+            b.column("revenue_c").to_pylist(),
+            b.column("n_orders").to_pylist(),
+        ):
+            a = agg.setdefault((rn, nn), [0, 0])
+            a[0] += rc
+            a[1] += cnt
+        keys = sorted(agg)
+        return pa.table(
+            {
+                "r_name": pa.array([k[0] for k in keys], type=pa.string()),
+                "n_name": pa.array([k[1] for k in keys], type=pa.string()),
+                "revenue_c": pa.array([agg[k][0] for k in keys], type=pa.int64()),
+                "n_orders": pa.array([agg[k][1] for k in keys], type=pa.int64()),
+            }
         )
 
-        def _nation_partial(b: pa.Table) -> pa.Table:
-            names = np.asarray(b.column("n_name").to_pylist(), dtype=object)
-            uniq, inv = np.unique(names.astype(str), return_inverse=True)
-            rc = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(
-                rc, inv,
-                np.asarray(b.column("revenue_c").to_numpy(zero_copy_only=False)),
-            )
-            cnt = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(
-                cnt, inv,
-                np.asarray(b.column("n_orders").to_numpy(zero_copy_only=False)),
-            )
-            return pa.table(
-                {
-                    "n_name": pa.array(uniq.tolist(), type=pa.string()),
-                    "revenue_c": pa.array(rc.tolist(), type=pa.int64()),
-                    "n_orders": pa.array(cnt.tolist(), type=pa.int64()),
-                }
-            )
-
-        nation_grain = attached.map_batches(
-            _nation_partial, batch_format="pyarrow", zero_copy_batch=True
+    return (
+        attached.map_batches(_fine_partial, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby(["r_name", "n_name"])
+        .aggregate(
+            Sum(on="revenue_c", alias_name="revenue_c"),
+            Sum(on="n_orders", alias_name="n_orders"),
         )
-
-    agg = nation_grain.groupby("n_name").aggregate(
-        Sum(on="revenue_c", alias_name="revenue_c"),
-        Sum(on="n_orders", alias_name="n_orders"),
+        .take_all()  # nation-grain result: ≤ |nations| rows, driver-small
     )
+
+
+def revenue_by_nation(sf_dir: str):
+    """Orders→customer→nation revenue rollup (SURVEY.md §2.6): the
+    nation-grain rows of ``_nation_revenue`` (one ``keyed_join`` of
+    custkey-grain cents partials against the customer dim).  Orphan FKs
+    drop like the oracle's inner join."""
     return pa.Table.from_pylist(
         [
             {
@@ -308,7 +264,7 @@ def revenue_by_nation(sf_dir: str,
                 "revenue": r["revenue_c"] / 100.0,
                 "n_orders": r["n_orders"],
             }
-            for r in agg.take_all()
+            for r in _nation_revenue(sf_dir)
         ]
     )
 
@@ -880,212 +836,91 @@ def decontaminate_docs(sf_dir: str):
 
 
 def order_lineitem_totals(sf_dir: str):
-    """Fact-fact inner join + aggregate (order revenue with its status)
-    via the repo's Dataset.join replacement: tagged-union + groupby attach
-    (see stages/dedup.py::minhash_dedup_pairs._attach — Dataset.join's
-    aggregator pools deadlock small clusters and choke on the zero-schema
-    blocks groupby descendants carry).  The lineitem side pre-combines to
-    per-batch (orderkey, cents) partials, so the exchange carries one row
-    per (batch, order), and money rides exact int cents so the sum is
-    order-independent on both sides.  Orders with no lineitems drop
+    """Fact-fact inner join + aggregate (order revenue with its status):
+    one ``keyed_join`` of orders against per-batch (orderkey, cents)
+    lineitem partials summed per key (``right_sum``), so the lineitem side
+    ships one row per (batch, order), and money rides exact int cents so
+    the sum is order-independent.  Orders with no lineitems drop
     (inner-join semantics)."""
     from ..functions.numeric import cents
 
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderstatus"])
     items = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice"])
 
-    def _o(b: pa.Table) -> pa.Table:
-        n_rows = b.num_rows
-        return pa.table(
-            {
-                "key": b.column("o_orderkey"),
-                "cents_partial": pa.array(np.zeros(n_rows, np.int64)),
-                "status": b.column("o_orderstatus"),
-                "is_data": pa.array(np.ones(n_rows, bool)),
-            }
-        )
-
-    def _l(b: pa.Table) -> pa.Table:
-        keys = b.column("l_orderkey").to_numpy()
-        c = cents(b.column("l_extendedprice").to_numpy())
-        uniq, inv = np.unique(keys, return_inverse=True)
+    def _partial(b: pa.Table) -> pa.Table:
+        uniq, inv = np.unique(_np(b, "l_orderkey"), return_inverse=True)
         sums = np.zeros(len(uniq), np.int64)
-        np.add.at(sums, inv, c)
+        np.add.at(sums, inv, cents(_np(b, "l_extendedprice")))
+        return pa.table({"l_orderkey": pa.array(uniq, type=pa.int64()),
+                         "cents": pa.array(sums)})
+
+    def _revenue(b: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "key": pa.array(uniq, type=pa.int64()),
-                "cents_partial": pa.array(sums),
-                "status": pa.nulls(len(uniq), type=pa.string()),
-                "is_data": pa.array(np.zeros(len(uniq), bool)),
+                "o_orderkey": b.column("o_orderkey"),
+                "o_orderstatus": b.column("o_orderstatus"),
+                "revenue": pa.array(_np(b, "cents") / 100.0, type=pa.float64()),
             }
         )
 
-    u = orders.map_batches(_o, batch_format="pyarrow", zero_copy_batch=True).union(
-        items.map_batches(_l, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    _empty = pa.table(
-        {
-            "o_orderkey": pa.array([], type=pa.int64()),
-            "o_orderstatus": pa.array([], type=pa.string()),
-            "revenue": pa.array([], type=pa.float64()),
-        }
-    )
-
-    def _attach(g: pa.Table) -> pa.Table:
-        is_data = g.column("is_data").to_numpy(zero_copy_only=False)
-        data_idx = np.nonzero(is_data)[0]
-        if len(data_idx) == 0 or is_data.all():
-            return _empty  # orphan lineitems / order without items: inner join
-        partial = g.column("cents_partial").to_numpy(zero_copy_only=False)
-        total = int(partial[~is_data].sum())
-        return pa.table(
-            {
-                "o_orderkey": pa.array([g.column("key")[0].as_py()], type=pa.int64()),
-                "o_orderstatus": pa.array(
-                    [g.column("status")[int(data_idx[0])].as_py()], type=pa.string()
-                ),
-                "revenue": pa.array([total / 100.0], type=pa.float64()),
-            }
-        )
-
-    return u.groupby("key").map_groups(_attach, batch_format="pyarrow")
+    return keyed_join(
+        orders,
+        items.map_batches(_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "o_orderkey", right_on="l_orderkey", how="inner", right_sum="cents",
+        right_rows=_parquet_num_rows(f"{sf_dir}/lineitem.parquet"),
+    ).map_batches(_revenue, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def top_orders_per_segment(sf_dir: str, n: int = 3,
-                           dim_broadcast_threshold: int | None = None):
+def top_orders_per_segment(sf_dir: str, n: int = 3):
     """Group-wise top-N (the window row_number()<=N shape the Dataset API
     lacks natively): top orders by price per market segment.  Scale trick:
-    each batch pre-prunes to its LOCAL top-N per segment before the
-    shuffle — the exchange carries ≤ N×segments rows per batch, never the
-    fact table — then per-segment groups pick the global top-N.  Total
-    order (price DESC, orderkey ASC) on both sides.
-
-    Size-adaptive on the customer dim (the revenue_by_nation switch):
-    below the threshold the custkey→segment dict broadcasts; above it the
-    dim stays a Dataset and segment attaches via the tagged-union key
-    attach — sound because an order in a segment's global top-N is
-    necessarily in its OWN customer's top-N, so batches first prune to
-    per-custkey top-N (≤ n × per-batch-distinct custkeys rows cross the
-    attach), then the usual per-segment prune + group pick run after."""
-    import pyarrow.parquet as pq
-
-    if dim_broadcast_threshold is None:
-        dim_broadcast_threshold = DIM_BROADCAST_MAX_ROWS
-
+    each batch first prunes to per-custkey top-N (an order in a segment's
+    global top-N is necessarily in its OWN customer's top-N), the segment
+    attaches with one ``keyed_join`` against the customer dim, each batch
+    prunes again to its local top-N per segment — the exchange carries
+    ≤ N×segments rows per batch, never the fact table — then per-segment
+    groups pick the global top-N.  Total order (price DESC, orderkey ASC)
+    on both sides."""
     ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
+    price_order = [("o_totalprice", "descending"), ("o_orderkey", "ascending")]
 
     def _topn(t: pa.Table) -> pa.Table:
-        order = pc.sort_indices(
-            t, sort_keys=[("o_totalprice", "descending"), ("o_orderkey", "ascending")]
-        )
-        return t.take(order.slice(0, n))
+        return t.take(pc.sort_indices(t, sort_keys=price_order).slice(0, n))
 
-    def _seg_local_top(t: pa.Table) -> pa.Table:
+    def _cust_top(b: pa.Table) -> pa.Table:
+        from collections import Counter
+
+        t = b.take(pc.sort_indices(b, sort_keys=price_order))
+        # stable rank within custkey over the price-sorted table
+        seen: Counter = Counter()
+        keep = np.empty(t.num_rows, dtype=bool)
+        for i, k in enumerate(_np(t, "o_custkey")):
+            seen[k] += 1
+            keep[i] = seen[k] <= n
+        t = t.filter(pa.array(keep))
+        return pa.table({"c_custkey": t.column("o_custkey"),
+                         "o_orderkey": t.column("o_orderkey"),
+                         "o_totalprice": t.column("o_totalprice")})
+
+    def _seg_local_top(b: pa.Table) -> pa.Table:
+        t = b.select(["c_mktsegment", "o_orderkey", "o_totalprice"]).rename_columns(
+            ["segment", "o_orderkey", "o_totalprice"]
+        )
         seg = t.column("segment")
-        parts = []
-        for s in pc.unique(seg).to_pylist():
-            parts.append(_topn(t.filter(pc.equal(seg, s))))
+        parts = [_topn(t.filter(pc.equal(seg, s))) for s in pc.unique(seg).to_pylist()]
         return pa.concat_tables(parts) if parts else t.slice(0, 0)
 
-    n_cust = _parquet_num_rows(f"{sf_dir}/customer.parquet")
-    if n_cust <= dim_broadcast_threshold:
-        cust = pq.read_table(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-        )
-        seg_of = dict(
-            zip(cust.column("c_custkey").to_pylist(),
-                cust.column("c_mktsegment").to_pylist())
-        )
-        lookup_ref = ray.put(seg_of)
-
-        class _LocalTop:
-            def __init__(self, ref):
-                self.seg_of = ray.get(ref)
-
-            def __call__(self, b: pa.Table) -> pa.Table:
-                # .get → drop unmatched custkeys = oracle's inner-join drop
-                seg = pa.array(
-                    [self.seg_of.get(c)
-                     for c in b.column("o_custkey").to_pylist()],
-                    type=pa.string(),
-                )
-                t = pa.table(
-                    {
-                        "segment": seg,
-                        "o_orderkey": b.column("o_orderkey"),
-                        "o_totalprice": b.column("o_totalprice"),
-                    }
-                ).filter(pc.is_valid(seg))
-                return _seg_local_top(t)
-
-        pruned = ds.map_batches(
-            _LocalTop,
-            fn_constructor_kwargs=dict(ref=lookup_ref),
-            concurrency=(1, 8),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    else:
-        # scale regime: per-custkey local top-N prune, then attach segment
-        def _cust_top(b: pa.Table) -> pa.Table:
-            order = pc.sort_indices(
-                b,
-                sort_keys=[("o_totalprice", "descending"),
-                           ("o_orderkey", "ascending")],
-            )
-            t = b.take(order)
-            keys = np.asarray(
-                t.column("o_custkey").to_numpy(zero_copy_only=False)
-            )
-            # stable rank within custkey over the price-sorted table
-            import collections
-
-            seen: collections.Counter = collections.Counter()
-            keep = np.empty(len(keys), dtype=bool)
-            for i, k in enumerate(keys):
-                seen[k] += 1
-                keep[i] = seen[k] <= n
-            t = t.filter(pa.array(keep))
-            return pa.table(
-                {
-                    "c_custkey": t.column("o_custkey"),
-                    "o_orderkey": t.column("o_orderkey"),
-                    "o_totalprice": t.column("o_totalprice"),
-                }
-            )
-
-        cust_ds = _read(
-            sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]
-        ).map_batches(
-            lambda b: pa.table(
-                {
-                    "c_custkey": b.column("c_custkey"),
-                    "segment": b.column("c_mktsegment"),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
-        attached = _token_attach(
-            ds.map_batches(
-                _cust_top, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            cust_ds,
-            msg_cols={"o_orderkey": pa.int64(), "o_totalprice": pa.float64()},
-            data_cols={"segment": pa.string()},
-            key_col="c_custkey",
-            key_type=pa.int64(),
-        )
-        pruned = attached.map_batches(
-            lambda b: _seg_local_top(b.select(
-                ["segment", "o_orderkey", "o_totalprice"]
-            )),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    return pruned.groupby("segment").map_groups(_topn, batch_format="pyarrow")
+    attached = keyed_join(
+        ds.map_batches(_cust_top, batch_format="pyarrow", zero_copy_batch=True),
+        _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]),
+        "c_custkey", how="inner",
+        right_rows=_parquet_num_rows(f"{sf_dir}/customer.parquet"),
+    )
+    return (
+        attached.map_batches(_seg_local_top, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("segment")
+        .map_groups(_topn, batch_format="pyarrow")
+    )
 
 
 def distinct_users_by_type(sf_dir: str):
@@ -1447,111 +1282,6 @@ def events_value_percentiles(sf_dir: str):
     return part.groupby("event_type").map_groups(_pct, batch_format="pyarrow")
 
 
-_SALT_MIX = 0x9E3779B97F4A7C15
-
-
-def _token_attach(msg, data, msg_cols: dict, data_cols: dict,
-                  salt: int = 1, msg_salt_col: str | None = None,
-                  keep_unmatched: bool = False,
-                  key_col: str = "token",
-                  key_type: pa.DataType | None = None):
-    """Distributed per-token lookup: attach ``data``'s columns (ONE row per
-    token — a DF table, corpus counts, …) onto ``msg`` rows sharing the
-    token, WITHOUT collecting the vocab-sized data table to the driver.
-
-    This is the repo's tagged-union groupby attach (stages/dedup.py
-    rationale: ``Dataset.join`` is unusable downstream of groupbys) plus
-    SALTING for hot tokens: message rows spread over ``salt`` sub-keys
-    hashed from ``msg_salt_col`` and each data row replicates to every
-    sub-key, so a stopword token whose message side is df-sized becomes
-    ``salt`` bounded linear tasks instead of one corpus-sized group.
-    Cost of the insurance: the narrow data side replicates ``salt``×
-    (vocab × salt two-column rows through the one shuffle — cheap next
-    to the message side).
-
-    ``keep_unmatched=True`` keeps message rows with no data row (data
-    columns null) — the left-join shape; default drops them (inner).
-    Output columns: key_col + msg_cols + data_cols.
-
-    ``key_col``/``key_type`` generalize the join key beyond the text
-    pipelines' string "token" (e.g. an int64 ``c_custkey`` for the
-    revenue dim attach); both input Datasets must expose that column."""
-    n_salt = max(1, int(salt))
-    k_type = key_type if key_type is not None else pa.string()
-
-    def _msg_side(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        if n_salt > 1 and msg_salt_col is not None:
-            sv = np.asarray(
-                b.column(msg_salt_col).to_numpy(zero_copy_only=False)
-            ).astype(np.uint64, copy=False)
-            with np.errstate(over="ignore"):
-                sv = ((sv * np.uint64(_SALT_MIX)) >> np.uint64(33)) % np.uint64(n_salt)
-            sv = sv.astype(np.int32)
-        else:
-            sv = np.zeros(n, dtype=np.int32)
-        cols = {
-            key_col: b.column(key_col),
-            "_salt": pa.array(sv, type=pa.int32()),
-            "_is_data": pa.array(np.zeros(n, dtype=bool)),
-        }
-        for c in msg_cols:
-            cols[c] = b.column(c)
-        for c, t in data_cols.items():
-            cols[c] = pa.nulls(n, type=t)
-        return pa.table(cols)
-
-    def _data_side(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), n_salt))
-        rep = b.take(idx)
-        m = rep.num_rows
-        cols = {
-            key_col: rep.column(key_col),
-            "_salt": pa.array(
-                np.tile(np.arange(n_salt, dtype=np.int32), n), type=pa.int32()
-            ),
-            "_is_data": pa.array(np.ones(m, dtype=bool)),
-        }
-        for c, t in msg_cols.items():
-            cols[c] = pa.nulls(m, type=t)
-        for c in data_cols:
-            cols[c] = rep.column(c)
-        return pa.table(cols)
-
-    u = msg.map_batches(_msg_side, batch_format="pyarrow", zero_copy_batch=True).union(
-        data.map_batches(_data_side, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    out_fields = (
-        [(key_col, k_type)]
-        + [(c, t) for c, t in msg_cols.items()]
-        + [(c, t) for c, t in data_cols.items()]
-    )
-
-    def _attach(g: pa.Table) -> pa.Table:
-        is_data = np.asarray(g.column("_is_data").to_numpy(zero_copy_only=False))
-        msgs = g.filter(pa.array(~is_data))
-        if msgs.num_rows == 0 or (not keep_unmatched and not is_data.any()):
-            return pa.table(
-                {c: pa.array([], type=t) for c, t in out_fields}
-            )
-        cols = {key_col: msgs.column(key_col)}
-        for c in msg_cols:
-            cols[c] = msgs.column(c)
-        if is_data.any():
-            first = int(np.flatnonzero(is_data)[0])
-            for c, t in data_cols.items():
-                v = g.column(c)[first]
-                cols[c] = pa.array([v.as_py()] * msgs.num_rows, type=t)
-        else:  # keep_unmatched: left-join nulls
-            for c, t in data_cols.items():
-                cols[c] = pa.nulls(msgs.num_rows, type=t)
-        return pa.table(cols)
-
-    return u.groupby([key_col, "_salt"]).map_groups(_attach, batch_format="pyarrow")
-
-
 def posting_lists(sf_dir: str, range_width: int = 200):
     """Inverted index as a TWO-LEVEL segmented structure: one output row
     per (token, rk) range segment — (token, rk, n, ids) with ids the
@@ -1621,7 +1351,7 @@ def bigram_collocations(sf_dir: str, min_count: int = 5, k: int = 20):
     web scale).  Counts aggregate via per-batch Counter partials (the
     vocab_topk combiner shape); the min-count floor filters bigrams
     distributed; each surviving bigram then splits into two per-part
-    message rows and _token_attach pins the matching unigram count onto
+    message rows and ``keyed_join`` pins the matching unigram count onto
     each — so unigram counts never leave the cluster (the PMI
     denominators come from a 2-row kind-total aggregate, the only thing
     the driver holds besides the final top-k).  A groupby(bigram)
@@ -1733,14 +1463,10 @@ def bigram_collocations(sf_dir: str, min_count: int = 5, k: int = 20):
 
     msg = counts.map_batches(_bigram_parts, batch_format="pyarrow", zero_copy_batch=True)
     uni = counts.map_batches(_uni_rows, batch_format="pyarrow", zero_copy_batch=True)
-    attached = _token_attach(
-        msg, uni,
-        msg_cols={"bigram": pa.string(), "n_bi": pa.int64(), "pos": pa.int8()},
-        data_cols={"n_uni": pa.int64()},
-        # unsalted: a token's message fan-in is bounded by the
-        # above-threshold bigram count (the operator's own output scale),
-        # not by corpus df
-    )
+    # unsalted: a token's message fan-in is bounded by the above-threshold
+    # bigram count (the operator's own output scale), not by corpus df;
+    # ``counts`` is materialized, so its row count bounds ``uni`` for free
+    attached = keyed_join(msg, uni, "token", how="inner", right_rows=counts.count())
 
     def _combine(g: pa.Table) -> pa.Table:
         pos = g.column("pos").to_numpy(zero_copy_only=False)
@@ -1801,11 +1527,10 @@ def doc_top_keywords(sf_dir: str, k: int = 3,
       groupby(token) over the (token, doc_id, tf) pairs; the group IS the
       token's postings, so df = group size comes free — no DF aggregate,
       no aggregator actor pools, no second exchange for the lookup.
-    * **scale regime**: DF via per-batch Counter partials +
-      pool-free groupby(token) partial-sum (partial rows per token ≤
-      num batches, never df), then the SALTED _token_attach pins df onto
-      the pairs — a stopword token's df-sized message fan-in splits into
-      32 bounded tasks.
+    * **scale regime**: per-batch Counter df partials (partial rows per
+      token ≤ num batches, never df) are summed and pinned onto the pairs
+      by one SALTED ``keyed_join(right_sum="df")`` — a stopword token's
+      df-sized message fan-in splits into 32 bounded tasks.
 
     Both regimes finish with a groupby(doc_id) assembling each doc's
     top-k (group = the doc's distinct tokens) and hold only scalars on
@@ -1891,29 +1616,11 @@ def doc_top_keywords(sf_dir: str, k: int = 3,
             }
         )
 
-    def _df_sum(g: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "token": g.column("token").slice(0, 1),
-                "df": pa.array(
-                    [int(pc.sum(g.column("df")).as_py())], type=pa.int64()
-                ),
-            }
-        )
-
-    # pool-free sort-shuffle sum (groupby().aggregate spins a multi-second
-    # hash-aggregator actor pool per call — the round-3 bucketcap lesson)
-    df_tbl = (
-        pairs.map_batches(_df_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("token")
-        .map_groups(_df_sum, batch_format="pyarrow")
-    )
-
-    attached = _token_attach(
-        pairs, df_tbl,
-        msg_cols={"doc_id": pa.int64(), "tf": pa.int64()},
-        data_cols={"df": pa.int64()},
-        salt=32, msg_salt_col="doc_id",
+    attached = keyed_join(
+        pairs,
+        pairs.map_batches(_df_partials, batch_format="pyarrow", zero_copy_batch=True),
+        "token", how="inner", right_sum="df", salt=32, salt_col="doc_id",
+        right_rows=pairs.count(),  # materialized: bounds the partial rows
     )
     return attached.groupby("doc_id").map_groups(_per_doc, batch_format="pyarrow")
 
@@ -1946,22 +1653,15 @@ def pagerank_hashgraph(sf_dir: str, iters: int = 5, damping: float = 0.85,
             }
         )
 
-    def _zero(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": b.column("doc_id"),
-                "pr": pa.array(np.zeros(b.num_rows)),
-            }
-        )
-
     ranks = ds.map_batches(_init, batch_format="pyarrow", zero_copy_batch=True)
-    zeros = ds.map_batches(_zero, batch_format="pyarrow", zero_copy_batch=True)
 
     def _contrib(b: pa.Table) -> pa.Table:
+        # every node holds one rank row, so a zero row per source node
+        # guarantees every node a row after the sum
         src = b.column("doc_id").to_numpy()
         r = b.column("pr").to_numpy()
-        dst = np.concatenate([(src * 31 + j) % n for j in range(fanout)])
-        vals = np.tile(r / fanout, fanout)
+        dst = np.concatenate([(src * 31 + j) % n for j in range(fanout)] + [src])
+        vals = np.concatenate([np.tile(r / fanout, fanout), np.zeros(len(src))])
         return pa.table(
             {
                 "doc_id": pa.array(dst, type=pa.int64()),
@@ -1982,11 +1682,7 @@ def pagerank_hashgraph(sf_dir: str, iters: int = 5, damping: float = 0.85,
         contribs = ranks.map_batches(
             _contrib, batch_format="pyarrow", zero_copy_batch=True
         )
-        summed = (
-            contribs.union(zeros)  # zeros guarantee every node a row
-            .groupby("doc_id")
-            .aggregate(Sum("pr", alias_name="s"))
-        )
+        summed = contribs.groupby("doc_id").aggregate(Sum("pr", alias_name="s"))
         ranks = summed.map_batches(
             _teleport, batch_format="pyarrow", zero_copy_batch=True
         )
@@ -2028,10 +1724,10 @@ def unigram_logprob_scores(sf_dir: str, small_corpus_docs: int = 200_000):
     10⁸–10⁹-row OOM at web-scale vocabularies), size-adaptive like
     doc_top_keywords: at ≤ ``small_corpus_docs`` docs the token group IS
     the postings (corpus count = Σ tf inside the group — one sort
-    shuffle, no aggregator pools); at scale, per-batch Counter partials →
-    pool-free groupby(token) partial-sum, then the SALTED _token_attach
-    pins counts onto pairs (a stopword's corpus-sized fan-in splits into
-    32 bounded tasks).  A groupby(doc_id) folds −Σ tf·ln p / Σ tf.  Docs
+    shuffle, no aggregator pools); at scale, per-batch Counter partials
+    are summed and pinned onto the pairs by one SALTED
+    ``keyed_join(right_sum="n")`` (a stopword's corpus-sized fan-in splits
+    into 32 bounded tasks).  A groupby(doc_id) folds −Σ tf·ln p / Σ tf.  Docs
     with no tokens ride a sentinel pair (token "", tf 0; "" can never be
     a real token) so they still emit 0.0.  The driver holds one scalar:
     the corpus token total.  OOV tokens are impossible by construction
@@ -2087,16 +1783,15 @@ def unigram_logprob_scores(sf_dir: str, small_corpus_docs: int = 200_000):
             _n_in_group, batch_format="pyarrow"
         )
     else:
-        # scale regime: per-batch Counter partials → pool-free
-        # groupby(token) partial-sum (≤ num-batches rows per token cross
-        # the exchange), then the salted attach pins counts onto pairs
+        # scale regime: per-batch Counter partials, summed per token by
+        # the salted join; the sentinel "" gets a zero count row so empty
+        # docs survive the inner join
         def _count_partials(b: pa.Table) -> pa.Table:
             agg: dict[str, int] = {}
             for tok, tf in zip(
                 b.column("token").to_pylist(), b.column("tf").to_pylist()
             ):
-                if tok:
-                    agg[tok] = agg.get(tok, 0) + tf
+                agg[tok] = agg.get(tok, 0) + tf
             return pa.table(
                 {
                     "token": pa.array(list(agg.keys()), type=pa.string()),
@@ -2104,29 +1799,13 @@ def unigram_logprob_scores(sf_dir: str, small_corpus_docs: int = 200_000):
                 }
             )
 
-        def _count_sum(g: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "token": g.column("token").slice(0, 1),
-                    "n": pa.array(
-                        [int(pc.sum(g.column("n")).as_py())], type=pa.int64()
-                    ),
-                }
-            )
-
-        counts = (
+        attached = keyed_join(
+            pairs,
             pairs.map_batches(
                 _count_partials, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .groupby("token")
-            .map_groups(_count_sum, batch_format="pyarrow")
-        )
-        attached = _token_attach(
-            pairs, counts,
-            msg_cols={"doc_id": pa.int64(), "tf": pa.int64()},
-            data_cols={"n": pa.int64()},
-            salt=32, msg_salt_col="doc_id",
-            keep_unmatched=True,  # sentinel "" rows have no count row
+            ),
+            "token", how="inner", right_sum="n", salt=32, salt_col="doc_id",
+            right_rows=pairs.count(),  # materialized: bounds the partial rows
         )
 
     def _per_doc(g: pa.Table) -> pa.Table:
@@ -2290,8 +1969,8 @@ def embedding_kmeans_assign(sf_dir: str):
 
 def embedding_neardup(sf_dir: str, threshold: float = 0.3,
                       broadcast_threshold: int = 200_000):
-    """EXACT all-pairs cosine ≥ threshold, size-adaptive (the revenue
-    dim-join switch): ≤ ``broadcast_threshold`` vectors → brute-force
+    """EXACT all-pairs cosine ≥ threshold, size-adaptive:
+    ≤ ``broadcast_threshold`` vectors → brute-force
     blocked matmul against a broadcast normalized matrix (one matmul per
     batch, fastest at bench scale); above → block-PAIR decomposition
     (stages/similarity.py::cosine_neardup_pairs_blockwise — worker memory
@@ -2986,8 +2665,8 @@ def crawl_pagerank_demo(sf_dir: str):
     """PageRank over the REAL crawl link graph (rows-only — inputs are the
     synthetic sites, not the parquet tables): crawl a small corpus, lift
     (url → href) edges from the extracted links, rank with
-    stages/graphrank.py::pagerank_edges (join-free tagged-union
-    iterations), return the top 20 pages.  Seed/hub pages rank highest —
+    stages/graphrank.py::pagerank_edges (``keyed_join`` rank attach per
+    iteration), return the top 20 pages.  Seed/hub pages rank highest —
     asserted in tests; the formula-graph twin `pagerank_hashgraph`
     carries the SQL oracle for the math."""
     import tempfile
@@ -3001,7 +2680,6 @@ def crawl_pagerank_demo(sf_dir: str):
         max_depth=5,
         num_seen_shards=2,
         num_politeness_shards=1,
-        fetch_batch_size=32,
         deterministic=True,
     )
     engine = CrawlEngine(
@@ -3043,7 +2721,6 @@ def crawl_bfs_demo(sf_dir: str):
         max_depth=5,
         num_seen_shards=2,
         num_politeness_shards=1,
-        fetch_batch_size=32,
         deterministic=True,
     )
     engine = CrawlEngine(
@@ -3732,201 +3409,34 @@ FROM h
 def customers_never_active(sf_dir: str):
     """Anti-join (NOT EXISTS) as a first-class corpus operator — the same
     shape the crawl engine uses for frontier⋈seen, here SQL-oracled:
-    customers whose key never appears as an events.user_id.  Tagged-union
-    groupby: customer rows union per-batch-DISTINCT event user ids
-    (pre-agg inside map_batches so a 1000-event user ships one probe row
-    per batch, not 1000), then the per-key group keeps the customer row
-    only when no activity row arrived.  One all-to-all, no broadcast, no
-    driver state — works when BOTH sides are fact-sized (the broadcast
-    dim-join pattern can't)."""
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    events = _read(sf_dir, "events", columns=["user_id"])
-
-    def _cust_rows(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table(
-            {
-                "key": b.column("c_custkey"),
-                "seg": b.column("c_mktsegment"),
-                "is_active": pa.array(np.zeros(n, dtype=bool)),
-            }
-        )
-
+    customers whose key never appears as an events.user_id.  One
+    ``keyed_join(how="anti")`` of the customers against per-batch-DISTINCT
+    event user ids (pre-agg inside map_batches so a 1000-event user ships
+    one probe row per batch, not 1000); the probe side broadcasts or
+    exchanges by the events footer row count."""
     def _activity_probe(b: pa.Table) -> pa.Table:
-        ks = pc.unique(b.column("user_id"))
-        return pa.table(
-            {
-                "key": pc.cast(ks, pa.int64()),
-                "seg": pa.nulls(len(ks), type=pa.string()),
-                "is_active": pa.array(np.ones(len(ks), dtype=bool)),
-            }
-        )
+        return pa.table({"user_id": pc.cast(pc.unique(b.column("user_id")), pa.int64())})
 
-    u = cust.map_batches(_cust_rows, batch_format="pyarrow", zero_copy_batch=True).union(
-        events.map_batches(_activity_probe, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_join(
+        _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]),
+        _read(sf_dir, "events", columns=["user_id"]).map_batches(
+            _activity_probe, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "c_custkey", right_on="user_id", how="anti",
+        right_rows=_parquet_num_rows(f"{sf_dir}/events.parquet"),
     )
 
-    def _keep_inactive(g: pa.Table) -> pa.Table:
-        is_active = g.column("is_active").to_numpy(zero_copy_only=False)
-        empty = pa.table(
-            {"c_custkey": pa.array([], type=pa.int64()),
-             "c_mktsegment": pa.array([], type=pa.string())}
-        )
-        if is_active.any():
-            return empty
-        c = g.filter(pa.array(~is_active)).slice(0, 1)
-        if c.num_rows == 0:  # activity for a key outside the customer table
-            return empty
-        return pa.table(
-            {"c_custkey": c.column("key"), "c_mktsegment": c.column("seg")}
-        )
 
-    return u.groupby("key").map_groups(_keep_inactive, batch_format="pyarrow")
-
-
-def revenue_rollup(sf_dir: str,
-                   dim_broadcast_threshold: int = DIM_BROADCAST_MAX_ROWS):
+def revenue_rollup(sf_dir: str):
     """GROUPING SETS / ROLLUP(region, nation) over order revenue: nation
     rows + per-region subtotals + a grand total, NULL-padded like SQL.
     Ray shape: ONE distributed cents aggregate at the finest (nation)
-    grain — the fact table streams exactly once — then the region and
-    grand levels fold from the TINY nation-level result on the driver
-    (25 rows; a 100-TB fact table never re-scans for subtotals).  Exact
-    int-cents arithmetic end-to-end, so every level matches SQL sums
-    bit-for-bit.  The customer→(region, nation) hop is size-adaptive
-    exactly like revenue_by_nation: dict broadcast below
-    DIM_BROADCAST_MAX_ROWS, tagged-union key attach on c_custkey above
-    (the customer dim never touches the driver in that regime).  Orphan
-    FKs drop like the oracle's inner JOIN."""
-    import pyarrow.parquet as pq
-
-    nation = pq.read_table(f"{sf_dir}/nation.parquet")  # spec-bounded: 25
-    region = pq.read_table(f"{sf_dir}/region.parquet")  # spec-bounded: 5
-    rk_to_region = dict(
-        zip(region.column("r_regionkey").to_pylist(),
-            region.column("r_name").to_pylist())
-    )
-    nk_to_pair = {
-        nk: (rk_to_region[rk], name)
-        for nk, name, rk in zip(
-            nation.column("n_nationkey").to_pylist(),
-            nation.column("n_name").to_pylist(),
-            nation.column("n_regionkey").to_pylist(),
-        )
-    }
-
-    def _fine_partial_cols(pairs: list, totals_c, counts) -> pa.Table:
-        return pa.table(
-            {
-                "r_name": pa.array([p[0] for p in pairs], type=pa.string()),
-                "n_name": pa.array([p[1] for p in pairs], type=pa.string()),
-                "revenue_c": pa.array(totals_c, type=pa.int64()),
-                "n_orders": pa.array(counts, type=pa.int64()),
-            }
-        )
-
-    n_cust = _parquet_num_rows(f"{sf_dir}/customer.parquet")
-    if n_cust <= dim_broadcast_threshold:
-        cust = pq.read_table(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-        )
-        cust_to_pair = {
-            ck: nk_to_pair[nk]
-            for ck, nk in zip(
-                cust.column("c_custkey").to_pylist(),
-                cust.column("c_nationkey").to_pylist(),
-            )
-        }
-        lookup_ref = ray.put(cust_to_pair)
-
-        def _partial(b: pa.Table) -> pa.Table:
-            from ..functions.numeric import cents
-
-            lookup = ray.get(lookup_ref)
-            totals_c = cents(_np(b, "o_totalprice"))
-            agg: dict[tuple, list[int]] = {}
-            for k, c in zip(b.column("o_custkey").to_pylist(), totals_c):
-                pair = lookup.get(k)
-                if pair is None:  # orphan FK: inner-join semantics drop it
-                    continue
-                a = agg.setdefault(pair, [0, 0])
-                a[0] += int(c)
-                a[1] += 1
-            keys = sorted(agg)
-            return _fine_partial_cols(
-                keys, [agg[k][0] for k in keys], [agg[k][1] for k in keys]
-            )
-
-        fine_grain = _read(
-            sf_dir, "orders", columns=["o_custkey", "o_totalprice"]
-        ).map_batches(_partial, batch_format="pyarrow", zero_copy_batch=True)
-    else:
-        nk_ref = ray.put(nk_to_pair)
-
-        def _cust_dim(b: pa.Table) -> pa.Table:
-            lookup = ray.get(nk_ref)
-            pairs = [
-                lookup.get(nk) for nk in b.column("c_nationkey").to_pylist()
-            ]
-            keep = [i for i, p in enumerate(pairs) if p is not None]
-            t = pa.table(
-                {
-                    "c_custkey": b.column("c_custkey"),
-                    "r_name": pa.array(
-                        [pairs[i][0] if pairs[i] else "" for i in
-                         range(len(pairs))],
-                        type=pa.string(),
-                    ),
-                    "n_name": pa.array(
-                        [pairs[i][1] if pairs[i] else "" for i in
-                         range(len(pairs))],
-                        type=pa.string(),
-                    ),
-                }
-            )
-            return t.take(pa.array(keep, type=pa.int64()))
-
-        cust_ds = _read(
-            sf_dir, "customer", columns=["c_custkey", "c_nationkey"]
-        ).map_batches(_cust_dim, batch_format="pyarrow", zero_copy_batch=True)
-
-        attached = _token_attach(
-            _orders_custkey_partials(sf_dir),
-            cust_ds,
-            msg_cols={"revenue_c": pa.int64(), "n_orders": pa.int64()},
-            data_cols={"r_name": pa.string(), "n_name": pa.string()},
-            key_col="c_custkey",
-            key_type=pa.int64(),
-        )
-
-        def _fine_partial(b: pa.Table) -> pa.Table:
-            agg: dict[tuple, list[int]] = {}
-            for rn, nn, rc, cnt in zip(
-                b.column("r_name").to_pylist(),
-                b.column("n_name").to_pylist(),
-                b.column("revenue_c").to_pylist(),
-                b.column("n_orders").to_pylist(),
-            ):
-                a = agg.setdefault((rn, nn), [0, 0])
-                a[0] += rc
-                a[1] += cnt
-            keys = sorted(agg)
-            return _fine_partial_cols(
-                keys, [agg[k][0] for k in keys], [agg[k][1] for k in keys]
-            )
-
-        fine_grain = attached.map_batches(
-            _fine_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-    fine = (
-        fine_grain.groupby(["r_name", "n_name"])
-        .aggregate(
-            Sum(on="revenue_c", alias_name="revenue_c"),
-            Sum(on="n_orders", alias_name="n_orders"),
-        )
-        .take_all()  # nation-grain result: ≤ |nations| rows, driver-small
-    )
+    grain (``_nation_revenue`` — the fact table streams exactly once),
+    then the region and grand levels fold from the TINY nation-level
+    result on the driver (25 rows; a 100-TB fact table never re-scans for
+    subtotals).  Exact int-cents arithmetic end-to-end, so every level
+    matches SQL sums bit-for-bit."""
+    fine = _nation_revenue(sf_dir)
     rows = [
         {"r_name": r["r_name"], "n_name": r["n_name"],
          "revenue": r["revenue_c"] / 100.0, "n_orders": r["n_orders"]}
@@ -4243,57 +3753,24 @@ def order_top_lineitem(sf_dir: str):
 
 def customers_with_old_orders(sf_dir: str, cutoff: str = "1996-01-01"):
     """Semi-join (EXISTS) — the keep-on-match complement of
-    ``customers_never_active``'s anti-join, same tagged-union shape:
-    customers with at least one order strictly before the cutoff date.
-    Customer rows union per-batch-DISTINCT matching-order custkeys (the
-    filter pushes into the probe map, so only pre-cutoff orders emit
-    probes and each (batch, custkey) ships once), one all-to-all, per-key
-    group keeps the customer row only when a probe arrived.  Works with
-    BOTH sides fact-sized — no broadcast, no driver state."""
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
+    ``customers_never_active``'s anti-join: customers with at least one
+    order strictly before the cutoff date.  The date filter pushes into the
+    probe map, which emits each (batch, custkey) once; one
+    ``keyed_join(how="semi")`` keeps the customers a probe reaches."""
     cut = pa.scalar(np.datetime64(cutoff, "us"), type=pa.timestamp("us"))
-
-    def _cust_rows(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": b.column("c_custkey"),
-                "seg": b.column("c_mktsegment"),
-                "is_probe": pa.array(np.zeros(b.num_rows, dtype=bool)),
-            }
-        )
 
     def _order_probe(b: pa.Table) -> pa.Table:
         b = b.filter(pc.less(b.column("o_orderdate"), cut))
-        ks = pc.unique(b.column("o_custkey"))
-        return pa.table(
-            {
-                "key": pc.cast(ks, pa.int64()),
-                "seg": pa.nulls(len(ks), type=pa.string()),
-                "is_probe": pa.array(np.ones(len(ks), dtype=bool)),
-            }
-        )
+        return pa.table({"o_custkey": pc.cast(pc.unique(b.column("o_custkey")), pa.int64())})
 
-    u = cust.map_batches(_cust_rows, batch_format="pyarrow", zero_copy_batch=True).union(
-        orders.map_batches(_order_probe, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_join(
+        _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]),
+        _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"]).map_batches(
+            _order_probe, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "c_custkey", right_on="o_custkey", how="semi",
+        right_rows=_parquet_num_rows(f"{sf_dir}/orders.parquet"),
     )
-
-    def _keep_matched(g: pa.Table) -> pa.Table:
-        is_probe = g.column("is_probe").to_numpy(zero_copy_only=False)
-        empty = pa.table(
-            {"c_custkey": pa.array([], type=pa.int64()),
-             "c_mktsegment": pa.array([], type=pa.string())}
-        )
-        if not is_probe.any():
-            return empty
-        c = g.filter(pa.array(~is_probe)).slice(0, 1)
-        if c.num_rows == 0:  # probe key outside the customer table
-            return empty
-        return pa.table(
-            {"c_custkey": c.column("key"), "c_mktsegment": c.column("seg")}
-        )
-
-    return u.groupby("key").map_groups(_keep_matched, batch_format="pyarrow")
 
 
 def customer_order_ranks(sf_dir: str):
@@ -4331,116 +3808,45 @@ def customer_order_ranks(sf_dir: str):
     return ds.groupby("o_custkey").map_groups(_rank, batch_format="pyarrow")
 
 
-def small_quantity_revenue(sf_dir: str,
-                           dim_broadcast_threshold: int = DIM_BROADCAST_MAX_ROWS):
+def small_quantity_revenue(sf_dir: str):
     """Correlated-subquery decorrelation (TPC-H Q17 shape): total revenue
     of lineitems whose quantity is below 20% of their part's average
-    quantity, scaled to a yearly figure.  Ray shape: pass 1 aggregates
-    per-part (sum qty, count) via scatter-add batch partials + a part-grain
-    groupby; pass 2 is size-adaptive like the revenue family — below
-    ``dim_broadcast_threshold`` parts the per-part thresholds broadcast via
-    ray.put and the filter+sum runs as one streaming map over lineitem;
-    above it, threshold rows union with lineitem rows (tagged) and a
-    groupby(l_partkey).map_groups applies the filter per part-group (group
-    = one part's lineitems, bounded per TPC-H at ~30 rows regardless of
-    SF), so nothing part-sized ever materializes on the driver.  The
-    threshold is computed as ``0.2 * (sum/count)`` in float64 on BOTH
-    sides (quantities are integral doubles, so the sum is exact in any
-    order); revenue sums in exact int cents."""
+    quantity, scaled to a yearly figure.  Ray shape: per-batch per-part
+    (sum qty, count) scatter-add partials attach to the lineitem rows in
+    one ``keyed_join(right_sum=...)`` (broadcast or exchange by the
+    lineitem footer count), then each batch filters and sums its cents.
+    The threshold is ``0.2 * (sum/count)`` in float64 on BOTH sides
+    (quantities are integral doubles, so the sum is exact in any order);
+    revenue sums in exact int cents."""
     from ..functions.numeric import cents, duck_round
 
     ds = _read(sf_dir, "lineitem",
                columns=["l_partkey", "l_quantity", "l_extendedprice"])
 
     def _qty_partials(b: pa.Table) -> pa.Table:
-        keys = _np(b, "l_partkey")
-        qty = _np(b, "l_quantity").astype(np.int64)  # integral by contract
-        uniq, inv = np.unique(keys, return_inverse=True)
+        uniq, inv = np.unique(_np(b, "l_partkey"), return_inverse=True)
         sq = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sq, inv, qty)
+        np.add.at(sq, inv, _np(b, "l_quantity").astype(np.int64))  # integral
         return pa.table(
             {
-                "l_partkey": pa.array(uniq.tolist(), type=pa.int64()),
-                "sq": pa.array(sq.tolist(), type=pa.int64()),
-                "n": pa.array(np.bincount(inv).astype(np.int64).tolist(),
-                              type=pa.int64()),
+                "l_partkey": pa.array(uniq, type=pa.int64()),
+                "sq": pa.array(sq),
+                "n": pa.array(np.bincount(inv).astype(np.int64)),
             }
         )
 
-    thr = (
-        ds.map_batches(_qty_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_partkey")
-        .aggregate(Sum(on="sq", alias_name="sq"), Sum(on="n", alias_name="n"))
-    )
+    def _filter_sum(b: pa.Table) -> pa.Table:
+        t = 0.2 * (_np(b, "sq").astype(np.float64) / _np(b, "n").astype(np.float64))
+        keep = _np(b, "l_quantity") < t
+        price_c = cents(_np(b, "l_extendedprice"))
+        return pa.table({"sum_c": pa.array([int(price_c[keep].sum())], type=pa.int64())})
 
-    n_parts = _parquet_num_rows(f"{sf_dir}/part.parquet")
-    if n_parts <= dim_broadcast_threshold:
-        # part-grain result is dim-bounded: collect → broadcast once
-        tmap = {
-            r["l_partkey"]: 0.2 * (r["sq"] / r["n"]) for r in thr.take_all()
-        }
-        ref = ray.put(tmap)
-
-        def _filter_sum(b: pa.Table) -> pa.Table:
-            lookup = ray.get(ref)
-            qty = _np(b, "l_quantity")
-            price_c = cents(_np(b, "l_extendedprice"))
-            t = np.asarray(
-                [lookup[k] for k in b.column("l_partkey").to_pylist()]
-            )
-            keep = qty < t
-            return pa.table(
-                {"sum_c": pa.array([int(price_c[keep].sum())], type=pa.int64())}
-            )
-
-        partials = ds.map_batches(
-            _filter_sum, batch_format="pyarrow", zero_copy_batch=True
-        )
-    else:
-        def _thr_rows(b: pa.Table) -> pa.Table:
-            sq = _np(b, "sq").astype(np.float64)
-            n = _np(b, "n").astype(np.float64)
-            return pa.table(
-                {
-                    "l_partkey": b.column("l_partkey"),
-                    "qty": pa.array(0.2 * (sq / n), type=pa.float64()),
-                    "price_c": pa.nulls(b.num_rows, type=pa.int64()),
-                }
-            )
-
-        def _fact_rows(b: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "l_partkey": b.column("l_partkey"),
-                    "qty": pc.cast(b.column("l_quantity"), pa.float64()),
-                    "price_c": pa.array(
-                        cents(_np(b, "l_extendedprice")), type=pa.int64()
-                    ),
-                }
-            )
-
-        u = thr.map_batches(
-            _thr_rows, batch_format="pyarrow", zero_copy_batch=True
-        ).union(
-            ds.map_batches(_fact_rows, batch_format="pyarrow", zero_copy_batch=True)
-        )
-
-        def _group_sum(g: pa.Table) -> pa.Table:
-            price_c = g.column("price_c").to_numpy(zero_copy_only=False)
-            is_thr = np.asarray(
-                [p is None for p in g.column("price_c").to_pylist()]
-            )
-            t = float(g.filter(pa.array(is_thr)).column("qty")[0].as_py())
-            qty = g.column("qty").to_numpy(zero_copy_only=False)
-            keep = (~is_thr) & (qty < t)
-            s = price_c[keep]
-            total = int(np.nansum(s.astype(np.float64))) if len(s) else 0
-            return pa.table({"sum_c": pa.array([total], type=pa.int64())})
-
-        partials = u.groupby("l_partkey").map_groups(
-            _group_sum, batch_format="pyarrow"
-        )
-
+    partials = keyed_join(
+        ds,
+        ds.map_batches(_qty_partials, batch_format="pyarrow", zero_copy_batch=True),
+        "l_partkey", how="inner", right_sum=["sq", "n"],
+        right_rows=_parquet_num_rows(f"{sf_dir}/lineitem.parquet"),
+    ).map_batches(_filter_sum, batch_format="pyarrow", zero_copy_batch=True)
     total_c = sum(r["sum_c"] for r in partials.take_all())
     return pa.table(
         {
@@ -4451,13 +3857,19 @@ def small_quantity_revenue(sf_dir: str,
     )
 
 
-def hll_distinct_users(sf_dir: str, m: int = 256):
+# HyperLogLog register count: the low 8 hash bits pick the bucket.  The
+# constants in hll_distinct_users and its SQL oracle (8-bit bucket, rho
+# from the 56 remaining bits, α_m, m² = 65536, 2.5·m = 640) all assume it.
+HLL_M = 256
+
+
+def hll_distinct_users(sf_dir: str):
     """HyperLogLog distinct-count SKETCH per event_type — the mergeable
     cardinality sketch a 100-TB pipeline uses where exact distinct would
     shuffle every key: per-batch register partials (one row per
     (batch, type, non-empty bucket) crosses the exchange — NEVER the user
     ids), a (type, bucket)-grain groupby Max merge, then the estimate folds
-    from m=256 registers per type on the driver (type-grain, bounded).
+    from HLL_M registers per type on the driver (type-grain, bounded).
 
     Everything is DETERMINISTIC and SQL-oracled exactly: base hash =
     ``md5_64(str(user_id))`` (the repo's shared oracle hash), bucket = low
@@ -4483,7 +3895,7 @@ def hll_distinct_users(sf_dir: str, m: int = 256):
         h = np.fromiter(
             (md5_64(str(int(u))) for u in uniq), dtype=np.uint64, count=len(uniq)
         )
-        bucket = (h % np.uint64(m)).astype(np.int64)
+        bucket = (h % np.uint64(HLL_M)).astype(np.int64)
         rem = h >> np.uint64(8)
         # exact vectorized bit_length (no float log2)
         bl = np.zeros(len(rem), dtype=np.int64)
@@ -4496,16 +3908,16 @@ def hll_distinct_users(sf_dir: str, m: int = 256):
         rho = 57 - bl  # rem == 0 → 57, matching the SQL CASE
 
         tuniq, tinv = np.unique(et, return_inverse=True)
-        keys = tinv * m + bucket[uinv]
+        keys = tinv * HLL_M + bucket[uinv]
         kuniq, kinv = np.unique(keys, return_inverse=True)
         regs = np.zeros(len(kuniq), dtype=np.int64)
         np.maximum.at(regs, kinv, rho[uinv])
         return pa.table(
             {
                 "event_type": pa.array(
-                    [tuniq[k // m] for k in kuniq], type=pa.string()
+                    [tuniq[k // HLL_M] for k in kuniq], type=pa.string()
                 ),
-                "bucket": pa.array((kuniq % m).tolist(), type=pa.int64()),
+                "bucket": pa.array((kuniq % HLL_M).tolist(), type=pa.int64()),
                 "reg": pa.array(regs.tolist(), type=pa.int64()),
             }
         )
@@ -4516,17 +3928,17 @@ def hll_distinct_users(sf_dir: str, m: int = 256):
         .aggregate(Max(on="reg", alias_name="reg"))
     )
 
-    # fold per type: ≤ m rows per type (type-grain — bounded, driver-safe)
+    # fold per type: ≤ HLL_M rows per type (type-grain — bounded, driver-safe)
     regs_by_type: dict[str, dict[int, int]] = {}
     for r in merged.take_all():
         regs_by_type.setdefault(r["event_type"], {})[r["bucket"]] = r["reg"]
 
-    alpha = 0.7213 / (1 + 1.079 / 256)
+    alpha = 0.7213 / (1 + 1.079 / HLL_M)
     out = []
     for t in sorted(regs_by_type):
         regs = regs_by_type[t]
-        s_scaled = sum(1 << (57 - regs.get(bk, 0)) for bk in range(m))
-        v_zero = sum(1 for bk in range(m) if regs.get(bk, 0) == 0)
+        s_scaled = sum(1 << (57 - regs.get(bk, 0)) for bk in range(HLL_M))
+        v_zero = sum(1 for bk in range(HLL_M) if regs.get(bk, 0) == 0)
         e_raw = alpha * 65536.0 * 144115188075855872.0 / float(s_scaled)
         if e_raw <= 640.0 and v_zero > 0:
             est = 256 * math.log(256.0 / v_zero)
@@ -4654,26 +4066,26 @@ def large_part_revenue_bloom(sf_dir: str, min_size: int = 48,
     counts) and the merged filter broadcasts once via ``ray.put``.
     Stage 2 — probe pre-filter inside the lineitem map: bloom negatives
     are DEFINITE non-matches (no false negatives), so they drop before
-    the exchange; survivors pre-aggregate to per-(batch, partkey) cents
-    partials.  Stage 3 — exact verification: partials union the
-    qualifying part keys (tagged), one groupby(partkey) all-to-all; a
-    group with no build row is a bloom false positive and dies here, so
-    the OUTPUT equals the SQL inner-join aggregate exactly regardless of
-    the bloom's error rate (the bloom only sizes the shuffle, never the
-    answer)."""
+    the join; survivors pre-aggregate to per-(batch, partkey) int64 cents
+    partials.  Stage 3 — exact verification: the qualifying part keys
+    ``keyed_join`` the partials (summed per key); a partkey with no build
+    row is a bloom false positive and dies there, so the OUTPUT equals the
+    SQL inner-join aggregate exactly regardless of the bloom's error rate
+    (the bloom only sizes the join input, never the answer)."""
     from ..functions.numeric import cents
     from ..state.bloom import BloomFilter
 
     part = _read(sf_dir, "part", columns=["p_partkey", "p_size"])
-    qual = part.map_batches(
-        lambda b: b.filter(pc.greater_equal(b.column("p_size"), min_size)),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+
+    def _qualifying(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.greater_equal(b.column("p_size"), min_size))
+        return pa.table({"l_partkey": pc.cast(b.column("p_partkey"), pa.int64())})
+
+    qual = part.map_batches(_qualifying, batch_format="pyarrow", zero_copy_batch=True)
 
     def _bloom_row(b: pa.Table) -> pa.Table:
         bf = BloomFilter(capacity=bloom_capacity, error_rate=0.01)
-        bf.add_batch([str(k) for k in b.column("p_partkey").to_pylist()])
+        bf.add_batch([str(k) for k in b.column("l_partkey").to_pylist()])
         return pa.table({"bits": pa.array([bf.to_bytes()], type=pa.binary())})
 
     merged_bits = None
@@ -4691,70 +4103,35 @@ def large_part_revenue_bloom(sf_dir: str, min_size: int = 48,
         bf = ray.get(bloom_ref)
         keys = _np(b, "l_partkey")
         keep = bf.contains_batch([str(k) for k in keys.tolist()])
-        keys = keys[keep]
-        rev_c = cents(_np(b, "l_extendedprice")[keep])
-        uniq, inv = np.unique(keys, return_inverse=True)
+        uniq, inv = np.unique(keys[keep], return_inverse=True)
+        rev_c = np.zeros(len(uniq), dtype=np.int64)  # int64: exact past 2^53
+        np.add.at(rev_c, inv, cents(_np(b, "l_extendedprice")[keep]))
         return pa.table(
             {
-                "key": pa.array(uniq.tolist(), type=pa.int64()),
-                "n": pa.array(
-                    np.bincount(inv, minlength=len(uniq)).tolist(),
-                    type=pa.int64(),
-                ),
-                "rev_c": pa.array(
-                    np.bincount(inv, weights=rev_c, minlength=len(uniq))
-                    .astype(np.int64)
-                    .tolist(),
-                    type=pa.int64(),
-                ),
-                "is_build": pa.array(np.zeros(len(uniq), dtype=bool)),
+                "l_partkey": pa.array(uniq, type=pa.int64()),
+                "n_items": pa.array(np.bincount(inv, minlength=len(uniq)).astype(np.int64)),
+                "rev_c": pa.array(rev_c),
             }
         )
 
-    def _build_rows(b: pa.Table) -> pa.Table:
-        ks = pc.cast(b.column("p_partkey"), pa.int64())
-        n = len(ks)
+    def _revenue(b: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "key": ks,
-                "n": pa.array(np.zeros(n, dtype=np.int64)),
-                "rev_c": pa.array(np.zeros(n, dtype=np.int64)),
-                "is_build": pa.array(np.ones(n, dtype=bool)),
+                "l_partkey": b.column("l_partkey"),
+                "n_items": b.column("n_items"),
+                "revenue": pa.array(
+                    [c / 100.0 for c in b.column("rev_c").to_pylist()], type=pa.float64()
+                ),
             }
         )
 
     li = _read(sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice"])
-    u = li.map_batches(
-        _probe_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        qual.map_batches(_build_rows, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    def _verify(g: pa.Table) -> pa.Table:
-        is_build = g.column("is_build").to_numpy(zero_copy_only=False)
-        empty = pa.table(
-            {
-                "l_partkey": pa.array([], type=pa.int64()),
-                "n_items": pa.array([], type=pa.int64()),
-                "revenue": pa.array([], type=pa.float64()),
-            }
-        )
-        if not is_build.any():  # bloom false positive — exactness restored
-            return empty
-        n = int(_np(g, "n").sum())
-        if n == 0:  # qualifying part with no lineitems (inner join drops)
-            return empty
-        return pa.table(
-            {
-                "l_partkey": g.column("key").slice(0, 1),
-                "n_items": pa.array([n], type=pa.int64()),
-                "revenue": pa.array(
-                    [int(_np(g, "rev_c").sum()) / 100.0], type=pa.float64()
-                ),
-            }
-        )
-
-    return u.groupby("key").map_groups(_verify, batch_format="pyarrow")
+    return keyed_join(
+        qual,
+        li.map_batches(_probe_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "l_partkey", how="inner", right_sum=["n_items", "rev_c"],
+        right_rows=_parquet_num_rows(f"{sf_dir}/lineitem.parquet"),
+    ).map_batches(_revenue, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def events_value_quantile_hist(sf_dir: str, nbins: int = 256,

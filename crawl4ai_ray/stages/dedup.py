@@ -10,8 +10,11 @@ large-scale variants, each expressed Ray-Data-first:
     worker) → band keys → groupby(band) emits candidate pairs → exact
     jaccard verify over per-doc shingle-hash sets (8 bytes/shingle, never
     the text): semi-join pushdown + O(pairs) broadcast when candidates are
-    few, distributed hash joins above a threshold.  The corpus never
-    broadcasts and never materializes on the driver in either regime.
+    few, two ``keyed_join`` exchanges (stages/join.py) above a threshold.
+    The corpus never broadcasts and never materializes on the driver in
+    either regime.
+  * keep-one           — connected components over the pairs, then one
+    ``keyed_join(how="anti")`` drops the non-representatives.
   * simhash            — signature column + bucket-by-prefix near-dup pairs.
   * embedding cosine   — see stages/similarity.py (shared matmul kernel).
 """
@@ -29,6 +32,7 @@ from ..functions.textstats import (
     simhash64,
 )
 from ..hashing import h64
+from .join import keyed_join
 
 
 # ------------------------------------------------------------------ exact
@@ -215,12 +219,9 @@ def minhash_dedup_pairs(
         (O(pairs), never O(corpus)) broadcasts via ray.put into a single
         verify map.  Shuffling the corpus at this size pays two all-to-all
         spin-ups for nothing (measured 15 s for 255 pairs at sf0.1).
-      * above it: two distributed hash-join-shaped exchanges (pairs get
-        sh_a attached by grouping on id_a vs doc_id, then sh_b on id_b) —
-        nothing driver-held, the 100-TB regime.  Expressed as tagged-union
-        + groupby rather than ``Dataset.join`` (see the inline comment —
-        zero-schema empty blocks from upstream groupbys break
-        JoinOperator, and its aggregator pools deadlock small clusters).
+      * above it: two ``keyed_join`` exchanges (pairs get sh_a attached on
+        id_a = doc_id, then sh_b on id_b) — nothing driver-held, the
+        100-TB regime.
 
     Jaccard over distinct md5-shingle-hash sets; results round with DuckDB
     semantics so the SQL oracle (pipelines/queries.py
@@ -332,8 +333,6 @@ def minhash_dedup_pairs(
             _verify_broadcast, batch_format="pyarrow", zero_copy_batch=True
         )
 
-    import pyarrow.compute as pc
-
     shingle_ds = ds.map_batches(
         ShingleHashStage,
         fn_constructor_kwargs=dict(shingle_k=shingle_k),
@@ -342,61 +341,20 @@ def minhash_dedup_pairs(
         zero_copy_batch=True,
     )
 
-    # Distributed attach of each side's packed shingles — the SAME exchange
-    # a hash join would pay (pair rows + shingle rows shuffle once per
-    # side), but expressed as tagged-union + groupby(key) because
-    # ``Dataset.join`` is unusable here: ``pairs`` descends from groupbys,
-    # whose map tasks emit ZERO-SCHEMA empty blocks for empty inputs, and
-    # JoinOperator's per-partition pyarrow join dies (ArrowInvalid "No
-    # match for FieldRef") when a hash partition receives no schema-ful
-    # shard; its 1.0-CPU aggregator pools also deadlock small clusters.
-    # groupby tolerates dirty blocks (see connected_components docstring).
-    def _attach(pair_ds, key_name: str, out_name: str, carry: dict):
-        def _pair_msg(b: pa.Table) -> pa.Table:
-            cols = {"_k": b.column(key_name)}
-            for c in carry:
-                cols[c] = b.column(c)
-            cols["_sh"] = pa.nulls(b.num_rows, pa.binary())
-            cols["_is_data"] = pa.array(np.zeros(b.num_rows, dtype=bool))
-            return pa.table(cols)
-
-        def _data_msg(b: pa.Table) -> pa.Table:
-            cols = {"_k": b.column("doc_id")}
-            for c, typ in carry.items():
-                cols[c] = pa.nulls(b.num_rows, typ)
-            cols["_sh"] = b.column("sh")
-            cols["_is_data"] = pa.array(np.ones(b.num_rows, dtype=bool))
-            return pa.table(cols)
-
-        tagged = pair_ds.map_batches(
-            _pair_msg, batch_format="pyarrow", zero_copy_batch=True
-        ).union(
-            shingle_ds.map_batches(
-                _data_msg, batch_format="pyarrow", zero_copy_batch=True
-            )
+    def _shingles_as(name: str):
+        return shingle_ds.map_batches(
+            lambda b: pa.table({"doc_id": b.column("doc_id"), name: b.column("sh")}),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
         )
 
-        def _grp(g: pa.Table) -> pa.Table:
-            mask = g.column("_is_data")
-            data_rows = g.filter(mask)
-            out = g.filter(pc.invert(mask))
-            if data_rows.num_rows == 0:
-                out = out.slice(0, 0)  # pair references a missing doc: drop
-            sh = data_rows.column("_sh")[0].as_py() if data_rows.num_rows else b""
-            cols = {c: out.column(c) for c in carry}
-            cols[out_name] = pa.array([sh] * out.num_rows, type=pa.binary())
-            return pa.table(cols)
-
-        return tagged.groupby("_k").map_groups(_grp, batch_format="pyarrow")
-
-    with_a = _attach(
-        pairs, "id_a", "sh_a",
-        {"id_a": pa.int64(), "id_b": pa.int64()},
-    )
-    with_ab = _attach(
-        with_a, "id_b", "sh_b",
-        {"id_a": pa.int64(), "id_b": pa.int64(), "sh_a": pa.binary()},
-    )
+    # each side's packed shingles attach in one exchange (the corpus-sized
+    # shingle side never materializes, so it has no row count and never
+    # broadcasts); a pair that references a missing doc drops
+    with_a = keyed_join(pairs, _shingles_as("sh_a"), "id_a", right_on="doc_id",
+                        how="inner")
+    with_ab = keyed_join(with_a, _shingles_as("sh_b"), "id_b", right_on="doc_id",
+                         how="inner")
 
     def _verify(batch: pa.Table) -> pa.Table:
         return _verify_from(
@@ -673,16 +631,7 @@ def connected_components(pairs, max_iters: int = 20,
     family (minhash/simhash/embedding LSH).
 
     Min-label propagation expressed as groupby-only message passing — NO
-    ``Dataset.join`` anywhere.  Two reasons: (a) cascaded joins deadlock
-    small clusters (aggregator actors reserve whole CPUs), and (b) Ray Data
-    aggregate outputs carry ZERO-SCHEMA empty blocks for empty hash
-    partitions (map tasks skip empty input blocks and emit schema-less
-    empty outputs), and ``JoinOperator.finalize`` builds each partition
-    with ``ArrowBlockBuilder`` — a partition that received no schema-ful
-    shard becomes a no-column table and the pyarrow hash join dies with
-    "No match for FieldRef".  groupby/aggregate tolerates those blocks;
-    join does not.  Rule of thumb encoded here: never feed a dataset that
-    descends from a groupby into a ``Dataset.join`` side.
+    ``Dataset.join`` anywhere (stages/join.py says why).
 
     Distributed algorithm: ALTERNATING LARGE-STAR / SMALL-STAR contraction
     (Kiveris, Lattanzi, Mirrokni, Rastogi, Vassilvitskii, "Connected
@@ -940,28 +889,18 @@ def connected_components(pairs, max_iters: int = 20,
     return cur.groupby("node").map_groups(_final, batch_format="pyarrow")
 
 
-def keep_one_survivors(docs, pairs, id_col: str = "doc_id",
-                       broadcast_threshold: int = 5_000_000):
+def keep_one_survivors(docs, pairs, id_col: str = "doc_id"):
     """Corpus keep-one dedup on top of any near-dup pair family: drop every
     doc that belongs to a connected component but is not its min-id
     representative; everything untouched by a pair survives.
 
-    SIZE-ADAPTIVE on the loser count:
-      * ≤ ``broadcast_threshold`` losers: the id set (ints only — 8 B each,
-        so the default cap is ~40 MB) broadcasts once via ray.put and the
-        corpus streams through a vectorized ``is_in`` filter — NO all-to-all
-        at all.
-      * above it: tagged union + one groupby(id) anti-join — the corpus
-        streams through a single all-to-all (the same exchange a
-        distributed hash join would pay), nothing corpus-sized broadcasts
-        or reaches the driver, and groups are ≤2 rows (ids are unique per
-        side) so there is no skew.  ``Dataset.join`` is deliberately NOT
-        used: the loser side descends from a groupby and may carry
-        zero-schema empty blocks that break JoinOperator's per-partition
-        pyarrow join (see ``connected_components`` docstring).
+    One ``keyed_join(how="anti")`` of the corpus against the loser ids,
+    whose count is known once they materialize: up to
+    ``join.BROADCAST_MAX_ROWS`` losers (ints only, 8 B each) broadcast and
+    the corpus streams through a vectorized anti-join with no all-to-all;
+    above it the corpus passes one exchange.  Nothing corpus-sized
+    broadcasts or reaches the driver in either regime.
     """
-    import ray
-    import numpy as np
     import pyarrow.compute as pc
 
     comp = connected_components(pairs)
@@ -976,51 +915,4 @@ def keep_one_survivors(docs, pairs, id_col: str = "doc_id",
     n_losers = losers.count()
     if n_losers == 0:
         return docs
-
-    if n_losers <= broadcast_threshold:
-        loser_ids = pa.array(
-            sorted(r[id_col] for r in losers.take_all())
-        )
-        loser_ref = ray.put(loser_ids)
-
-        def _drop_losers(batch: pa.Table) -> pa.Table:
-            ids = ray.get(loser_ref)
-            return batch.filter(
-                pc.invert(pc.is_in(batch.column(id_col), value_set=ids))
-            )
-
-        return docs.map_batches(
-            _drop_losers, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-    schema = docs.schema().base_schema
-    tag = "_dup_loser"
-
-    def _pad_losers(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {
-            f.name: batch.column(id_col) if f.name == id_col else pa.nulls(n, f.type)
-            for f in schema
-        }
-        cols[tag] = pa.array(np.ones(n, dtype=bool))
-        return pa.table(cols)
-
-    def _tag_docs(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            tag, pa.array(np.zeros(batch.num_rows, dtype=bool))
-        )
-
-    tagged = docs.map_batches(
-        _tag_docs, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        losers.map_batches(
-            _pad_losers, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
-
-    def _keep(g: pa.Table) -> pa.Table:
-        if pc.any(g.column(tag)).as_py():
-            return g.slice(0, 0).drop_columns([tag])
-        return g.drop_columns([tag])
-
-    return tagged.groupby(id_col).map_groups(_keep, batch_format="pyarrow")
+    return keyed_join(docs, losers, id_col, how="anti", right_rows=n_losers)

@@ -3,21 +3,21 @@ ranking operator (the formula-graph twin with its SQL oracle lives in
 pipelines/queries.py::pagerank_hashgraph; this variant takes real edges,
 e.g. the crawl output's url → href links).
 
-Join-free by construction (ray-join-deadlock rule): every per-key
-attachment is the tagged-union + groupby pattern —
+Every per-key attachment is a ``keyed_join`` (stages/join.py) whose right
+side is node-sized (``right_rows = n``), so it broadcasts up to the join's
+threshold and exchanges above it:
 
-1. out-degrees: one groupby(src) count;
-2. degree-weighted edges: attach outdeg to each edge under groupby(src),
-   materialized ONCE (they are loop-invariant — without materializing,
-   every iteration's DAG would re-execute the attach chain);
-3. per iteration: attach the current rank to edges under groupby(src),
-   emit (dst, rank/outdeg) contributions, union the zero-rows of all
-   nodes (so sinks keep a row), groupby(dst) sum, teleport map.
+1. degree-weighted edges: per-batch out-degree partials summed per src
+   and attached to each edge (``right_sum``), materialized ONCE (they are
+   loop-invariant — without materializing, every iteration's DAG would
+   re-execute the attach chain);
+2. per iteration: attach the current rank to edges on src = node, emit
+   (dst, rank/outdeg) contributions, union the zero-rows of all nodes (so
+   sinks keep a row), groupby(dst) sum, teleport map.
 
-Two shuffles per iteration — the inherent synchronous-PageRank cost; the
-exchange carries edge-count contribution rows, never adjacency lists in
-one task (no hot-node blowup: a popular dst's contributions are summed by
-the groupby aggregator, pre-combinable per block).
+No adjacency list ever lands in one task (no hot-node blowup: a popular
+dst's contributions are summed by the groupby aggregator,
+pre-combinable per block).
 
 Dangling nodes (outdeg 0) leak their damped mass (the simple variant —
 total rank sums to < 1 when sinks exist); the teleport term keeps every
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .join import keyed_join
 
 
 def _nodes(edges, src_col: str, dst_col: str):
@@ -65,51 +67,38 @@ def pagerank_edges(edges, iters: int = 5, damping: float = 0.85,
     def _edge_rows(b: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "key": b.column(src_col).cast(pa.string()),
+                "src": b.column(src_col).cast(pa.string()),
                 "dst": b.column(dst_col).cast(pa.string()),
-                "val": pa.array(np.zeros(b.num_rows), type=pa.float64()),
-                "is_data": pa.array(np.zeros(b.num_rows, bool)),
             }
         )
 
     def _deg_partial(b: pa.Table) -> pa.Table:
         from collections import Counter
 
-        c = Counter(b.column(src_col).to_pylist())
+        c = Counter(b.column(src_col).cast(pa.string()).to_pylist())
         return pa.table(
             {
-                "key": pa.array(list(c.keys()), type=pa.string()),
-                "dst": pa.nulls(len(c), type=pa.string()),
-                "val": pa.array([float(v) for v in c.values()], type=pa.float64()),
-                "is_data": pa.array(np.ones(len(c), bool)),
+                "src": pa.array(list(c.keys()), type=pa.string()),
+                "outdeg": pa.array([float(v) for v in c.values()], type=pa.float64()),
             }
         )
 
-    def _attach_deg(g: pa.Table) -> pa.Table:
-        is_data = g.column("is_data").to_numpy(zero_copy_only=False)
-        deg = float(g.column("val").to_numpy(zero_copy_only=False)[is_data].sum())
-        edge_rows = g.filter(pa.array(~is_data))
+    def _edge_msg(b: pa.Table) -> pa.Table:
+        # per-edge 1/outdeg factor (outdeg ≥ 1 for any row that is an edge)
+        deg = b.column("outdeg").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "src": edge_rows.column("key"),
-                "dst": edge_rows.column("dst"),
-                "outdeg": pa.array(
-                    np.full(edge_rows.num_rows, deg), type=pa.float64()
-                ),
+                "src": b.column("src"),
+                "dst": b.column("dst"),
+                "inv_deg": pa.array(1.0 / deg, type=pa.float64()),
             }
         )
 
-    weighted = (
-        edges.map_batches(_edge_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            edges.map_batches(
-                _deg_partial, batch_format="pyarrow", zero_copy_batch=True
-            )
-        )
-        .groupby("key")
-        .map_groups(_attach_deg, batch_format="pyarrow")
-        .materialize()
-    )
+    edge_msgs = keyed_join(
+        edges.map_batches(_edge_rows, batch_format="pyarrow", zero_copy_batch=True),
+        edges.map_batches(_deg_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "src", how="inner", right_sum="outdeg", right_rows=n,
+    ).map_batches(_edge_msg, batch_format="pyarrow", zero_copy_batch=True).materialize()
 
     # --- iterate ---------------------------------------------------------
     def _init(b: pa.Table) -> pa.Table:
@@ -131,41 +120,12 @@ def pagerank_edges(edges, iters: int = 5, damping: float = 0.85,
     ranks = nodes.map_batches(_init, batch_format="pyarrow", zero_copy_batch=True)
     zeros = nodes.map_batches(_zero, batch_format="pyarrow", zero_copy_batch=True)
 
-    def _edge_msg(b: pa.Table) -> pa.Table:
-        # per-edge 1/outdeg factor (outdeg ≥ 1 for any row that is an edge)
-        deg = b.column("outdeg").to_numpy(zero_copy_only=False)
+    def _emit_contribs(b: pa.Table) -> pa.Table:
+        rank = b.column("pr").to_numpy(zero_copy_only=False)
+        inv_deg = b.column("inv_deg").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "key": b.column("src"),
-                "dst": b.column("dst"),
-                "val": pa.array(1.0 / deg, type=pa.float64()),
-                "is_data": pa.array(np.zeros(b.num_rows, bool)),
-            }
-        )
-
-    def _rank_msg(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": b.column("node"),
-                "dst": pa.nulls(b.num_rows, type=pa.string()),
-                "val": b.column("pr"),
-                "is_data": pa.array(np.ones(b.num_rows, bool)),
-            }
-        )
-
-    def _emit_contribs(g: pa.Table) -> pa.Table:
-        is_data = g.column("is_data").to_numpy(zero_copy_only=False)
-        data_idx = np.nonzero(is_data)[0]
-        rank = (
-            float(g.column("val").to_numpy(zero_copy_only=False)[data_idx[0]])
-            if len(data_idx)
-            else 0.0
-        )
-        edge_rows = g.filter(pa.array(~is_data))
-        inv_deg = edge_rows.column("val").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "node": edge_rows.column("dst"),
+                "node": b.column("dst"),
                 "pr": pa.array(rank * inv_deg, type=pa.float64()),
             }
         )
@@ -181,17 +141,10 @@ def pagerank_edges(edges, iters: int = 5, damping: float = 0.85,
 
     from ray.data.aggregate import Sum
 
-    edge_msgs = weighted.map_batches(
-        _edge_msg, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
     for _ in range(iters):
-        tagged = edge_msgs.union(
-            ranks.map_batches(_rank_msg, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        contribs = tagged.groupby("key").map_groups(
-            _emit_contribs, batch_format="pyarrow"
-        )
+        contribs = keyed_join(
+            edge_msgs, ranks, "src", right_on="node", how="inner", right_rows=n
+        ).map_batches(_emit_contribs, batch_format="pyarrow", zero_copy_batch=True)
         summed = (
             contribs.union(zeros).groupby("node").aggregate(Sum("pr", alias_name="s"))
         )

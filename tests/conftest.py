@@ -25,3 +25,17 @@ def ray_session():
         )
     yield
     ray.shutdown()
+
+
+@pytest.fixture(autouse=True)
+def _release_leaked_actors():
+    """Ray Data frees a finished actor pool by dropping its actor handles;
+    handles caught in reference cycles live until the cyclic GC runs.  In
+    the one 4-CPU session cluster, actors leaked by earlier tests can hold
+    every CPU, and the next actor-pool query (media_catalog_crawl runs three
+    pools, twice) then waits forever with an idle driver that never
+    triggers a collection.  Collect after every test."""
+    yield
+    import gc
+
+    gc.collect()

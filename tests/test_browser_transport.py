@@ -93,7 +93,6 @@ def test_crawl_e2e_over_fake_browser_span_parity(ray_session, tmp_path):
     def _run(transport, name):
         cfg = CrawlConfig(
             max_depth=3, num_seen_shards=2, num_politeness_shards=2,
-            fetch_batch_size=16,
             deterministic=True, include_external=True,
         )
         eng = CrawlEngine(transport, cfg, str(tmp_path / name),

@@ -92,20 +92,32 @@ def test_max_iters_bounds_work(ray_session):
     assert set(comp) == set(range(11))
 
 
-@pytest.mark.parametrize("regime", [{}, {"broadcast_threshold": 0}])
-def test_keep_one_survivors_end_to_end(ray_session, regime):
+@pytest.mark.parametrize("regime", [{}, {"BROADCAST_MAX_ROWS": 0}])
+def test_keep_one_survivors_end_to_end(ray_session, regime, monkeypatch, caplog):
     # planted corpus: docs 0..9; {0,1,2} dups, {5,6} dups -> survivors keep
     # the min id of each component plus all untouched docs.  Both removal
-    # regimes must agree: broadcast is_in filter (default at this size) and
-    # the tagged-union groupby anti-join (forced via threshold=0).
+    # regimes must agree: broadcast anti-join (default at this size) and
+    # the exchange anti-join (forced via a zero threshold).
+    import logging
+
+    from crawl4ai_ray.stages import join
+
+    for name, value in regime.items():
+        monkeypatch.setattr(join, name, value)
     docs = rd.from_arrow(
         pa.table({"doc_id": pa.array(list(range(10)), type=pa.int64())})
     )
     pairs = _pairs([(0, 1), (1, 2), (5, 6)])
-    kept = sorted(
-        r["doc_id"] for r in keep_one_survivors(docs, pairs, **regime).take_all()
-    )
+    with caplog.at_level(logging.INFO, logger="crawl4ai_ray.stages.join"):
+        kept = sorted(
+            r["doc_id"] for r in keep_one_survivors(docs, pairs).take_all()
+        )
     assert kept == [0, 3, 4, 5, 7, 8, 9]
+    assert [r.getMessage() for r in caplog.records if r.name == join.__name__] == [
+        "keep_one_survivors: keyed_join anti "
+        f"{'exchange' if regime else 'broadcast'} (right_rows=3, "
+        f"threshold={join.BROADCAST_MAX_ROWS})"
+    ]
 
 
 def test_keep_one_no_pairs_is_identity(ray_session):

@@ -54,7 +54,6 @@ def tiny_run(tmp_path_factory, ray_session):
         max_depth=4,
         num_seen_shards=3,
         num_politeness_shards=2,
-        fetch_batch_size=16,
         deterministic=True,
         include_external=True,
     )
@@ -171,7 +170,6 @@ def test_max_pages_capacity(tmp_path, ray_session):
         max_pages=15,
         num_seen_shards=2,
         num_politeness_shards=1,
-        fetch_batch_size=8,
         deterministic=True,
         scorer_factory=scorer_factory,
     )
@@ -198,11 +196,11 @@ def test_scale_mode_same_url_set(tmp_path, ray_session):
     same URL *set* as parity mode when capacity/threshold don't bind."""
     params = CorpusParams(n_hosts=2, pages_per_host=25, seed=9)
     cfg_det = CrawlConfig(
-        max_depth=10, num_seen_shards=2, fetch_batch_size=8, deterministic=True
+        max_depth=10, num_seen_shards=2, deterministic=True
     )
     eng_det, _ = _run_engine(tmp_path, params, cfg_det, name="det")
     cfg_scale = CrawlConfig(
-        max_depth=10, num_seen_shards=2, fetch_batch_size=8, deterministic=False
+        max_depth=10, num_seen_shards=2, deterministic=False
     )
     eng_scale, _ = _run_engine(tmp_path, params, cfg_scale, name="scale")
     det_urls = set(_docs_table(eng_det).column("url").to_pylist())
@@ -218,7 +216,6 @@ def test_kill_resume(tmp_path, ray_session):
         max_depth=5,
         num_seen_shards=2,
         num_politeness_shards=1,
-        fetch_batch_size=8,
         deterministic=True,
     )
     # uninterrupted reference run
@@ -261,7 +258,6 @@ def test_best_first_deterministic(tmp_path, ray_session):
         max_depth=4,
         max_pages=25,
         num_seen_shards=2,
-        fetch_batch_size=8,
         scorer_factory=scorer_factory,
         best_first_batch=10,
     )
@@ -300,7 +296,7 @@ def test_scale_mode_kill_resume(tmp_path, ray_session):
     params = CorpusParams(n_hosts=2, pages_per_host=40, seed=11, branch=4)
     base = dict(
         max_depth=8, num_seen_shards=2, num_politeness_shards=1,
-        fetch_batch_size=16, deterministic=False, exact_seen=False,
+        deterministic=False, exact_seen=False,
     )
     eng_full, _ = _run_engine(tmp_path, params, CrawlConfig(**base), name="sfull")
     full_urls = sorted(_docs_table(eng_full).column("url").to_pylist())
@@ -453,7 +449,7 @@ def test_crawl_with_politeness_budget_threaded_fetch(tmp_path, ray_session):
 
     params = CorpusParams(n_hosts=2, pages_per_host=12, seed=4)
     base = dict(max_depth=4, num_seen_shards=2, num_politeness_shards=1,
-                deterministic=True, fetch_batch_size=8)
+                deterministic=True)
     eng_fast, s_fast = _run_engine(
         tmp_path, params, CrawlConfig(**base), name="pol_fast"
     )
@@ -484,12 +480,12 @@ def test_best_first_scale_mode(tmp_path, ray_session):
     # via a LONGER path than BFS level order, so a tight depth cap would
     # legitimately shrink the set (the gate keys on first-queued depth)
     bfs_cfg = CrawlConfig(
-        max_depth=30, num_seen_shards=2, fetch_batch_size=8, deterministic=False
+        max_depth=30, num_seen_shards=2, deterministic=False
     )
     eng_bfs, _ = _run_engine(tmp_path, params, bfs_cfg, name="bfs_scale_ref")
     bf_cfg = CrawlConfig(
         strategy="best_first", max_depth=30, num_seen_shards=2,
-        fetch_batch_size=8, deterministic=False, best_first_batch=12,
+        deterministic=False, best_first_batch=12,
         scorer_factory=scorer_factory,
     )
     eng_bf, s_bf = _run_engine(tmp_path, params, bf_cfg, name="bf_scale")
@@ -515,8 +511,7 @@ def test_smart_cache_revalidation(tmp_path, ray_session):
     from crawl4ai_ray.pipelines.crawl import CrawlConfig, CrawlEngine
 
     params = CorpusParams(n_hosts=1, pages_per_host=14, seed=6)
-    cfg = CrawlConfig(max_depth=6, num_seen_shards=2, fetch_batch_size=8,
-                      deterministic=True)
+    cfg = CrawlConfig(max_depth=6, num_seen_shards=2, deterministic=True)
     engine, summary = _run_engine(tmp_path, params, cfg, name="reval")
     assert summary["pages_crawled"] > 4
     docs0 = _docs_table(engine)
@@ -571,7 +566,6 @@ def test_run_iter_streams_epochs_while_crawling(ray_session, tmp_path):
         max_depth=3,
         num_seen_shards=2,
         num_politeness_shards=2,
-        fetch_batch_size=16,
         deterministic=True,
         include_external=True,
     )

@@ -176,7 +176,7 @@ def test_crawl_engine_over_live_http(tmp_path, ray_session, site):
     robots = fetch_robots([host], t)
     cfg = CrawlConfig(
         max_depth=8, num_seen_shards=2, num_politeness_shards=1,
-        fetch_batch_size=8, deterministic=True,
+        deterministic=True,
         # 127.0.0.1:port netlocs test external under the reference's
         # port-stripping base-domain parity quirk (utils.py:2567-2598)
         include_external=True,
@@ -238,7 +238,6 @@ def test_politeness_spacing_on_the_wire(tmp_path, ray_session):
         delay = 0.2
         cfg = CrawlConfig(
             max_depth=4, num_seen_shards=2, num_politeness_shards=1,
-            fetch_batch_size=4,
             base_delay=(delay, delay), deterministic=True,
             include_external=True,
         )

@@ -18,16 +18,26 @@ def _canon(t: pa.Table):
 @pytest.mark.parametrize(
     "qname", ["revenue_by_nation", "revenue_rollup", "top_orders_per_segment"]
 )
-def test_revenue_dim_join_regime_equivalence(ray_session, qname):
-    """The broadcast (dim ≤ threshold) and tagged-union-attach (dim above
-    threshold) regimes must produce identical tables — threshold=0 forces
-    the scale path on the same input."""
+def test_revenue_dim_join_regime_equivalence(ray_session, qname, monkeypatch,
+                                             caplog):
+    """The broadcast (dim ≤ threshold) and exchange (dim above threshold)
+    regimes of the customer-dim join must produce identical tables — a
+    zero threshold forces the exchange on the same input."""
+    import logging
+
     from crawl4ai_ray.pipelines import queries as Q
+    from crawl4ai_ray.stages import join
 
     fn = getattr(Q, qname)
     broadcast = _canon(fn(SF))
-    scale = _canon(fn(SF, dim_broadcast_threshold=0))
+    monkeypatch.setattr(join, "BROADCAST_MAX_ROWS", 0)
+    with caplog.at_level(logging.INFO, logger="crawl4ai_ray.stages.join"):
+        scale = _canon(fn(SF))
     assert broadcast.equals(scale)
+    caller = qname if qname == "top_orders_per_segment" else "_nation_revenue"
+    assert [r.getMessage() for r in caplog.records if r.name == join.__name__] == [
+        f"{caller}: keyed_join inner exchange (right_rows=150, threshold=0)"
+    ]
 
 
 def test_parquet_num_rows_metadata_only(tmp_path):

@@ -103,14 +103,24 @@ def test_customer_order_ranks_row_number(ray_session):
     assert (per.max() == per.count()).all()
 
 
-def test_small_quantity_revenue_regime_equivalence(ray_session):
-    """Broadcast (parts ≤ threshold) and tagged-union (threshold=0) regimes
-    must return the identical single-row answer, and match a local
-    recomputation."""
+def test_small_quantity_revenue_regime_equivalence(ray_session, monkeypatch,
+                                                   caplog):
+    """Broadcast and exchange (zero threshold) regimes must return the
+    identical single-row answer, and match a local recomputation."""
+    import logging
+
     from crawl4ai_ray.pipelines.queries import small_quantity_revenue
+    from crawl4ai_ray.stages import join
 
     broadcast = _tbl(small_quantity_revenue(SF))
-    scale = _tbl(small_quantity_revenue(SF, dim_broadcast_threshold=0))
+    monkeypatch.setattr(join, "BROADCAST_MAX_ROWS", 0)
+    with caplog.at_level(logging.INFO, logger="crawl4ai_ray.stages.join"):
+        scale = _tbl(small_quantity_revenue(SF))
+    assert [r.getMessage() for r in caplog.records if r.name == join.__name__] == [
+        "small_quantity_revenue: keyed_join inner exchange "
+        f"(right_rows={pq.ParquetFile(f'{SF}/lineitem.parquet').metadata.num_rows}, "
+        "threshold=0)"
+    ]
     a = broadcast.column("avg_yearly")[0].as_py()
     b = scale.column("avg_yearly")[0].as_py()
     assert a == b
@@ -260,6 +270,41 @@ def test_bloom_semi_join_exact_under_false_positives(ray_session):
     )
     assert (normal["l_partkey"].to_numpy() == exact["l_partkey"].to_numpy()).all()
     assert (normal["n_items"].to_numpy() == exact["n_items"].to_numpy()).all()
+
+
+def test_bloom_join_sums_cents_exactly_past_2_53(ray_session, tmp_path):
+    """A part's cents sum above 2^53 stays exact: the probe partials add
+    int64 cents.  A float64 sum sticks at the first even value past 2^53
+    and drops each later odd cent."""
+    from crawl4ai_ray.pipelines.queries import large_part_revenue_bloom
+
+    pq.write_table(
+        pa.table({"p_partkey": pa.array([1, 2], type=pa.int64()),
+                  "p_size": pa.array([50, 10], type=pa.int32())}),
+        str(tmp_path / "part.parquet"),
+    )
+    prices = [45035996273704.97, 45035996273704.99] + [0.01] * 200
+    pq.write_table(
+        pa.table({"l_partkey": pa.array([1] * len(prices), type=pa.int64()),
+                  "l_extendedprice": pa.array(prices, type=pa.float64())}),
+        str(tmp_path / "lineitem.parquet"),
+    )
+    want_c = sum(int(c) for c in _cents(np.array(prices)))
+    assert want_c > 2**53
+    got = _tbl(large_part_revenue_bloom(str(tmp_path))).to_pylist()
+    assert got == [{"l_partkey": 1, "n_items": len(prices), "revenue": want_c / 100.0}]
+
+
+def test_hll_register_count_is_the_named_constant():
+    """hll_distinct_users(m=...) returned wrong estimates for any m != 256;
+    the register count is now the module constant its SQL oracle shares."""
+    import inspect
+
+    from crawl4ai_ray.pipelines import queries as Q
+
+    assert list(inspect.signature(Q.hll_distinct_users).parameters) == ["sf_dir"]
+    assert Q.HLL_M == 256
+    assert f"hv % {Q.HLL_M}" in Q.ORACLE_SQL["hll_distinct_users"]
 
 
 def test_quantile_hist_rank_bracket(ray_session):
