@@ -32,7 +32,6 @@ def entry() -> Any:
     cfg = CrawlConfig(
         max_depth=4,
         num_seen_shards=2,
-        num_politeness_shards=1,
         deterministic=True,
     )
     engine = CrawlEngine(

@@ -62,7 +62,6 @@ def crawl_headline(num_cpus: int, scale: float) -> dict:
         strategy=strategy,
         max_depth=12,
         num_seen_shards=max(8, num_cpus // 2),
-        num_politeness_shards=max(4, num_cpus // 4),
         best_first_batch=2048,  # scale best-first: pop-round granularity
         deterministic=False,   # scale path: distributed discovery
         exact_seen=False,      # bloom-only (FP budget p=0.01)
@@ -81,7 +80,6 @@ def crawl_headline(num_cpus: int, scale: float) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench_warm_", dir=scratch) as warm_ckpt:
         warm_cfg = CrawlConfig(
             max_depth=4, num_seen_shards=cfg.num_seen_shards,
-            num_politeness_shards=cfg.num_politeness_shards,
             deterministic=False, exact_seen=False,
         )
         warm = CrawlEngine(SyntheticTransport(warm_params), warm_cfg, warm_ckpt)
@@ -204,7 +202,7 @@ def run_stage_stats(sf_dir: str, num_cpus: int) -> None:
         n_paras_min=50, n_paras_max=90, words_min=25, words_max=55,
     )
     cfg = CrawlConfig(
-        max_depth=1, num_seen_shards=4, num_politeness_shards=2,
+        max_depth=1, num_seen_shards=4,
         deterministic=False, exact_seen=False,
     )
     engine = CrawlEngine(

@@ -12,7 +12,8 @@ multimodal plumbing).
 Design contract (see SURVEY.md):
   * every per-record transform is a ``map_batches`` over Arrow batches;
   * stateful stages are actor pools or explicit shard actors;
-  * only shared-mutable state (URL-seen shards, politeness) uses raw actors;
+  * only shared-mutable state (the host shards: URL-seen, politeness) uses
+    raw actors;
   * no stage materializes the full dataset on the driver;
   * checkpoints are partitioned Parquet tables (Lance API is not available in
     this container — the storage layer is abstracted in ``state.store`` and a

@@ -13,13 +13,17 @@ SURVEY.md §3.4.  ``CrawlEngine.run`` is the one epoch driver:
         → map_batches(extract_batch) (→ enrich)   [links/spans/metadata]
         → write docs/epoch=N (+ lineage columns)  [sink]
       discovery (discovery mode) → next frontier
-      politeness-shard counters → metrics/epoch=N (one row per shard)
+      host-shard counters → metrics/epoch=N (one row per host shard)
       manifest (commit point) → run_iter listener
 
 Two frontier policies: a BFS level (``_LevelFrontier``: one whole depth
 level per epoch) or a Best-First heap (the top ``best_first_batch`` URLs
 per epoch — ``_HeapFrontier`` on the driver, ``_ShardedHeapFrontier`` as
-per-shard heap actors).
+per-host-shard heaps).
+
+All host-keyed state — URL-seen filter, rate limiter, robots cache, outcome
+counters and the sharded heap — lives in ONE pool of ``num_seen_shards``
+``HostShard`` actors (stages/hostshard.py), started once per engine.
 
 Two discovery modes (``CrawlConfig.deterministic``):
 
@@ -66,8 +70,7 @@ from ..schema import SEEN_SCHEMA
 from ..stages.canonicalize import FilterScoreStage, canonicalize_batch
 from ..stages.extract import extract_batch, extract_page
 from ..stages.fetch import FetchStage
-from ..stages.politeness import PolitenessPool
-from ..stages.seen import SeenShardPool
+from ..stages.hostshard import HostShardPool
 from ..state.checkpoint import CheckpointStore
 from ..urlnorm import (
     host_of,
@@ -95,7 +98,8 @@ class CrawlConfig:
     include_external: bool = False
     score_threshold: float = -INF
     strategy: str = "bfs"  # bfs | best_first | dfs
-    num_seen_shards: int = 4
+    num_seen_shards: int = 4  # host shards: seen + politeness + heap state
+    # read by nothing; kept only because perfbench/inputs.py passes it
     num_politeness_shards: int = 2
     # per-fetch-task session overlap (reference max_session_permit=20,
     # async_dispatcher.py:155); forced to 1 when the politeness budget is
@@ -257,20 +261,18 @@ class CrawlEngine:
         self.config = config
         self.store = CheckpointStore(checkpoint_dir)
         self.robots_bodies = robots_bodies
-        self.seen = SeenShardPool(
+        self.seen = HostShardPool(
             config.num_seen_shards,
+            robots_bodies=robots_bodies,
             capacity_per_shard=config.seen_capacity_per_shard,
             error_rate=config.seen_error_rate,
             exact=config.exact_seen,
-        )
-        self.politeness = PolitenessPool(
-            config.num_politeness_shards,
-            robots_bodies=robots_bodies,
             base_delay=config.base_delay,
             max_delay=config.max_delay,
             max_retries=config.max_retries,
             seed=config.seed,
         )
+        self._generations: list[int] | None = None  # see _seen_generations
         self.pages_crawled = 0
         self.filter_chain = (
             config.filter_factory() if config.filter_factory else None
@@ -287,8 +289,8 @@ class CrawlEngine:
             local_robots = RobotsGate(robots_bodies)
         self._fetch_fn = FetchStage(
             transport=self.transport,
-            politeness_shards=self.politeness.shards,
-            num_politeness_shards=config.num_politeness_shards,
+            politeness_shards=self.seen.shards,
+            num_politeness_shards=config.num_seen_shards,
             local_robots=local_robots,
             # session overlap pays only when fetches actually wait (network
             # I/O or politeness sleeps); with a zero budget and an in-process
@@ -308,15 +310,16 @@ class CrawlEngine:
         self._epoch_listener = None
         self._run_iter_lock = threading.Lock()
 
-    def shutdown(self) -> None:
-        """Kill shard actors (tests create many engines per session)."""
-        import ray as _ray
+    def _seen_generations(self) -> list[int]:
+        """Per-shard bloom generations.  Only a resume's ``load`` changes
+        them, so a run reads them once, at first use (after its resume)."""
+        if self._generations is None:
+            self._generations = self.seen.generations()
+        return self._generations
 
-        for a in self.seen.shards + self.politeness.shards:
-            try:
-                _ray.kill(a)
-            except Exception:
-                pass
+    def shutdown(self) -> None:
+        """Kill the host shard actors (tests create many engines per session)."""
+        self.seen.shutdown()
 
     # ------------------------------------------------------------- setup
     def _score(self, url: str) -> float:
@@ -396,8 +399,7 @@ class CrawlEngine:
                 zero_copy_batch=True,
             )
 
-        gens = self.seen.generations()
-        bloom_gen = max(gens) if gens else 0
+        bloom_gen = max(self._seen_generations(), default=0)
 
         def _add_lineage(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
@@ -591,11 +593,11 @@ class CrawlEngine:
         return len(rows)
 
     def _write_metrics(self, counters: list[dict], epoch: int, wall_s: float) -> None:
-        """The epoch's metrics table, one row per politeness shard, from the
+        """The epoch's metrics table, one row per host shard, from the
         outcome counters its fetch tasks reported (robots denials →
-        ``skipped``, non-200 fetches → ``failed``)."""
-        gens = self.seen.generations()
-        bloom_gen = max(gens) if gens else 0
+        ``skipped``, non-200 fetches → ``failed``) and the shard's seen size
+        and false-positive estimate at the epoch's end."""
+        bloom_gen = max(self._seen_generations(), default=0)
         n = len(counters)
         tbl = pa.table(
             {
@@ -605,6 +607,10 @@ class CrawlEngine:
                 "fetched": pa.array([c["fetched"] for c in counters], type=pa.int64()),
                 "skipped": pa.array([c["denied"] for c in counters], type=pa.int64()),
                 "failed": pa.array([c["failed"] for c in counters], type=pa.int64()),
+                "seen_size": pa.array([c["seen_size"] for c in counters], type=pa.int64()),
+                "seen_fp_est": pa.array(
+                    [c["seen_fp_est"] for c in counters], type=pa.float64()
+                ),
                 "wall_s": pa.array([wall_s] * n, type=pa.float64()),
             }
         )
@@ -712,6 +718,7 @@ class CrawlEngine:
             )
         if cfg.strategy == "dfs":
             return self._run_dfs(seeds)
+        self._generations = None  # a resume below may bump them
         if cfg.strategy == "bfs":
             frontier = _LevelFrontier(self, seeds, resume)
         elif cfg.deterministic:
@@ -732,9 +739,7 @@ class CrawlEngine:
                 frontier.crawl(input_dir, epoch)
                 # fetch tasks report outcomes fire-and-forget; they are
                 # submitted before the tasks finish, so they precede this drain
-                counters = ray.get(
-                    [s.drain_counters.remote() for s in self.politeness.shards]
-                )
+                counters = self.seen.drain_counters()
                 fetched = sum(c["fetched"] for c in counters)
                 total_fetched += fetched
                 if not cfg.deterministic:
@@ -746,7 +751,7 @@ class CrawlEngine:
                         "epoch": epoch,
                         "pages_crawled": self.pages_crawled,
                         "num_seen_shards": cfg.num_seen_shards,
-                        "bloom_generations": self.seen.generations(),
+                        "bloom_generations": self._seen_generations(),
                         "deterministic": cfg.deterministic,
                         "seen_source": (
                             "seen_deltas" if cfg.deterministic else "frontier_dirs"
@@ -1044,7 +1049,7 @@ class _Frontier:
     stages the epoch's frontier as ``frontier/epoch=N/`` parts and returns
     that dir (None when exhausted); ``crawl(input_dir, epoch)`` runs fetch →
     extract → sink → discovery over it; ``close()`` releases the policy's
-    actors.  ``start_epoch`` is where the run begins."""
+    state.  ``start_epoch`` is where the run begins."""
 
     start_epoch = 0
 
@@ -1157,8 +1162,8 @@ class _HeapFrontier(_Frontier):
 
 class _ShardedHeapFrontier(_Frontier):
     """Scale Best-First — the north-star shape at 10^10: a sharded priority
-    frontier (per-shard heap actors + driver k-way merge,
-    state/frontier_heap.py) feeding the SAME streaming discovery chain as
+    frontier (the host shards' heaps + the pool's k-way merge,
+    stages/hostshard.py) feeding the SAME streaming discovery chain as
     BFS-scale.  Per epoch:
 
         pop global top-k (O(shards×k) driver rows)
@@ -1166,8 +1171,8 @@ class _ShardedHeapFrontier(_Frontier):
             first-wins, reference bff:205-207 semantics)
           → fetch→extract→sink docs→flatten→canonicalize→filter→gate
           → candidate keys stream back in bounded chunks and PUSH into the
-            heap shards (urls queued at most once; re-pushes of popped urls
-            die at the next pop's seen check)
+            host shards' heaps (urls queued at most once; re-pushes of
+            popped urls die at the next pop's seen check)
 
     The driver never holds more than max(best_first_batch × shards,
     SEEN_ROUND_CHUNK) rows.  Ordering is (score desc, depth, url): a
@@ -1175,17 +1180,14 @@ class _ShardedHeapFrontier(_Frontier):
     url instead of the parity heap's seq; the crawled set is the same."""
 
     def __init__(self, engine: CrawlEngine, seeds: list[str]):
-        from ..state.frontier_heap import ShardedFrontierHeap
-
         self.engine = engine
-        self.heap = ShardedFrontierHeap(engine.config.num_seen_shards)
         rows = [
             {"url": u, "host": host_of(u), "score": engine._score(u),
              "depth": 0, "parent_url": None}
             for u in _canonical_seeds(seeds)
         ]
         if rows:
-            self.heap.push_batch(rows)
+            engine.seen.push_batch(rows)
 
     def take(self, epoch: int) -> str | None:
         eng, cfg = self.engine, self.engine.config
@@ -1198,7 +1200,7 @@ class _ShardedHeapFrontier(_Frontier):
                     cfg.max_pages - eng.pages_crawled,
                 ),
             )
-            popped = self.heap.pop_global_batch(pass_size)
+            popped = eng.seen.pop_global_batch(pass_size)
             if not popped:
                 return None
             fresh = eng.seen.check_and_add(
@@ -1213,7 +1215,7 @@ class _ShardedHeapFrontier(_Frontier):
         for b in keys.iter_batches(batch_size=SEEN_ROUND_CHUNK, batch_format="pyarrow"):
             if b.num_rows == 0:
                 continue
-            self.heap.push_batch(
+            self.engine.seen.push_batch(
                 [
                     {"url": u, "host": h, "score": float(sc),
                      "depth": int(d) + 1, "parent_url": p}
@@ -1228,4 +1230,5 @@ class _ShardedHeapFrontier(_Frontier):
             )
 
     def close(self) -> None:
-        self.heap.shutdown()
+        # the shards outlive the run: a later run() starts with empty heaps
+        self.engine.seen.heap_clear()

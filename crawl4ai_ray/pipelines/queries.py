@@ -2022,7 +2022,7 @@ def docs_interleaved(sf_dir: str):
     from ..sources.corpus import CorpusParams, SyntheticTransport, robots_map
 
     params = CorpusParams(n_hosts=2, pages_per_host=30, seed=42)
-    cfg = CrawlConfig(max_depth=5, num_seen_shards=2, num_politeness_shards=1,
+    cfg = CrawlConfig(max_depth=5, num_seen_shards=2,
                       deterministic=True)
     engine = CrawlEngine(
         SyntheticTransport(params), cfg, tempfile.mkdtemp(prefix="docs_ilv_"),
@@ -2549,7 +2549,7 @@ def head_filter_crawl_demo(sf_dir: str):
         )
 
     cfg = CrawlConfig(
-        max_depth=3, num_seen_shards=2, num_politeness_shards=1,
+        max_depth=3, num_seen_shards=2,
         deterministic=True, filter_factory=filter_factory,
     )
     engine = CrawlEngine(
@@ -2679,7 +2679,6 @@ def crawl_pagerank_demo(sf_dir: str):
     cfg = CrawlConfig(
         max_depth=5,
         num_seen_shards=2,
-        num_politeness_shards=1,
         deterministic=True,
     )
     engine = CrawlEngine(
@@ -2720,7 +2719,6 @@ def crawl_bfs_demo(sf_dir: str):
     cfg = CrawlConfig(
         max_depth=5,
         num_seen_shards=2,
-        num_politeness_shards=1,
         deterministic=True,
     )
     engine = CrawlEngine(

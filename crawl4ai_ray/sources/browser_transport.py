@@ -109,8 +109,13 @@ class FakeBrowserTransport:
         self._shots_cap = 4096  # FIFO, same rationale as HttpTransport._meta
 
     # ------------------------------------------------------------ browser
-    def navigate(self, url: str) -> BrowserPage:
-        status, raw = self.inner.fetch(url)
+    def navigate(self, url: str, proxy=None) -> BrowserPage:
+        # browsers route through a proxy at the browser-context level; the
+        # fake has no network, so a proxy only flows to the inner hook
+        if proxy is not None and hasattr(self.inner, "fetch_via"):
+            status, raw = self.inner.fetch_via(url, proxy)
+        else:
+            status, raw = self.inner.fetch(url)
         html = render_scripts(raw) if raw else raw
         shot = b""
         if self.capture_screenshots and status == 200:
@@ -137,12 +142,8 @@ class FakeBrowserTransport:
         return (page.status, page.html)
 
     def fetch_via(self, url: str, proxy) -> tuple[int, str]:
-        # browsers route through a proxy at the browser-context level;
-        # the fake has no network, so proxy only flows to the inner hook
-        if proxy is not None and hasattr(self.inner, "fetch_via"):
-            status, raw = self.inner.fetch_via(url, proxy)
-            return (status, render_scripts(raw) if raw else raw)
-        return self.fetch(url)
+        page = self.navigate(url, proxy)
+        return (page.status, page.html)
 
     def meta_of(self, url: str) -> dict:
         return self.inner.meta_of(url) if hasattr(self.inner, "meta_of") else {}

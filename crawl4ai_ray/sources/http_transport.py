@@ -41,7 +41,7 @@ RevalidateStage's three verdict layers run against live 304s.
 
 ``fetch_robots`` pulls per-host robots.txt through the same transport
 (reference RobotsParser fetch, utils.py robots flow) to seed the engine's
-politeness shards.
+host shards' robots gates.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Fetch stage — task-based map_batches over the frontier.
 
-The crawl engine builds ONE ``FetchStage`` (transport + politeness shard
+The crawl engine builds ONE ``FetchStage`` (transport + host shard
 handles captured in ``__init__``) and passes the instance to
 ``ds.map_batches(stage, batch_format="pyarrow")``; warm task workers reuse
 the deserialized object across epochs.  ``__call__`` handles one Arrow
 batch.  Per batch it:
 
-  1. groups URLs by host and asks each host's owning politeness shard for a
+  1. groups URLs by host and asks each host's owning host shard for a
      schedule (ONE RPC per (batch, shard) — batched, never per URL);
   2. robots-denied URLs short-circuit to status 403 (reference behavior:
      async_webcrawler.py:381-395 yields a 403-style failure without fetching);
@@ -18,7 +18,8 @@ batch.  Per batch it:
      time, so per-host politeness spacing holds while other hosts proceed —
      mirroring the reference's 20-session overlap,
      async_dispatcher.py:155,411-437);
-  5. reports status codes back to the politeness shards (backoff feedback).
+  5. reports status codes back to the host shards (backoff feedback and the
+     outcome counters behind the per-epoch metrics, one row per host shard).
 
 Output columns: input passthrough + ``html``, ``status_code``, ``success``.
 """
@@ -31,6 +32,7 @@ import pyarrow as pa
 import ray
 
 from ..urlnorm import host_of
+from .hostshard import host_buckets
 
 
 class FetchStage:
@@ -50,7 +52,9 @@ class FetchStage:
         extra workers, and at high parallelism those spawn storms dominate
         wall time.  Robots rules are static, so shipping the gate in the
         closure is a plain broadcast; outcome counters still flow to the
-        politeness shards via fire-and-forget ``report``."""
+        host shards via fire-and-forget ``report``.  ``politeness_shards``
+        are ``HostShard`` handles, routed by ``h64(host) %
+        num_politeness_shards``."""
         self.transport = transport
         self.politeness = politeness_shards or []
         self.num_politeness = num_politeness_shards or len(self.politeness)
@@ -66,9 +70,6 @@ class FetchStage:
         # FetchStage is sometimes shipped as a pre-built closure, and a
         # ThreadPoolExecutor doesn't pickle
         self._pool = None
-        from ..hashing import h64  # local import: actor serialization friendliness
-
-        self._h64 = h64
 
     def __getstate__(self):
         d = self.__dict__.copy()
@@ -76,7 +77,7 @@ class FetchStage:
         return d
 
     def _schedule(self, urls: list[str], hosts: list[str]):
-        """(allowed, start_ts) per URL via the owning politeness shards."""
+        """(allowed, start_ts) per URL via the owning host shards."""
         if self.local_robots is not None:
             denied = 0
             out = []
@@ -89,9 +90,7 @@ class FetchStage:
             return out
         if not self.politeness:
             return [(True, 0.0)] * len(urls)
-        buckets: dict[int, list[int]] = {}
-        for i, host in enumerate(hosts):
-            buckets.setdefault(self._h64(host) % self.num_politeness, []).append(i)
+        buckets = host_buckets(hosts, self.num_politeness)
         refs = {
             sid: self.politeness[sid].acquire.remote(
                 [hosts[i] for i in idx], [urls[i] for i in idx]
@@ -107,10 +106,7 @@ class FetchStage:
     def _report(self, hosts: list[str], statuses: list[int]) -> None:
         if not self.politeness:
             return
-        buckets: dict[int, list[int]] = {}
-        for i, host in enumerate(hosts):
-            buckets.setdefault(self._h64(host) % self.num_politeness, []).append(i)
-        for sid, idx in buckets.items():
+        for sid, idx in host_buckets(hosts, self.num_politeness).items():
             self.politeness[sid].report.remote(
                 [hosts[i] for i in idx], [statuses[i] for i in idx]
             )

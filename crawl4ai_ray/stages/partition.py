@@ -15,7 +15,7 @@ Two explicit operators:
     host holding more than ``threshold`` frontier rows gets its rows spread
     round-robin across ``salt_k`` salted shard ids (``(host_hash ^ salt) %
     num_shards``), so no single partition serializes a hot domain.  The
-    POLITENESS authority is unaffected: the owning politeness shard is
+    POLITENESS authority is unaffected: the owning host shard is
     still addressed by the unsalted ``host_hash`` (stages/fetch.py routes
     by hash-of-host, not by shard_id), so per-host delay contracts hold
     while fetch work fans out — the "shard-owner grants permits" design

@@ -1,113 +1,5 @@
-"""Politeness shard actors: robots gate + per-host token scheduling.
+"""Alias kept for the frozen benchmark: perfbench/layers.py imports it."""
 
-Host-affine shard actors (same ``host_hash % num_shards`` key as the seen
-shards) own all politeness state for their hosts: the robots rule cache and
-the ``RateLimiterState`` machine (reference semantics,
-/root/reference/crawl4ai/async_dispatcher.py:28-85 + utils.py:252-377).
+from .hostshard import HostShardPool
 
-The fetch stage asks the owning shard for a *schedule* for its batch —
-``acquire(hosts, urls)`` returns per-URL (allowed, start_ts) — then sleeps
-locally until each start time.  The shard never sleeps; it only advances the
-per-host next-allowed timestamps.  This is the "shard-owner grants permits"
-design from SURVEY.md §7.4 item 3: heavy hosts can be fetched by many salted
-fetch tasks concurrently while the single owning shard keeps the per-host
-delay contract intact.
-"""
-
-from __future__ import annotations
-
-import time
-
-import ray
-
-from ..hashing import h64
-from ..state.politeness import RateLimiterState, RobotsGate
-
-
-@ray.remote(num_cpus=0)
-class PolitenessShard:
-    def __init__(
-        self,
-        shard_id: int,
-        robots_bodies: dict[str, str] | None,
-        base_delay: tuple[float, float] = (0.0, 0.0),
-        max_delay: float = 60.0,
-        max_retries: int = 3,
-        seed: int = 42,
-        user_agent: str = "*",
-    ):
-        self.shard_id = shard_id
-        self.limiter = RateLimiterState(
-            base_delay=base_delay,
-            max_delay=max_delay,
-            max_retries=max_retries,
-            seed=seed,
-        )
-        self.robots = RobotsGate(robots_bodies, user_agent=user_agent)
-        # fetch outcome counters, drained once per epoch by the driver — the
-        # metrics table costs zero extra Dataset executions this way
-        self._counters = {"fetched": 0, "failed": 0, "denied": 0}
-
-    def acquire(self, hosts: list[str], urls: list[str]) -> list[tuple[bool, float]]:
-        """Per URL: (robots-allowed, start_ts). Claims one rate-limit slot per
-        allowed URL, serializing same-host requests by current_delay."""
-        now = time.time()
-        out = []
-        for host, url in zip(hosts, urls):
-            if not self.robots.can_fetch(host, url):
-                self._counters["denied"] += 1
-                out.append((False, 0.0))
-                continue
-            start = self.limiter.next_allowed(host, now)
-            out.append((True, start))
-        return out
-
-    def report(self, hosts: list[str], status_codes: list[int]) -> list[bool]:
-        """Feed response codes back into the backoff machine; False per host
-        ⇒ retries exhausted (async_dispatcher.py:65-85)."""
-        for s in status_codes:
-            self._counters["fetched" if s == 200 else "failed"] += 1
-        return [
-            self.limiter.update_delay(h, s) for h, s in zip(hosts, status_codes)
-        ]
-
-    def report_denied(self, n: int) -> None:
-        """Robots denials observed by tasks running in local-robots mode."""
-        self._counters["denied"] += n
-
-    def drain_counters(self) -> dict:
-        """Counters since the last drain (fire-and-forget reports submitted
-        before the epoch barrier are ordered before this call in practice;
-        metrics are bookkeeping, not correctness)."""
-        out = self._counters
-        self._counters = {"fetched": 0, "failed": 0, "denied": 0}
-        return out
-
-    def host_delay(self, host: str) -> float:
-        st = self.limiter.hosts.get(host)
-        return st.current_delay if st else 0.0
-
-
-class PolitenessPool:
-    """Driver-side bundle of politeness shards (handles are captured by fetch
-    actors at construction — ray.put-once broadcast, never per batch)."""
-
-    def __init__(
-        self,
-        num_shards: int,
-        robots_bodies: dict[str, str] | None = None,
-        base_delay: tuple[float, float] = (0.0, 0.0),
-        max_delay: float = 60.0,
-        max_retries: int = 3,
-        seed: int = 42,
-    ):
-        self.num_shards = num_shards
-        self.shards = [
-            PolitenessShard.remote(
-                i, robots_bodies, base_delay, max_delay, max_retries, seed
-            )
-            for i in range(num_shards)
-        ]
-
-    def shard_of_host(self, host: str) -> int:
-        return h64(host) % self.num_shards
+PolitenessPool = HostShardPool

@@ -1,190 +1,5 @@
-"""Sharded URL-seen filter — raw Ray actors holding shared mutable state.
+"""Alias kept for the frozen benchmark: perfbench/layers.py imports it."""
 
-This is the one place the Dataset API genuinely can't express the semantics
-(a shared mutable index consulted and updated mid-stream), so it uses
-``@ray.remote`` actors per SURVEY.md §2.5: ``num_shards`` actors, each owning
-``shard_id = host_hash % num_shards`` (host-affine so one host's URLs always
-hit one shard — the same key that localizes politeness state).
+from .hostshard import HostShardPool
 
-Each shard keeps
-  * a ``BloomFilter`` (scale path, documented FP budget p=0.01 — same budget
-    as the reference prototype /root/reference/crawl4ai/deep_crawling/crazy.py:53), and
-  * optionally an exact ``set`` (parity/test mode + ground truth for resume).
-
-Callers batch their RPCs: a map_batches task partitions its batch by shard
-locally and issues ONE call per (task, shard) — no per-URL round trips and no
-all-to-all shuffle (the alternative ``groupby(shard_id).map_groups`` layout
-rides a full shuffle per epoch; the batched-RPC layout moves only URL
-strings to tiny actors and scales with frontier size, not docs size).
-"""
-
-from __future__ import annotations
-
-import numpy as np
-import ray
-
-from ..hashing import h64
-from ..state.bloom import BloomFilter
-from ..state.cuckoo import CuckooFilter
-
-
-@ray.remote(num_cpus=0)
-class SeenShard:
-    """One shard of the URL-seen set.
-
-    num_cpus=0: these are lightweight RPC state servers (microseconds per
-    batched call); reserving CPU slots for them would starve the map tasks
-    on small clusters and add nothing on big ones."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        capacity: int = 1_000_000,
-        error_rate: float = 0.01,
-        exact: bool = True,
-        filter_kind: str = "bloom",
-    ):
-        self.shard_id = shard_id
-        self.exact_enabled = exact
-        # approximate-membership backend: insert-only bloom (default) or
-        # the deletable cuckoo filter (north rule: "bloom/cuckoo") — same
-        # batch API (state/bloom.py, state/cuckoo.py)
-        if filter_kind == "cuckoo":
-            # 16-bit fingerprints fix the cuckoo FP rate at ~2·slots/2^16;
-            # reject budgets it cannot honor rather than silently missing
-            cuckoo_fp = 8 / 65536
-            if error_rate < cuckoo_fp:
-                raise ValueError(
-                    f"cuckoo backend FP rate is ~{cuckoo_fp:.1e} (16-bit "
-                    f"fingerprints); requested error_rate={error_rate} is "
-                    "unsatisfiable — use the bloom backend"
-                )
-            self.bloom = CuckooFilter(capacity)
-        else:
-            self.bloom = BloomFilter(capacity, error_rate)
-        self.exact: set[str] = set()
-        self.generation = 0
-
-    def contains(self, urls: list[str]) -> np.ndarray:
-        if self.exact_enabled:
-            return np.fromiter((u in self.exact for u in urls), dtype=bool, count=len(urls))
-        return self.bloom.contains_batch(urls)
-
-    def add(self, urls: list[str]) -> int:
-        """Insert; returns number of new URLs."""
-        before = self.bloom.count
-        present = self.bloom.add_batch(urls)
-        if self.exact_enabled:
-            new = [u for u in urls if u not in self.exact]
-            self.exact.update(new)
-            return len(new)
-        return self.bloom.count - before
-
-    def check_and_add(self, urls: list[str]) -> np.ndarray:
-        """True per URL ⇒ newly added (the anti-join + insert in one op)."""
-        if self.exact_enabled:
-            out = np.empty(len(urls), dtype=bool)
-            for i, u in enumerate(urls):
-                fresh = u not in self.exact
-                out[i] = fresh
-                if fresh:
-                    self.exact.add(u)
-            self.bloom.add_batch(urls)
-            return out
-        fresh = ~self.bloom.add_batch(urls)
-        # bloom add_batch tests ALL keys before setting bits, so duplicates
-        # within one call would all read "fresh" — first occurrence wins here
-        local: set[str] = set()
-        for i, u in enumerate(urls):
-            if fresh[i]:
-                if u in local:
-                    fresh[i] = False
-                else:
-                    local.add(u)
-        return fresh
-
-    def size(self) -> int:
-        return len(self.exact) if self.exact_enabled else self.bloom.count
-
-    def dump(self) -> list[str]:
-        """Exact contents for checkpointing (parity mode only)."""
-        return sorted(self.exact)
-
-    def load(self, urls: list[str]) -> None:
-        """Rebuild from checkpoint; bumps bloom generation (lineage)."""
-        self.exact.update(urls)
-        self.bloom.add_batch(urls)
-        self.generation += 1
-
-    def get_generation(self) -> int:
-        return self.generation
-
-
-class SeenShardPool:
-    """Driver-side handle bundle for the seen shards."""
-
-    def __init__(
-        self,
-        num_shards: int,
-        capacity_per_shard: int = 1_000_000,
-        error_rate: float = 0.01,
-        exact: bool = True,
-        filter_kind: str = "bloom",
-    ):
-        self.num_shards = num_shards
-        self.shards = [
-            SeenShard.remote(i, capacity_per_shard, error_rate, exact, filter_kind)
-            for i in range(num_shards)
-        ]
-
-    def shard_of_host(self, host: str) -> int:
-        return h64(host) % self.num_shards
-
-    def _partition(self, urls: list[str], hosts: list[str]):
-        buckets: dict[int, list[int]] = {}
-        for i, host in enumerate(hosts):
-            buckets.setdefault(h64(host) % self.num_shards, []).append(i)
-        return buckets
-
-    def _scatter_gather(self, method: str, urls: list[str], hosts: list[str]) -> np.ndarray:
-        buckets = self._partition(urls, hosts)
-        refs = {
-            sid: getattr(self.shards[sid], method).remote([urls[i] for i in idx])
-            for sid, idx in buckets.items()
-        }
-        out = np.zeros(len(urls), dtype=bool)
-        for sid, idx in buckets.items():
-            out[idx] = ray.get(refs[sid])
-        return out
-
-    def contains(self, urls: list[str], hosts: list[str]) -> np.ndarray:
-        return self._scatter_gather("contains", urls, hosts)
-
-    def check_and_add(self, urls: list[str], hosts: list[str]) -> np.ndarray:
-        return self._scatter_gather("check_and_add", urls, hosts)
-
-    def add(self, urls: list[str], hosts: list[str]) -> int:
-        buckets = self._partition(urls, hosts)
-        refs = [
-            self.shards[sid].add.remote([urls[i] for i in idx])
-            for sid, idx in buckets.items()
-        ]
-        return sum(ray.get(refs))
-
-    def total_size(self) -> int:
-        return sum(ray.get([s.size.remote() for s in self.shards]))
-
-    def dump_all(self) -> list[list[str]]:
-        return ray.get([s.dump.remote() for s in self.shards])
-
-    def load_partitioned(self, urls: list[str], hosts: list[str]) -> None:
-        buckets = self._partition(urls, hosts)
-        ray.get(
-            [
-                self.shards[sid].load.remote([urls[i] for i in idx])
-                for sid, idx in buckets.items()
-            ]
-        )
-
-    def generations(self) -> list[int]:
-        return ray.get([s.get_generation.remote() for s in self.shards])
+SeenShardPool = HostShardPool

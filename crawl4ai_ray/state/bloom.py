@@ -64,6 +64,11 @@ class BloomFilter:
         self.count += int((~present).sum())
         return present
 
+    def fp_estimate(self) -> float:
+        """False-positive rate at the current fill: (1 − e^(−k·n/m))^k."""
+        k = self.num_hashes
+        return (1.0 - math.exp(-k * self.count / self.num_bits)) ** k
+
     # -- serialization ---------------------------------------------------
     def to_bytes(self) -> bytes:
         return self._bits.tobytes()

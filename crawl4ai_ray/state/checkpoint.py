@@ -10,8 +10,9 @@ idempotent, resumable layout:
                                            (parity discovery only)
     <dir>/frontier/epoch=N/part-*.parquet  frontier consumed by epoch N,
                                            staged once (read fan-out parts)
-    <dir>/metrics/epoch=N.parquet          epoch N's fetch counters, one row
-                                           per politeness shard
+    <dir>/metrics/epoch=N.parquet          epoch N's fetch counters and seen
+                                           size / FP estimate, one row per
+                                           host shard
     <dir>/refetch/epoch=N/part-*.parquet   URLs a revalidation refetched
 
 Resume contract (north rule): read manifest → rebuild seen shards

@@ -17,7 +17,7 @@ negative, count-bounded, checkpointed with the table).
 
 SET semantics, not multiset: ``add_batch`` stores at most one fingerprint
 copy per key (mirroring BloomFilter's already-present contract, which
-SeenShard's new-URL counting relies on), so ``delete_batch`` removes the
+HostShard's new-URL counting relies on), so ``delete_batch`` removes the
 key entirely — re-adding the same key N times then deleting once leaves it
 absent.  This differs from the paper's duplicate-tolerant inserts, which
 support bounded multisets; a seen-set has no use for them.
@@ -36,6 +36,8 @@ from ..hashing import h64
 _FP_BITS = 16
 _BUCKET_SLOTS = 4
 _MAX_KICKS = 500
+# 16-bit fingerprints in 4-slot buckets fix the FP rate at ~2·slots/2^16
+NOMINAL_FP_RATE = 2 * _BUCKET_SLOTS / 2**_FP_BITS
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -120,6 +122,9 @@ class CuckooFilter:
             self._insert_one(int(i1[j]), int(fp[j]))
             self.count += 1
         return present
+
+    def fp_estimate(self) -> float:
+        return NOMINAL_FP_RATE
 
     def delete_batch(self, keys: list[str]) -> np.ndarray:
         """Remove one fingerprint copy per present key; returns removed

@@ -14,8 +14,8 @@ lo==hi; we additionally pin the jitter).
 
 ``RobotsGate`` is the robots.txt cache (reference: utils.py:252-377, SQLite +
 7-day TTL; any fetch error ⇒ allow-all).  Ours holds parsed rules in the
-owning politeness shard actor — host-affine state, no cross-actor traffic —
-with the same error-allows semantics.  In the sandbox robots bodies come from
+owning host shard actor (stages/hostshard.py) — host-affine state, no
+cross-actor traffic — with the same error-allows semantics.  In the sandbox robots bodies come from
 the synthetic corpus; a real deployment plugs an HTTP fetch into
 ``fetch_robots``.
 """

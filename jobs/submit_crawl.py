@@ -67,7 +67,6 @@ def main() -> None:
         max_depth=args.max_depth,
         max_pages=args.max_pages,
         num_seen_shards=num_shards,
-        num_politeness_shards=max(4, cpus // 4),
         deterministic=not args.scale,
         exact_seen=not args.scale,
         seen_capacity_per_shard=2_000_000,

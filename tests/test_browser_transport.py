@@ -75,6 +75,23 @@ def test_fake_browser_fetch_contract_and_screenshots():
     assert s2 != 200
 
 
+def test_fake_browser_fetch_via_captures_screenshot():
+    """A proxied fetch goes through the same screenshot bookkeeping as
+    navigate(): its shot equals the unproxied path's."""
+
+    class _Proxied(SyntheticTransport):
+        def fetch_via(self, url, proxy):
+            return self.fetch(url)
+
+    url = PARAMS.seeds()[0]
+    proxied = FakeBrowserTransport(_Proxied(PARAMS))
+    status, html = proxied.fetch_via(url, "http://proxy.test:8080")
+    plain = FakeBrowserTransport(SyntheticTransport(PARAMS))
+    assert (status, html) == plain.fetch(url) and status == 200
+    assert proxied.last_screenshot_of(url).startswith(b"\x89PNG")
+    assert proxied.last_screenshot_of(url) == plain.last_screenshot_of(url)
+
+
 def test_selection_is_env_gated():
     assert not playwright_available()  # this container has no Playwright
     assert select_browser_transport_factory() is FakeBrowserTransport
@@ -92,7 +109,7 @@ def test_crawl_e2e_over_fake_browser_span_parity(ray_session, tmp_path):
 
     def _run(transport, name):
         cfg = CrawlConfig(
-            max_depth=3, num_seen_shards=2, num_politeness_shards=2,
+            max_depth=3, num_seen_shards=2,
             deterministic=True, include_external=True,
         )
         eng = CrawlEngine(transport, cfg, str(tmp_path / name),

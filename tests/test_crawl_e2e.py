@@ -17,6 +17,9 @@ from crawl4ai_ray.sources.corpus import (
     robots_map,
 )
 from crawl4ai_ray.functions.scorers import KeywordRelevanceScorer
+from crawl4ai_ray.hashing import h64
+from crawl4ai_ray.state.bloom import BloomFilter
+from crawl4ai_ray.urlnorm import host_of
 
 from oracle_bfs import oracle_bfs
 
@@ -53,7 +56,6 @@ def tiny_run(tmp_path_factory, ray_session):
     cfg = CrawlConfig(
         max_depth=4,
         num_seen_shards=3,
-        num_politeness_shards=2,
         deterministic=True,
         include_external=True,
     )
@@ -169,7 +171,6 @@ def test_max_pages_capacity(tmp_path, ray_session):
         max_depth=6,
         max_pages=15,
         num_seen_shards=2,
-        num_politeness_shards=1,
         deterministic=True,
         scorer_factory=scorer_factory,
     )
@@ -215,7 +216,6 @@ def test_kill_resume(tmp_path, ray_session):
     base = dict(
         max_depth=5,
         num_seen_shards=2,
-        num_politeness_shards=1,
         deterministic=True,
     )
     # uninterrupted reference run
@@ -295,7 +295,7 @@ def test_scale_mode_kill_resume(tmp_path, ray_session):
     without re-fetching."""
     params = CorpusParams(n_hosts=2, pages_per_host=40, seed=11, branch=4)
     base = dict(
-        max_depth=8, num_seen_shards=2, num_politeness_shards=1,
+        max_depth=8, num_seen_shards=2,
         deterministic=False, exact_seen=False,
     )
     eng_full, _ = _run_engine(tmp_path, params, CrawlConfig(**base), name="sfull")
@@ -320,9 +320,9 @@ def test_politeness_spacing_under_concurrent_fetchers(ray_session):
     per-host starts spaced by current_delay."""
     import ray as _ray
 
-    from crawl4ai_ray.stages.politeness import PolitenessShard
+    from crawl4ai_ray.stages.hostshard import HostShard
 
-    shard = PolitenessShard.remote(
+    shard = HostShard.remote(
         0, None, base_delay=(0.05, 0.05), max_delay=1.0, max_retries=3, seed=1
     )
     # simulate 4 concurrent fetch tasks each asking for 5 URLs of the heavy host
@@ -448,7 +448,7 @@ def test_crawl_with_politeness_budget_threaded_fetch(tmp_path, ray_session):
     import time as _time
 
     params = CorpusParams(n_hosts=2, pages_per_host=12, seed=4)
-    base = dict(max_depth=4, num_seen_shards=2, num_politeness_shards=1,
+    base = dict(max_depth=4, num_seen_shards=2,
                 deterministic=True)
     eng_fast, s_fast = _run_engine(
         tmp_path, params, CrawlConfig(**base), name="pol_fast"
@@ -565,7 +565,6 @@ def test_run_iter_streams_epochs_while_crawling(ray_session, tmp_path):
     cfg = CrawlConfig(
         max_depth=3,
         num_seen_shards=2,
-        num_politeness_shards=2,
         deterministic=True,
         include_external=True,
     )
@@ -637,7 +636,7 @@ def test_metrics_reconcile_with_docs(tmp_path, ray_session, strategy, determinis
                           private_every=3)
     base = dict(
         strategy=strategy, deterministic=deterministic, exact_seen=deterministic,
-        max_depth=6, num_seen_shards=2, num_politeness_shards=2,
+        max_depth=6, num_seen_shards=2,
         best_first_batch=8,
     )
     engine, summary = _run_engine(tmp_path, params, CrawlConfig(**base), name="full")
@@ -662,6 +661,17 @@ def test_metrics_reconcile_with_docs(tmp_path, ray_session, strategy, determinis
         assert g["skipped"] == w["denied"], e
         assert g["fetched"] == w["ok"], e
     assert summary["fetched"] == sum(w["ok"] for w in want.values())
+    # each host shard's seen size and false-positive estimate ride the same
+    # drain: 0 for the exact set, the bloom fill formula otherwise
+    metrics = engine.store.read_group("metrics").to_pylist()
+    probe = BloomFilter(1_000_000, 0.01)  # CrawlConfig's per-shard defaults
+    k, m = probe.num_hashes, probe.num_bits
+    for r in metrics:
+        want_fp = 0.0 if deterministic else (1 - math.exp(-k * r["seen_size"] / m)) ** k
+        assert r["seen_fp_est"] == pytest.approx(want_fp, abs=0), r
+    last = summary["epochs"] - 1
+    assert summary["seen_size"] > 0
+    assert sum(r["seen_size"] for r in metrics if r["epoch"] == last) == summary["seen_size"]
     engine.shutdown()
 
     capped, s_capped = _run_engine(
@@ -723,3 +733,132 @@ def test_run_iter_rejects_concurrent_iteration(tmp_path, ray_session):
     # the slot is free again once the first iteration is exhausted
     assert list(engine.run_iter(params.seeds(), resume=True)) == []
     engine.shutdown()
+
+
+def _live_anonymous_actors() -> dict[str, str]:
+    """actor id → class name of every ALIVE unnamed actor, read from the GCS
+    actor table (Ray's own service actors are named)."""
+    import ray._private.state as gcs
+
+    return {
+        aid: a["ActorClassName"]
+        for aid, a in gcs.actors().items()
+        if a["State"] == "ALIVE" and not a["Name"]
+    }
+
+
+@pytest.mark.parametrize("strategy,deterministic", [
+    pytest.param("bfs", True, id="bfs-parity"),
+    pytest.param("bfs", False, id="bfs-scale"),
+    pytest.param("best_first", False, id="best_first-scale"),
+])
+def test_one_host_shard_actor_per_shard(tmp_path, ray_session, strategy, deterministic):
+    """A crawl runs on exactly ``num_seen_shards`` actors, all HostShards —
+    no separate politeness or heap actors — and shutdown() kills them."""
+    import time as _time
+
+    params = CorpusParams(n_hosts=3, pages_per_host=15, seed=7)
+    before = set(_live_anonymous_actors())
+    engine = CrawlEngine(
+        SyntheticTransport(params),
+        CrawlConfig(strategy=strategy, deterministic=deterministic,
+                    exact_seen=deterministic, max_depth=3, num_seen_shards=3),
+        str(tmp_path / "ckpt"), robots_bodies=robots_map(params),
+    )
+    seen_per_epoch = []
+    started: set[str] = set()
+    for _epoch, _docs in engine.run_iter(params.seeds()):
+        new = {a: c for a, c in _live_anonymous_actors().items() if a not in before}
+        seen_per_epoch.append(sorted(new.values()))
+        started |= set(new)
+    assert len(seen_per_epoch) >= 2
+    assert all(classes == ["HostShard"] * 3 for classes in seen_per_epoch), seen_per_epoch
+    engine.shutdown()
+    deadline = _time.time() + 30
+    while started & set(_live_anonymous_actors()) and _time.time() < deadline:
+        _time.sleep(0.2)
+    assert not started & set(_live_anonymous_actors())
+
+
+def _shard_killing_transport(params, victim_url: str):
+    """Synthetic transport that kills ``.victim`` (a host-shard handle) from
+    inside the fetch task when it fetches ``victim_url``.  Defined in a
+    function so Ray pickles the class by value: workers cannot import the
+    test module."""
+
+    class _ShardKillingTransport:
+        def __init__(self):
+            self.inner = SyntheticTransport(params)
+            self.victim = None
+
+        def fetch(self, url: str) -> tuple[int, str]:
+            if url == victim_url and self.victim is not None:
+                import time
+
+                import ray
+
+                ray.kill(self.victim)
+                # the kill is asynchronous: hold the fetch until it has landed,
+                # so the shard is dead before this epoch's next driver RPC
+                deadline = time.time() + 30
+                while time.time() < deadline:
+                    try:
+                        ray.get(self.victim.size.remote())
+                    except ray.exceptions.RayActorError:
+                        break
+                    time.sleep(0.05)
+            return self.inner.fetch(url)
+
+    return _ShardKillingTransport()
+
+
+@pytest.mark.parametrize("params,base", [
+    pytest.param(
+        CorpusParams(n_hosts=2, pages_per_host=30, seed=5, p_404=0.1),
+        dict(max_depth=5, num_seen_shards=2, deterministic=True),
+        id="bfs-parity",
+    ),
+    pytest.param(
+        CorpusParams(n_hosts=2, pages_per_host=40, seed=11, branch=4),
+        dict(max_depth=8, num_seen_shards=2, deterministic=False, exact_seen=False),
+        id="bfs-scale",
+    ),
+])
+def test_host_shard_killed_mid_epoch_resumes(tmp_path, ray_session, params, base):
+    """A host shard dies while epoch 1 is fetching: run() fails cleanly, and
+    a fresh engine resuming from the checkpoint produces exactly the docs
+    and seen set of an uninterrupted run — nothing lost, nothing doubled."""
+    import ray
+
+    def _engine(name, transport):
+        return CrawlEngine(transport, CrawlConfig(**base), str(tmp_path / name),
+                           robots_bodies=robots_map(params))
+
+    full = _engine("full", _shard_killing_transport(params, ""))
+    full.run(params.seeds())
+    cols = ["url", "frontier_epoch", "doc_id"]
+    full_docs = sorted(tuple(r.values()) for r in _docs_table(full).select(cols).to_pylist())
+    victim_url = min(u for u, e, _ in full_docs if e == 1)
+
+    transport = _shard_killing_transport(params, victim_url)
+    failed = _engine("killed", transport)
+    transport.victim = failed.seen.shards[h64(host_of(victim_url)) % base["num_seen_shards"]]
+    with pytest.raises(ray.exceptions.RayError):
+        failed.run(params.seeds())
+    assert failed.store.read_manifest()["epoch"] == 0
+    failed.shutdown()
+
+    resumed = _engine("killed", _shard_killing_transport(params, ""))
+    resumed.run(params.seeds(), resume=True)
+    got_docs = sorted(tuple(r.values()) for r in _docs_table(resumed).select(cols).to_pylist())
+    assert [(u, e) for u, e, _ in got_docs] == [(u, e) for u, e, _ in full_docs]
+    assert len(set(got_docs)) == len(got_docs)  # one doc_id per url per epoch
+    assert got_docs == full_docs
+    if base["deterministic"]:
+        def _seen(eng):
+            return sorted(u for shard in eng.seen.dump_all() for u in shard)
+
+        assert _seen(resumed) == _seen(full)
+    assert resumed.seen.total_size() == full.seen.total_size()
+    full.shutdown()
+    resumed.shutdown()

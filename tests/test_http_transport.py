@@ -175,7 +175,7 @@ def test_crawl_engine_over_live_http(tmp_path, ray_session, site):
     t = HttpTransport()
     robots = fetch_robots([host], t)
     cfg = CrawlConfig(
-        max_depth=8, num_seen_shards=2, num_politeness_shards=1,
+        max_depth=8, num_seen_shards=2,
         deterministic=True,
         # 127.0.0.1:port netlocs test external under the reference's
         # port-stripping base-domain parity quirk (utils.py:2567-2598)
@@ -237,7 +237,7 @@ def test_politeness_spacing_on_the_wire(tmp_path, ray_session):
         robots = fetch_robots([host], t)
         delay = 0.2
         cfg = CrawlConfig(
-            max_depth=4, num_seen_shards=2, num_politeness_shards=1,
+            max_depth=4, num_seen_shards=2,
             base_delay=(delay, delay), deterministic=True,
             include_external=True,
         )

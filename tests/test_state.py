@@ -109,9 +109,9 @@ def test_bloom_shard_within_batch_dedup(ray_session):
     within one call as fresh (add_batch tests before setting bits)."""
     import ray as _ray
 
-    from crawl4ai_ray.stages.seen import SeenShard
+    from crawl4ai_ray.stages.hostshard import HostShard
 
-    shard = SeenShard.remote(0, 1000, 0.01, False)  # exact=False → bloom only
+    shard = HostShard.remote(0, capacity=1000, error_rate=0.01, exact=False)  # bloom only
     fresh = _ray.get(shard.check_and_add.remote(["a", "b", "a", "c", "b"]))
     assert fresh.tolist() == [True, True, False, True, False]
     fresh2 = _ray.get(shard.check_and_add.remote(["a", "d"]))
@@ -162,7 +162,9 @@ def test_sharded_frontier_heap_global_order(ray_session):
     reference."""
     import random
 
-    from crawl4ai_ray.state.frontier_heap import ShardedFrontierHeap
+    import ray
+
+    from crawl4ai_ray.stages.hostshard import HostShardPool
 
     rng = random.Random(7)
     rows = [
@@ -175,7 +177,7 @@ def test_sharded_frontier_heap_global_order(ray_session):
         }
         for i in range(200)
     ]
-    heap = ShardedFrontierHeap(num_shards=3)
+    heap = HostShardPool(3)
     try:
         assert heap.push_batch(rows) == 200
         # duplicate pushes are ignored while queued
@@ -189,7 +191,7 @@ def test_sharded_frontier_heap_global_order(ray_session):
             got.extend(batch)
         want = sorted(rows, key=lambda r: (-r["score"], r["depth"], r["url"]))
         assert [r["url"] for r in got] == [r["url"] for r in want]
-        assert heap.total_size() == 0
+        assert ray.get([s.top.remote(1) for s in heap.shards]) == [[], [], []]
     finally:
         heap.shutdown()
 
@@ -197,9 +199,9 @@ def test_sharded_frontier_heap_global_order(ray_session):
 def test_sharded_frontier_heap_aging(ray_session):
     """age_all promotes entries queued BEFORE the bump past later
     same-score arrivals (dispatcher wait-time promotion semantics)."""
-    from crawl4ai_ray.state.frontier_heap import ShardedFrontierHeap
+    from crawl4ai_ray.stages.hostshard import HostShardPool
 
-    heap = ShardedFrontierHeap(num_shards=2)
+    heap = HostShardPool(2)
     try:
         heap.push_batch([
             {"url": "http://a.test/old", "host": "a.test", "score": 1.0,
@@ -417,9 +419,11 @@ def test_cuckoo_overflow_stash_keeps_no_fn():
 def test_seen_shard_cuckoo_backend(ray_session):
     import ray
 
-    from crawl4ai_ray.stages.seen import SeenShard
+    from crawl4ai_ray.stages.hostshard import HostShard
 
-    shard = SeenShard.remote(0, 10_000, 0.01, False, "cuckoo")
+    shard = HostShard.remote(
+        0, capacity=10_000, error_rate=0.01, exact=False, filter_kind="cuckoo"
+    )
     fresh = ray.get(shard.check_and_add.remote(["u1", "u2", "u1"]))
     assert fresh.tolist() == [True, True, False]
     again = ray.get(shard.check_and_add.remote(["u2", "u3"]))
@@ -430,9 +434,11 @@ def test_seen_shard_cuckoo_backend(ray_session):
 def test_seen_shard_cuckoo_rejects_unsatisfiable_error_rate(ray_session):
     import ray
 
-    from crawl4ai_ray.stages.seen import SeenShard
+    from crawl4ai_ray.stages.hostshard import HostShard
 
-    shard = SeenShard.remote(0, 10_000, 1e-6, False, "cuckoo")
+    shard = HostShard.remote(
+        0, capacity=10_000, error_rate=1e-6, exact=False, filter_kind="cuckoo"
+    )
     try:
         ray.get(shard.size.remote())
         raise AssertionError("expected constructor ValueError")
