@@ -13,21 +13,27 @@ from __future__ import annotations
 
 import hashlib
 import re
+import string
+from collections import Counter
 
 import numpy as np
 
-from ..hashing import h64, h64_with_seed, md5_64
+from ..hashing import md5_64_array
+from .numeric import duck_round
 
-_WS_SPLIT = re.compile(r"\s+")
-_NON_ALPHA = re.compile(r"[^a-zA-Z]")
-_ANY_WS = re.compile(r"\s")
 # BPE-ish word/punct splitter: words, numbers, or single punctuation marks
 _BPE_RE = re.compile(r"[A-Za-z]+(?:'[a-z]+)?|\d+|[^\sA-Za-z\d]")
+# every byte but an ASCII letter: deleting them from the ASCII-encoded text
+# leaves exactly the characters that re.findall("[a-zA-Z]+") would match
+_NON_LETTERS = bytes(sorted(set(range(256)) - set(string.ascii_letters.encode())))
 
 
 def tokens(text: str) -> list[str]:
-    """Whitespace tokens (empty-safe)."""
-    return [t for t in _WS_SPLIT.split(text) if t]
+    r"""Whitespace tokens (empty-safe).  ``str.split()`` splits on exactly
+    the code points ``re.split(r"\s+")`` does and drops empty strings, and
+    ``lower()`` never makes or removes whitespace, so
+    ``tokens(t.lower()) == [x.lower() for x in tokens(t)]``."""
+    return text.split()
 
 
 def token_count(text: str) -> int:
@@ -39,21 +45,27 @@ def bpe_ish_tokens(text: str) -> list[str]:
     return _BPE_RE.findall(text)
 
 
+def alpha_ratio(text: str) -> float:
+    """Share of the characters that are ASCII letters, DuckDB-rounded to 3
+    places.  The letters are counted in C: non-ASCII characters drop out
+    in the encode, every other non-letter byte in the translate."""
+    if not text:
+        return 0.0
+    n_alpha = len(text.encode("ascii", "ignore").translate(None, _NON_LETTERS))
+    return float(duck_round(n_alpha / len(text), 3))
+
+
 def quality_stats(text: str) -> dict:
     """Length/punctuation/stopword-style quality features."""
-    n_chars = len(text)
     toks = tokens(text)
     n_tokens = len(toks)
     # non-whitespace char count == Σ len(token) (cheaper than a regex sub)
     compact_len = sum(map(len, toks))
-    alpha_len = sum(len(m) for m in re.findall(r"[a-zA-Z]+", text))
-    from .numeric import duck_round
-
     return {
-        "n_chars": n_chars,
+        "n_chars": len(text),
         "n_tokens": n_tokens,
         "avg_token_len": float(duck_round(compact_len / n_tokens, 3)) if n_tokens else 0.0,
-        "alpha_ratio": float(duck_round(alpha_len / n_chars, 3)) if n_chars else 0.0,
+        "alpha_ratio": alpha_ratio(text),
     }
 
 
@@ -72,10 +84,6 @@ def repetition_stats(text: str) -> dict:
 
     Tokenization is lower(text) split on whitespace, identical to the SQL
     oracle's regexp_split_to_array(lower(text), '\\s+')."""
-    from collections import Counter
-
-    from .numeric import duck_round
-
     toks = tokens(text.lower())
     n = len(toks)
     if n == 0:
@@ -117,21 +125,29 @@ _STOPWORDS = {
 }
 
 
+_HAN = re.compile("[一-鿿]")
+
+
 def detect_language(text: str) -> str:
     """n-gram/stopword heuristic language ID; 'und' when undecidable."""
+    return language_from_tokens(text, tokens(text.lower()))
+
+
+def language_from_tokens(text: str, lower_toks: list[str]) -> str:
+    """``detect_language`` given ``lower_toks = tokens(text.lower())``."""
     if not text:
         return "und"
-    han = sum(1 for c in text[:400] if "一" <= c <= "鿿")
-    if han > len(text[:400]) * 0.2:
+    head = text[:400]
+    if len(_HAN.findall(head)) > len(head) * 0.2:
         return "zh"
-    toks = [t.lower() for t in tokens(text)[:200]]
+    toks = lower_toks[:200]
     if not toks:
         return "und"
     best, best_score = "und", 0.0
     for lang, sw in _STOPWORDS.items():
         if not sw:
             continue
-        score = sum(1 for t in toks if t in sw) / len(toks)
+        score = sum(map(sw.__contains__, toks)) / len(toks)
         if score > best_score:
             best, best_score = lang, score
     return best if best_score > 0.02 else "und"
@@ -148,17 +164,22 @@ def rolling_fingerprint(text: str, base: int = 1_000_003, mod: int = (1 << 61) -
     Token hash is ``md5_64`` so the DuckDB oracle can recompute the identical
     fingerprint in SQL (list_reduce over hex-parsed md5 prefixes)."""
     h = 0
-    for t in tokens(text):
-        h = (h * base + md5_64(t)) % mod
+    for th in md5_64_array(tokens(text)).tolist():
+        h = (h * base + th) % mod
     return h
 
 
 def shingles(text: str, k: int = 3) -> set[str]:
     """k-token shingles (n-gram units for jaccard/minhash)."""
-    toks = tokens(text.lower())
-    if len(toks) < k:
-        return {" ".join(toks)} if toks else set()
-    return {" ".join(toks[i : i + k]) for i in range(len(toks) - k + 1)}
+    return shingles_from_tokens(tokens(text.lower()), k)
+
+
+def shingles_from_tokens(lower_toks: list[str], k: int = 3) -> set[str]:
+    """``shingles`` given ``lower_toks = tokens(text.lower())``; a document
+    shorter than k tokens is one whole-document shingle."""
+    if len(lower_toks) < k:
+        return {" ".join(lower_toks)} if lower_toks else set()
+    return set(map(" ".join, zip(*(lower_toks[i:] for i in range(k)))))
 
 
 def shingle_hashes(text: str, k: int = 3) -> np.ndarray:
@@ -170,7 +191,7 @@ def shingle_hashes(text: str, k: int = 3) -> np.ndarray:
     sh = shingles(text, k)
     if not sh:
         return np.empty(0, dtype=np.uint64)
-    arr = np.fromiter((md5_64(s) for s in sh), dtype=np.uint64, count=len(sh))
+    arr = md5_64_array(sh)
     arr.sort()
     return arr
 
@@ -206,10 +227,7 @@ def shingle_hash_rows(
             pos += 1
     if not index:
         return np.empty(0, dtype=np.uint64), offs
-    uniq_h = np.fromiter(
-        (md5_64(x) for x in index), dtype=np.uint64, count=len(index)
-    )
-    return uniq_h[inv], offs
+    return md5_64_array(index)[inv], offs
 
 
 def jaccard(a: set, b: set) -> float:
@@ -250,10 +268,7 @@ class MinHasher:
     def signature(self, shingle_set: set[str]) -> np.ndarray:
         if not shingle_set:
             return np.full(self.num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-        base = np.fromiter(
-            (md5_64(s) for s in shingle_set), dtype=np.uint64, count=len(shingle_set)
-        )
-        return self.signature_from_hashes(base)
+        return self.signature_from_hashes(md5_64_array(shingle_set))
 
     def signatures_from_rows(
         self, base: np.ndarray, offs: np.ndarray
@@ -304,23 +319,26 @@ class MinHasher:
 
 # -------------------------------------------------------------------- simhash
 def simhash64(text: str) -> int:
-    """64-bit simhash over whitespace tokens (token-frequency weighted).
+    """64-bit simhash over whitespace tokens (token-frequency weighted)."""
+    return simhash_from_tokens(tokens(text.lower()))
 
-    Vectorized: unique tokens hash once, the (n_tokens × 64) bit matrix is a
-    single numpy broadcast — constant Python overhead per document."""
-    toks = tokens(text.lower())
-    if not toks:
+
+def simhash_from_tokens(lower_toks: list[str]) -> int:
+    """``simhash64`` given ``lower_toks = tokens(text.lower())``.
+
+    Distinct tokens hash once (md5_64, so the DuckDB oracle recomputes
+    bit-identical signatures); bit j of the result is set when the tokens
+    with bit j set outweigh, by count, the tokens without it."""
+    if not lower_toks:
         return 0
-    uniq, counts = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-    # md5_64 so the DuckDB oracle can recompute bit-identical signatures
-    hashes = np.fromiter((md5_64(t) for t in uniq), dtype=np.uint64, count=len(uniq))
-    bits = (hashes[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)
-    weights = np.where(bits.astype(bool), counts[:, None], -counts[:, None])
-    acc = weights.sum(axis=0)
-    out = np.uint64(0)
-    mask = acc > 0
-    out = int((np.uint64(1) << np.arange(64, dtype=np.uint64))[mask].sum())
-    return out
+    counts = Counter(lower_toks)
+    hashes = md5_64_array(counts)
+    cnt = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    bits = np.unpackbits(
+        hashes.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+    )
+    acc = 2 * (cnt @ bits) - len(lower_toks)
+    return int.from_bytes(np.packbits(acc > 0, bitorder="little").tobytes(), "little")
 
 
 def hamming64(a: int, b: int) -> int:

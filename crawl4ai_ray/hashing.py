@@ -51,6 +51,26 @@ def md5_64(s: str | bytes) -> int:
     return int(hashlib.md5(s).hexdigest()[:16], 16)
 
 
+try:
+    # CPython's built-in md5: same digest as OpenSSL's, about twice as fast
+    # on short inputs such as shingles (no EVP context per call)
+    from _md5 import md5 as _md5_small
+except ImportError:  # pragma: no cover - interpreter built without it
+    _md5_small = hashlib.md5
+
+
+def md5_64_array(strs: Iterable[str]) -> np.ndarray:
+    """``md5_64`` of every string → uint64 array, equal value for value.
+
+    The first 8 digest bytes read big-endian are the first 16 hex chars
+    parsed as an int, so one ``frombuffer`` over the joined prefixes
+    replaces a hexdigest and an int parse per string."""
+    buf = b"".join(
+        _md5_small(s.encode("utf-8", "surrogatepass")).digest()[:8] for s in strs
+    )
+    return np.frombuffer(buf, dtype=">u8").astype(np.uint64)
+
+
 def h64_with_seed(s: str | bytes, seed: int) -> int:
     """Seeded variant (for bloom k-hash derivation / minhash permutations)."""
     if isinstance(s, str):

@@ -116,7 +116,7 @@ class CrawlConfig:
     filter_factory: object = None  # () -> FilterChain
     scorer_factory: object = None  # () -> URLScorer
     best_first_batch: int = 10
-    enrich: bool = False  # post-extract quality/langid/simhash enrichment
+    enrich: bool = False  # post-extract quality/langid/simhash/minhash enrichment
     max_epochs: int | None = None  # stop after N epochs (kill point for resume tests)
 
 

@@ -3882,7 +3882,7 @@ def hll_distinct_users(sf_dir: str):
     import math
 
     from ..functions.numeric import duck_round
-    from ..hashing import md5_64
+    from ..hashing import md5_64_array
 
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
 
@@ -3890,9 +3890,7 @@ def hll_distinct_users(sf_dir: str):
         et = np.asarray(b.column("event_type").to_pylist(), dtype=object)
         uid = _np(b, "user_id")
         uniq, uinv = np.unique(uid, return_inverse=True)  # uids repeat
-        h = np.fromiter(
-            (md5_64(str(int(u))) for u in uniq), dtype=np.uint64, count=len(uniq)
-        )
+        h = md5_64_array(str(int(u)) for u in uniq.tolist())
         bucket = (h % np.uint64(HLL_M)).astype(np.int64)
         rem = h >> np.uint64(8)
         # exact vectorized bit_length (no float log2)

@@ -629,43 +629,42 @@ _ENRICH_MINHASHER = None  # per-process singleton (module-level worker state)
 
 
 def enrich_batch(batch: pa.Table) -> pa.Table:
-    """Optional post-extract enrichment: per-doc quality stats, language ID,
-    simhash fingerprint, and a minhash signature over shingles (near-dup
-    prep) — the scoring/dedup work a production crawl pipeline runs between
-    extract and sink.  Stateless map_batches stage; appended columns only."""
+    """Optional post-extract enrichment: token count, ASCII-letter ratio,
+    language ID, simhash fingerprint, and a minhash signature over 3-token
+    shingles (near-dup prep) — the scoring/dedup work a production crawl
+    pipeline runs between extract and sink.  Appended columns only; the
+    one piece of state is a per-process ``MinHasher`` built on first use.
+
+    Each document is lowercased and split once; every column comes from
+    those tokens (``len(tokens(t.lower())) == len(tokens(t))``)."""
     global _ENRICH_MINHASHER
     from ..functions.textstats import (
         MinHasher,
-        detect_language,
-        quality_stats,
-        shingles,
-        simhash64,
+        alpha_ratio,
+        language_from_tokens,
+        shingles_from_tokens,
+        simhash_from_tokens,
+        tokens,
     )
 
     if _ENRICH_MINHASHER is None:
         _ENRICH_MINHASHER = MinHasher(num_perm=64, seed=1)
     hasher = _ENRICH_MINHASHER
 
-    texts = batch.column("markdown").to_pylist()
-    stats = [quality_stats(t or "") for t in texts]
-    minhashes = [
-        hasher.signature(shingles(t or "", 3)).tobytes() for t in texts
-    ]
+    n_tokens, alpha, langs, simhashes, minhashes = [], [], [], [], []
+    for t in batch.column("markdown").to_pylist():
+        t = t or ""
+        low = tokens(t.lower())
+        n_tokens.append(len(low))
+        alpha.append(alpha_ratio(t))
+        langs.append(language_from_tokens(t, low))
+        simhashes.append(f"{simhash_from_tokens(low):016x}")
+        minhashes.append(hasher.signature(shingles_from_tokens(low, 3)).tobytes())
     return (
-        batch.append_column(
-            "n_tokens", pa.array([s["n_tokens"] for s in stats], type=pa.int64())
-        )
-        .append_column(
-            "alpha_ratio", pa.array([s["alpha_ratio"] for s in stats], type=pa.float64())
-        )
-        .append_column(
-            "lang_pred",
-            pa.array([detect_language(t or "") for t in texts], type=pa.string()),
-        )
-        .append_column(
-            "simhash",
-            pa.array([f"{simhash64(t or ''):016x}" for t in texts], type=pa.string()),
-        )
+        batch.append_column("n_tokens", pa.array(n_tokens, type=pa.int64()))
+        .append_column("alpha_ratio", pa.array(alpha, type=pa.float64()))
+        .append_column("lang_pred", pa.array(langs, type=pa.string()))
+        .append_column("simhash", pa.array(simhashes, type=pa.string()))
         .append_column("minhash_sig", pa.array(minhashes, type=pa.binary()))
     )
 

@@ -20,17 +20,14 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..hashing import md5_64
+from ..hashing import md5_64_array
 
 BUCKETS = 10_000  # 0.01% assignment granularity
 
 
 def _bucket_array(ids, salt: str) -> np.ndarray:
-    return np.fromiter(
-        (md5_64(f"{salt}|{v}") % BUCKETS for v in ids),
-        dtype=np.int64,
-        count=len(ids),
-    )
+    h = md5_64_array(f"{salt}|{v}" for v in ids)
+    return (h % np.uint64(BUCKETS)).astype(np.int64)
 
 
 def hash_sample(ds, rate: float, key_col: str = "doc_id",

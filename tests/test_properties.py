@@ -1,8 +1,12 @@
 """Property-based robustness tests (hypothesis): the normalizers must never
 raise on arbitrary href/base inputs and must be idempotent on their own
-output; bloom filters never report false negatives."""
+output; bloom filters never report false negatives; the whitespace
+tokenizer and the bulk md5 hash equal their regex and per-string forms."""
 
-from hypothesis import given, settings, strategies as st
+import re
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from crawl4ai_ray.state.bloom import BloomFilter
 from crawl4ai_ray.urlnorm import (
@@ -113,3 +117,48 @@ def test_repetition_stats_invariants(text):
         assert s["repetitive"] is False
     if s["n_tokens"] == 1:
         assert s["distinct_ratio"] == 1.0 and s["top_bigram_frac"] == 0.0
+
+
+# every code point re's \s matches; str.split() must split on exactly these
+_WHITESPACE = [chr(c) for c in range(0x110000) if re.match(r"\s", chr(c))]
+_any_char = st.one_of(
+    st.characters(),
+    st.sampled_from(_WHITESPACE),
+    st.integers(0xD800, 0xDFFF).map(chr),  # lone surrogates
+)
+
+
+def _regex_tokens(s):
+    return [t for t in re.split(r"\s+", s) if t]
+
+
+def test_tokens_equal_regex_split_on_every_code_point():
+    from crawl4ai_ray.functions.textstats import tokens
+
+    # "a" between consecutive code points: any one that splits shows up
+    s = "a".join(map(chr, range(0x110000)))
+    assert tokens(s) == _regex_tokens(s)
+    assert tokens(s.lower()) == [t.lower() for t in tokens(s)]
+    for w in _WHITESPACE:
+        assert tokens(f"{w}x{w}{w}y{w}") == ["x", "y"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=_any_char, max_size=80))
+def test_tokens_equal_regex_split_and_commute_with_lower(text):
+    from crawl4ai_ray.functions.textstats import tokens
+
+    assert tokens(text) == _regex_tokens(text)
+    assert tokens(text.lower()) == [t.lower() for t in tokens(text)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.text(alphabet=_any_char, max_size=20), max_size=12))
+@example(xs=[])
+@example(xs=["", "\ud800", "a\udfffb", "İstanbul", "网页", "naïve café"])
+def test_md5_64_array_equals_md5_64(xs):
+    from crawl4ai_ray.hashing import md5_64, md5_64_array
+
+    out = md5_64_array(xs)
+    assert out.dtype == np.uint64 and out.shape == (len(xs),)
+    assert out.tolist() == [md5_64(x) for x in xs]
