@@ -12,34 +12,39 @@ SURVEY.md §3.4.  ``CrawlEngine.run`` is the one epoch driver:
         → map_batches(fetch)                      [politeness + fetch]
         → map_batches(extract_batch) (→ enrich)   [links/spans/metadata]
         → write docs/epoch=N (+ lineage columns)  [sink]
-      discovery (discovery mode) → next frontier
+        → flatten → canonicalize → filter/score → gate  [candidate keys]
+      seen policy over the keys → next frontier
       host-shard counters → metrics/epoch=N (one row per host shard)
       manifest (commit point) → run_iter listener
 
-Two frontier policies: a BFS level (``_LevelFrontier``: one whole depth
-level per epoch) or a Best-First heap (the top ``best_first_batch`` URLs
-per epoch — ``_HeapFrontier`` on the driver, ``_ShardedHeapFrontier`` as
-per-host-shard heaps).
+Three frontier policies: a BFS level (``_LevelFrontier``: one whole depth
+level per epoch) and two Best-First heaps (the top ``best_first_batch``
+URLs per epoch — ``_HeapFrontier`` on the driver, ``_ShardedHeapFrontier``
+as per-host-shard heaps).
 
 All host-keyed state — URL-seen filter, rate limiter, robots cache, outcome
 counters and the sharded heap — lives in ONE pool of ``num_seen_shards``
 ``HostShard`` actors (stages/hostshard.py), started once per engine.
 
-Two discovery modes (``CrawlConfig.deterministic``):
+One discovery chain, two seen policies (``CrawlConfig.deterministic``).
+Every policy takes its candidates from ``_epoch_candidate_ds``: the task
+that sinks a docs part also flattens its links → canonicalize →
+filter/score → depth and score gate → one row per URL, so normalization,
+filters and scorers run once, in tasks.  The driver holds only the
+resulting candidate keys:
 
-  * ``deterministic=True`` (parity): the link-fold runs on the driver over
-    the epoch's *candidate link keys only* (never the documents), replaying
-    the reference's sequential semantics exactly — per-source first-wins
-    visited insertion in (source frontier order, link position) order,
-    per-source capacity truncation sorted by score
-    (bfs_strategy.py:110-152).  This is the mode that reproduces the
-    reference's crawl ordering and URL-seen set bit-for-bit.
+  * ``deterministic=True`` (parity): BFS collects the epoch's keys and
+    replays the reference's sequential link_discovery
+    (bfs_strategy.py:81-152) as array steps in (source frontier order, link
+    order): page budget, first occurrence per URL, one seen round, the
+    per-source cap by score (``_level_fold``).  It reproduces the
+    reference's crawl ordering and URL-seen set bit-for-bit.  Parity
+    Best-First pushes the same keys into its driver heap.
 
-  * ``deterministic=False`` (scale): discovery stays a Dataset pipeline end
-    to end — flatten links → canonicalize → filter/score → sharded
-    ``check_and_add`` in driver-paced chunks (first caller wins).  No driver
-    fold, no global sort; ordering within an epoch is free, epoch
-    boundaries stay deterministic.  This is the 10^10-URL path.
+  * ``deterministic=False`` (scale): the keys stream back in bounded chunks
+    to a sharded ``check_and_add`` (first caller wins) or the sharded heap.
+    No global sort; ordering within an epoch is free, epoch boundaries stay
+    deterministic.  This is the 10^10-URL path.
 
 DFS (``_run_dfs``) stays outside the driver: it is serial, runs no Ray
 pipeline and has no epochs, manifest or metrics.
@@ -61,6 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data
@@ -109,7 +115,7 @@ class CrawlConfig:
     max_delay: float = 60.0
     max_retries: int = 3
     seed: int = 42
-    deterministic: bool = True  # discovery mode: parity fold vs scale stream
+    deterministic: bool = True  # seen policy: parity fold vs scale stream
     exact_seen: bool = True
     seen_capacity_per_shard: int = 1_000_000
     seen_error_rate: float = 0.01
@@ -146,16 +152,6 @@ def _canonical_seeds(seeds: list[str]) -> list[str]:
     return out
 
 
-def _can_process(url: str, depth: int, filter_chain) -> bool:
-    """Validity gate + filter chain, depth-0 bypasses filters
-    (bfs_strategy.py:59-79)."""
-    if not is_valid_frontier_url(url):
-        return False
-    if depth != 0 and filter_chain is not None and not filter_chain.apply(url):
-        return False
-    return True
-
-
 def _frontier_table(rows: list[dict], epoch: int, num_shards: int) -> pa.Table:
     """rows: dicts with url, depth, parent_url, score (+ optionally the
     url_hash/host/host_hash already computed by the canonicalize stage —
@@ -190,8 +186,8 @@ def _frontier_table(rows: list[dict], epoch: int, num_shards: int) -> pa.Table:
 def _frontier_part_from_keys(
     batch: pa.Table, rank_offset: int, epoch: int, num_shards: int
 ) -> pa.Table:
-    """Vectorized next-frontier part built straight from a candidate-key
-    chunk (scale path) — no per-row driver dicts, columns reused zero-copy."""
+    """Vectorized next-frontier part built straight from candidate keys —
+    no per-row driver dicts, columns reused zero-copy."""
     n = batch.num_rows
     hh = np.asarray(batch.column("host_hash").to_numpy(zero_copy_only=False))
     depth = (
@@ -215,38 +211,128 @@ def _frontier_part_from_keys(
     )
 
 
+# one candidate link per row, as discovery hands it to a frontier policy
+_KEY_SCHEMA = pa.schema(
+    [
+        pa.field("url", pa.string()),  # canonical form
+        pa.field("url_hash", pa.uint64()),
+        pa.field("host", pa.string()),
+        pa.field("host_hash", pa.uint64()),
+        pa.field("src_url", pa.string()),
+        pa.field("src_depth", pa.int32()),
+        pa.field("src_rank", pa.int64()),  # the source's frontier_rank
+        pa.field("link_idx", pa.int32()),  # position in the source's links
+        pa.field("score", pa.float64()),
+    ]
+)
+
+
 def _flatten_links(batch: pa.Table, include_external: bool) -> pa.Table:
-    """Explode the links column of successful pages → candidate rows."""
-    src_urls = batch.column("url").to_pylist()
-    depths = batch.column("depth").to_pylist()
-    successes = batch.column("success").to_pylist()
-    ranks = (
-        batch.column("frontier_rank").to_pylist()
-        if "frontier_rank" in batch.column_names
-        else [-1] * len(src_urls)
-    )
-    links_col = batch.column("links").to_pylist()
-    out = {"src_url": [], "src_depth": [], "src_rank": [], "href": [], "link_pos": []}
-    for src, depth, ok, rank, links in zip(src_urls, depths, successes, ranks, links_col):
-        if not ok or not links:
-            continue
-        for link in links:
-            if not link["internal"] and not include_external:
-                continue
-            out["src_url"].append(src)
-            out["src_depth"].append(depth)
-            out["src_rank"].append(rank)
-            out["href"].append(link["href"])
-            out["link_pos"].append(link["link_pos"])
+    """Explode the links of successful pages into candidate rows.
+    ``link_idx`` is the link's position in its page's ``links`` list
+    (internal links, then external), the order the reference visits them."""
+    links = batch.column("links").combine_chunks()
+    src = pc.list_parent_indices(links).to_numpy()
+    flat = pc.list_flatten(links)
+    keep = batch.column("success").to_numpy()[src]
+    if not include_external:
+        keep &= pc.struct_field(flat, "internal").to_numpy(zero_copy_only=False)
+    rows = pa.array(src[keep], type=pa.int64())
+    link_idx = np.arange(len(src)) - np.searchsorted(src, src)
     return pa.table(
         {
-            "src_url": pa.array(out["src_url"], type=pa.string()),
-            "src_depth": pa.array(out["src_depth"], type=pa.int32()),
-            "src_rank": pa.array(out["src_rank"], type=pa.int64()),
-            "href": pa.array(out["href"], type=pa.string()),
-            "link_pos": pa.array(out["link_pos"], type=pa.int32()),
+            "src_url": batch.column("url").take(rows),
+            "src_depth": batch.column("depth").take(rows),
+            "src_rank": batch.column("frontier_rank").take(rows),
+            "href": pc.struct_field(flat, "href").filter(pa.array(keep)),
+            "link_idx": pa.array(link_idx[keep], type=pa.int32()),
         }
     )
+
+
+def _first_per_url(cand: pa.Table) -> pa.Table:
+    """One row per URL: the least ``(src_depth, src_rank, link_idx)``, i.e.
+    the occurrence BFS's first-wins keeps and the entry a heap pops first.
+    Kept rows stay in input order."""
+    if cand.num_rows == 0:
+        return cand
+    order = pc.sort_indices(
+        cand, [("src_depth", "ascending"), ("src_rank", "ascending"), ("link_idx", "ascending")]
+    ).to_numpy()
+    urls = cand.column("url").combine_chunks().take(pa.array(order))
+    codes = pc.dictionary_encode(urls).indices.to_numpy()
+    first = np.unique(codes, return_index=True)[1]
+    return cand.take(pa.array(np.sort(order[first])))
+
+
+def _candidate_keys(
+    batch: pa.Table, include_external: bool, filter_stage, max_depth: int,
+    threshold: float, dedup: bool,
+) -> pa.Table:
+    """Discovery over one docs batch, run in its sink task: flatten links →
+    canonicalize → filter/score → gate (valid href, filter chain,
+    ``src_depth + 1 <= max_depth``, ``score >= threshold``) → one row per
+    URL when ``dedup``.  Returns ``_KEY_SCHEMA`` rows."""
+    cand = filter_stage(canonicalize_batch(_flatten_links(batch, include_external), "src_url"))
+    ok = (
+        (cand.column("src_depth").to_numpy() + 1 <= max_depth)
+        & cand.column("passed").to_numpy()
+        & (cand.column("score").to_numpy() >= threshold)
+    )
+    cand = cand.filter(pa.array(ok, type=pa.bool_())).select(_KEY_SCHEMA.names)
+    return _first_per_url(cand) if dedup else cand
+
+
+def _collect(ds) -> pa.Table:
+    """All candidate keys of an epoch on the driver (parity policies)."""
+    tables = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+    return pa.concat_tables(tables) if tables else _KEY_SCHEMA.empty_table()
+
+
+def _page_budget(docs: pa.Table, pages_before: int, max_pages: float) -> np.ndarray:
+    """Pages left after each source of an epoch, indexed by frontier rank:
+    ``max_pages`` minus the pages crawled before the epoch and by every
+    successful source up to and including this one, in frontier order —
+    the reference counts a page as it reaches it in its result loop."""
+    docs = docs.sort_by("frontier_rank")
+    ranks = docs.column("frontier_rank").to_numpy()
+    pages = pages_before + np.cumsum(docs.column("success").to_numpy())
+    budget = np.zeros(int(ranks.max()) + 1 if len(ranks) else 0)
+    budget[ranks] = max_pages - pages
+    return budget
+
+
+def _level_fold(
+    keys: pa.Table, budget: np.ndarray, has_scorer: bool, check_and_add
+) -> tuple[pa.Table, pa.Table]:
+    """Parity BFS discovery over one epoch's candidate keys: the
+    reference's sequential link_discovery (bfs_strategy.py:81-152) replayed
+    as array steps in (source frontier order, link order).
+
+      1. drop the links of sources with no pages left (``budget`` ≤ 0);
+      2. keep the first occurrence of each URL;
+      3. one seen round, ``check_and_add(urls, hosts)`` → the fresh links
+         (links the cap drops below stay seen, as in the reference);
+      4. per-source cap: a source with more fresh links than its budget
+         keeps its ``floor(budget)`` best by score (link order among ties)
+         when there is a scorer, else its first ``floor(budget)``.
+
+    Returns (the next frontier's keys in frontier order, the fresh keys)."""
+    src = keys.column("src_rank").to_numpy()
+    keys = keys.filter(pa.array(budget[src] > 0, type=pa.bool_())).sort_by(
+        [("src_rank", "ascending"), ("link_idx", "ascending")]
+    )
+    keys = _first_per_url(keys)
+    fresh_mask = check_and_add(keys.column("url").to_pylist(), keys.column("host").to_pylist())
+    fresh = keys.filter(pa.array(fresh_mask, type=pa.bool_()))
+    src = fresh.column("src_rank").to_numpy()
+    left = budget[src]
+    start = np.searchsorted(src, src)
+    over = np.searchsorted(src, src, side="right") - start > left
+    k = np.where(over & has_scorer, -fresh.column("score").to_numpy(), 0.0)
+    order = np.lexsort((fresh.column("link_idx").to_numpy(), k, src))
+    keep = order[np.arange(len(order)) - start < np.floor(left)]
+    return fresh.take(pa.array(keep, type=pa.int64())), fresh
 
 
 class CrawlEngine:
@@ -422,95 +508,50 @@ class CrawlEngine:
             _add_lineage, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
         )
 
-    def _run_epoch_pipeline(self, input_dir: str, epoch: int) -> list[dict]:
-        """Parity path: ONE streaming execution fetch→extract→lineage→parquet
-        over the staged frontier parts, then a column-PRUNED readback (links
-        + bookkeeping only — the wide doc payload never round-trips) in
-        frontier order for the driver fold."""
-        docs_dir = self.store.docs_epoch_dir(epoch)
-        ds = self._transform_from_ds(ray.data.read_parquet(input_dir), epoch)
-        ds.write_parquet(docs_dir)
-        cols = ["frontier_rank", "url", "depth", "success", "links"]
-        return pq.read_table(docs_dir, columns=cols).sort_by("frontier_rank").to_pylist()
-
-    def _epoch_candidate_ds(self, input_dir: str, epoch: int):
-        """One epoch's streaming chain up to the gated candidate keys
-        (shared by BFS-scale and Best-First-scale):
+    def _epoch_candidate_ds(
+        self, input_dir: str, epoch: int, threshold: float, dedup: bool = True
+    ):
+        """One epoch's streaming chain up to the candidate keys, shared by
+        every frontier policy:
 
             read frontier parts → fetch → extract (→ enrich) → lineage
-              → sink docs part + prune      (write docs, forward link keys)
-              → flatten → canonicalize → filter/score → depth gate
-              → intra-batch first-wins dedup
+              → sink docs part, then in the same task: flatten → canonicalize
+                → filter/score → gate at ``threshold`` → one row per URL
+                (``dedup``)
         """
         import uuid
 
         cfg = self.config
-        ds = self._transform_from_ds(ray.data.read_parquet(input_dir), epoch)
         docs_dir = self.store.docs_epoch_dir(epoch)
+        filter_stage = self._filter_stage
+        include_external, max_depth = cfg.include_external, cfg.max_depth
 
-        def _sink_and_prune(batch: pa.Table) -> pa.Table:
-            import pyarrow.parquet as pq
-
+        def _sink_and_discover(batch: pa.Table) -> pa.Table:
             pq.write_table(batch, f"{docs_dir}/part-{uuid.uuid4().hex}.parquet")
-            return batch.select(["url", "depth", "success", "links"])
-
-        pruned = ds.map_batches(
-            _sink_and_prune, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        )
-        cand = pruned.map_batches(
-            lambda b: _flatten_links(b, cfg.include_external),
-            batch_size=None, batch_format="pyarrow", zero_copy_batch=True,
-        )
-        cand = cand.map_batches(
-            lambda b: canonicalize_batch(b, base_url_col="src_url"),
-            batch_size=None, batch_format="pyarrow", zero_copy_batch=True,
-        )
-        cand = cand.map_batches(
-            self._filter_stage, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        )
-        max_depth = cfg.max_depth
-        threshold = cfg.score_threshold
-
-        def _gate(batch: pa.Table) -> pa.Table:
-            depth_ok = (
-                np.asarray(batch.column("src_depth").to_numpy(zero_copy_only=False)) + 1
-                <= max_depth
+            return _candidate_keys(
+                batch, include_external, filter_stage, max_depth, threshold, dedup
             )
-            passed = np.asarray(batch.column("passed").to_numpy(zero_copy_only=False))
-            score_ok = (
-                np.asarray(batch.column("score").to_numpy(zero_copy_only=False))
-                >= threshold
-            )
-            return batch.filter(pa.array(depth_ok & passed & score_ok))
 
-        cand = cand.map_batches(
-            _gate, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
+        ds = self._transform_from_ds(ray.data.read_parquet(input_dir), epoch)
+        return ds.map_batches(
+            _sink_and_discover, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
         )
 
-        # intra-batch first-wins dedup before any driver round: shrinks the
-        # key stream (duplicate targets are common within an epoch)
-        def _local_dedup(batch: pa.Table) -> pa.Table:
-            urls = batch.column("url").to_pylist()
-            seen_local: set[str] = set()
-            keep = np.empty(len(urls), dtype=bool)
-            for i, u in enumerate(urls):
-                fresh = u not in seen_local
-                keep[i] = fresh
-                if fresh:
-                    seen_local.add(u)
-            return batch.filter(pa.array(keep))
-
-        return cand.map_batches(
-            _local_dedup, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
+    def _epoch_budget(self, epoch: int) -> np.ndarray:
+        """``_page_budget`` of a crawled epoch, from two narrow columns of
+        its docs (every source counts, with or without links)."""
+        docs = pq.read_table(
+            self.store.docs_epoch_dir(epoch, create=False),
+            columns=["frontier_rank", "success"],
         )
+        return _page_budget(docs, self.pages_crawled, self.config.max_pages)
 
     def _run_epoch_scale(self, input_dir: str, epoch: int) -> tuple[str | None, int]:
         """Scale path: ONE streaming execution per epoch, and the driver
         never holds a row.  The chain is
 
             read frontier parts → fetch → extract (→ enrich) → lineage
-              → sink docs part + prune      (write docs, forward link keys)
-              → flatten → canonicalize → filter/score → depth gate
+              → sink docs part + candidate keys   (_epoch_candidate_ds)
               → sharded check_and_add       (first caller wins)
               → emit next-frontier part     (write parquet, forward count)
 
@@ -524,7 +565,7 @@ class CrawlEngine:
         os.makedirs(next_dir, exist_ok=True)
         next_epoch = epoch + 1
         num_shards = cfg.num_seen_shards
-        cand = self._epoch_candidate_ds(input_dir, epoch)
+        keys = self._epoch_candidate_ds(input_dir, epoch, cfg.score_threshold)
         # Seen anti-join: CHUNKED scatter-gather rounds over candidate KEYS
         # only (url/hashes/host/depth/parent/score — never the documents).
         # ``iter_batches`` preserves pipeline block order, so the per-chunk
@@ -537,9 +578,6 @@ class CrawlEngine:
         # delta).  In-task ray.get on the shard actors stalls workers and
         # triggers raylet spawn storms at high parallelism, so driver-paced
         # rounds stay.
-        keys = cand.select_columns(
-            ["url", "url_hash", "host", "host_hash", "src_depth", "src_url", "score"]
-        )
         next_n = 0
         part_seq = 0
         for batch in keys.iter_batches(
@@ -616,84 +654,18 @@ class CrawlEngine:
         )
         self.store.write_epoch_table("metrics", epoch, tbl)
 
-    # ------------------------------------------------ parity-mode discovery
-    def _discover_deterministic(self, cand: list[dict], epoch: int) -> list[dict]:
-        """Driver fold over candidate link keys (``cand``: the epoch's pruned
-        doc rows in frontier order), replaying the reference's sequential
-        link_discovery (bfs_strategy.py:81-152) in (source frontier order,
-        link position) order."""
-        cfg = self.config
-        # pre-normalize all candidate links + bulk prior-seen query
-        all_norms: list[str] = []
-        per_source: list[dict] = []
-        for row in cand:
-            links = [
-                l
-                for l in (row["links"] if row["links"] is not None else [])
-                if l["internal"] or cfg.include_external
-            ]
-            norms = [
-                normalize_url_for_deep_crawl(l["href"], row["url"]) for l in links
-            ]
-            per_source.append({**row, "links": links, "norms": norms})
-            all_norms.extend(n for n in norms if n)
-        uniq = list(dict.fromkeys(all_norms))
-        if uniq:
-            prior_mask = self.seen.contains(uniq, [host_of(u) for u in uniq])
-            prior = {u for u, m in zip(uniq, prior_mask) if m}
-        else:
-            prior = set()
-
-        next_frontier: list[dict] = []
-        newly_seen: list[str] = []
-        local_seen: set[str] = set()
-        for row in per_source:
-            if not row["success"]:
-                continue
-            self.pages_crawled += 1
-            next_depth = row["depth"] + 1
-            if next_depth > cfg.max_depth:
-                continue
-            remaining = cfg.max_pages - self.pages_crawled
-            if remaining <= 0:
-                continue
-            valid: list[tuple[str, float]] = []
-            for link, norm in zip(row["links"], row["norms"]):
-                if norm is None or norm in prior or norm in local_seen:
-                    continue
-                if not _can_process(link["href"], next_depth, self.filter_chain):
-                    continue
-                score = self._score(norm)
-                if score < cfg.score_threshold:
-                    continue
-                local_seen.add(norm)
-                newly_seen.append(norm)
-                valid.append((norm, score))
-            if len(valid) > remaining:
-                if self.scorer:
-                    valid.sort(key=lambda x: x[1], reverse=True)
-                valid = valid[: int(remaining)]
-            for u, s in valid:
-                next_frontier.append(
-                    {"url": u, "depth": next_depth, "parent_url": row["url"], "score": s}
-                )
-
-        if newly_seen:
-            self.seen.add(newly_seen, [host_of(u) for u in newly_seen])
-        self._write_seen_delta(newly_seen, epoch)
-        return next_frontier
-
     # ---------------------------------------------------------- checkpoints
-    def _write_seen_delta(self, urls: list[str], epoch: int) -> None:
+    def _write_seen_delta(self, keys: pa.Table, epoch: int) -> None:
+        """The URLs an epoch added to seen (parity resume rebuilds from these)."""
+        hh = keys.column("host_hash").to_numpy()
         tbl = pa.table(
             {
-                "url": pa.array(urls, type=pa.string()),
-                "url_hash": pa.array([h64(u) for u in urls], type=pa.uint64()),
+                "url": keys.column("url"),
+                "url_hash": keys.column("url_hash"),
                 "shard_id": pa.array(
-                    [h64(host_of(u)) % self.config.num_seen_shards for u in urls],
-                    type=pa.int32(),
+                    (hh % self.config.num_seen_shards).astype(np.int32), type=pa.int32()
                 ),
-                "epoch": pa.array([epoch] * len(urls), type=pa.int32()),
+                "epoch": pa.array(np.full(keys.num_rows, epoch, dtype=np.int32)),
             },
             schema=SEEN_SCHEMA,
         )
@@ -742,8 +714,7 @@ class CrawlEngine:
                 counters = self.seen.drain_counters()
                 fetched = sum(c["fetched"] for c in counters)
                 total_fetched += fetched
-                if not cfg.deterministic:
-                    self.pages_crawled += fetched  # parity counts in its fold
+                self.pages_crawled = min(self.pages_crawled + fetched, frontier.page_cap)
                 self._write_metrics(counters, epoch, time.time() - t0)
                 self.store.write_manifest(
                     {
@@ -1009,7 +980,10 @@ class CrawlEngine:
                 norm = normalize_url_for_deep_crawl(link["href"], url)
                 if not norm or norm in visited:
                     continue
-                if not _can_process(link["href"], next_depth, self.filter_chain):
+                # validity gate + filter chain on the raw href (bfs:59-79)
+                if not is_valid_frontier_url(link["href"]) or (
+                    self.filter_chain is not None and not self.filter_chain.apply(link["href"])
+                ):
                     continue
                 if self._score(norm) < cfg.score_threshold:
                     continue
@@ -1049,9 +1023,11 @@ class _Frontier:
     stages the epoch's frontier as ``frontier/epoch=N/`` parts and returns
     that dir (None when exhausted); ``crawl(input_dir, epoch)`` runs fetch →
     extract → sink → discovery over it; ``close()`` releases the policy's
-    state.  ``start_epoch`` is where the run begins."""
+    state.  ``start_epoch`` is where the run begins; ``pages_crawled``
+    never exceeds ``page_cap``."""
 
     start_epoch = 0
+    page_cap = INF
 
     def close(self) -> None:
         pass
@@ -1059,8 +1035,9 @@ class _Frontier:
 
 class _LevelFrontier(_Frontier):
     """BFS: epoch N crawls the whole depth-N level, staged by the epoch
-    before (by the seed or by resume for the first).  Discovery is the
-    driver fold (parity) or the streaming seen check (scale)."""
+    before (by the seed or by resume for the first).  Discovery ends in
+    the driver's ``_level_fold`` (parity) or the streaming seen check
+    (scale)."""
 
     def __init__(self, engine: CrawlEngine, seeds: list[str], resume: bool):
         self.engine = engine
@@ -1088,34 +1065,47 @@ class _LevelFrontier(_Frontier):
         if not cfg.deterministic:
             self.dir, self.n = eng._run_epoch_scale(input_dir, epoch)
             return
-        # fold increments pages_crawled per success in frontier order
-        nxt = eng._discover_deterministic(eng._run_epoch_pipeline(input_dir, epoch), epoch)
-        self.n = len(nxt)
-        if nxt:
-            tbl = _frontier_table(nxt, epoch + 1, cfg.num_seen_shards)
+        keys = _collect(eng._epoch_candidate_ds(input_dir, epoch, cfg.score_threshold))
+        nxt, fresh = _level_fold(
+            keys, eng._epoch_budget(epoch), eng.scorer is not None, eng.seen.check_and_add
+        )
+        eng._write_seen_delta(fresh, epoch)
+        self.n = nxt.num_rows
+        if self.n:
+            tbl = _frontier_part_from_keys(nxt, 0, epoch + 1, cfg.num_seen_shards)
             self.dir = eng._stage_frontier(tbl, epoch + 1)
 
 
 class _HeapFrontier(_Frontier):
     """Parity Best-First (bff_strategy.py:139-269): one driver heap ordered
-    (-score, depth, insertion seq) — the reference's tie-break.  URLs join
-    ``visited`` at POP time (bff:205-207 — duplicates may sit in the heap);
-    discovery applies validity + filters but NO score threshold
-    (bff:92-137); the fold stops counting mid-batch at max_pages
-    (bff:233-238) although the whole batch was fetched."""
+    (-score, depth, insertion seq) — the reference's tie-break — with
+    insertion in (source frontier order, link order).  URLs join
+    ``visited`` at POP time (bff:205-207): duplicates sit in the heap and
+    each one spends a pop slot of its batch, so the candidate keys are NOT
+    reduced to one row per URL.  Discovery applies validity + filters but
+    NO score threshold (bff:92-137).  The whole batch is fetched, but
+    counting stops mid-batch at max_pages (bff:233-238): no source at or
+    after the success that reaches the cap is expanded."""
 
     def __init__(self, engine: CrawlEngine, seeds: list[str]):
         self.engine = engine
-        self.heap: list[tuple[float, int, int, str, str | None]] = []
+        self.page_cap = engine.config.max_pages
+        self.heap: list[tuple] = []
         self.seq = itertools.count()
         self.visited: set[str] = set()
-        self.popped: list[str] = []
-        for url in _canonical_seeds(seeds):
-            self._push(url, 0, None)
+        self.popped: pa.Table | None = None
+        seed = engine._seed_frontier(seeds, 0)
+        urls = seed.column("url").to_pylist()
+        self._push(
+            [engine._score(u) for u in urls], [0] * len(urls), urls, [None] * len(urls),
+            *(seed.column(c).to_pylist() for c in ("url_hash", "host", "host_hash")),
+        )
 
-    def _push(self, url: str, depth: int, parent: str | None) -> None:
-        item = (-self.engine._score(url), depth, next(self.seq), url, parent)
-        heapq.heappush(self.heap, item)
+    def _push(self, *cols: list) -> None:
+        """cols: score, depth, url, parent, url_hash, host, host_hash."""
+        for score, depth, url, *rest in zip(*cols):
+            if url not in self.visited:
+                heapq.heappush(self.heap, (-score, depth, next(self.seq), url, *rest))
 
     def take(self, epoch: int) -> str | None:
         rows: list[dict] = []
@@ -1123,41 +1113,37 @@ class _HeapFrontier(_Frontier):
             for _ in range(self.engine.config.best_first_batch):
                 if not self.heap:
                     break
-                neg_score, depth, _, url, parent = heapq.heappop(self.heap)
+                neg_score, depth, _, url, parent, url_hash, host, host_hash = (
+                    heapq.heappop(self.heap)
+                )
                 if url in self.visited:
                     continue
                 self.visited.add(url)
                 rows.append(
-                    {"url": url, "depth": depth, "parent_url": parent, "score": -neg_score}
+                    {"url": url, "depth": depth, "parent_url": parent, "score": -neg_score,
+                     "url_hash": url_hash, "host": host, "host_hash": host_hash}
                 )
         if not rows:
             return None
-        self.popped = [r["url"] for r in rows]
-        tbl = _frontier_table(rows, epoch, self.engine.config.num_seen_shards)
-        return self.engine._stage_frontier(tbl, epoch)
+        self.popped = _frontier_table(rows, epoch, self.engine.config.num_seen_shards)
+        return self.engine._stage_frontier(self.popped, epoch)
 
     def crawl(self, input_dir: str, epoch: int) -> None:
-        eng, cfg = self.engine, self.engine.config
-        for row in eng._run_epoch_pipeline(input_dir, epoch):
-            if not row["success"]:
-                continue
-            eng.pages_crawled += 1
-            if eng.pages_crawled >= cfg.max_pages:
-                break  # mid-batch stop (bff:233-238)
-            next_depth = row["depth"] + 1
-            if next_depth > cfg.max_depth:
-                continue
-            for link in row["links"] or []:
-                if not link["internal"] and not cfg.include_external:
-                    continue
-                norm = normalize_url_for_deep_crawl(link["href"], row["url"])
-                if not norm or norm in self.visited:
-                    continue
-                if not _can_process(link["href"], next_depth, eng.filter_chain):
-                    continue
-                self._push(norm, next_depth, row["url"])
-        eng.seen.add(self.popped, [host_of(u) for u in self.popped])
-        eng._write_seen_delta(self.popped, epoch)
+        eng = self.engine
+        keys = _collect(eng._epoch_candidate_ds(input_dir, epoch, -INF, dedup=False))
+        budget = eng._epoch_budget(epoch)
+        keys = keys.filter(
+            pa.array(budget[keys.column("src_rank").to_numpy()] > 0, type=pa.bool_())
+        ).sort_by([("src_rank", "ascending"), ("link_idx", "ascending")])
+        self._push(
+            keys.column("score").to_pylist(),
+            pc.add(keys.column("src_depth"), 1).to_pylist(),
+            *(keys.column(c).to_pylist()
+              for c in ("url", "src_url", "url_hash", "host", "host_hash")),
+        )
+        popped = self.popped
+        eng.seen.add(popped.column("url").to_pylist(), popped.column("host").to_pylist())
+        eng._write_seen_delta(popped, epoch)
 
 
 class _ShardedHeapFrontier(_Frontier):
@@ -1210,15 +1196,14 @@ class _ShardedHeapFrontier(_Frontier):
         return eng._stage_frontier(_frontier_table(rows, epoch, cfg.num_seen_shards), epoch)
 
     def crawl(self, input_dir: str, epoch: int) -> None:
-        cand = self.engine._epoch_candidate_ds(input_dir, epoch)
-        keys = cand.select_columns(["url", "host", "src_depth", "src_url", "score"])
+        eng = self.engine
+        keys = eng._epoch_candidate_ds(input_dir, epoch, eng.config.score_threshold)
         for b in keys.iter_batches(batch_size=SEEN_ROUND_CHUNK, batch_format="pyarrow"):
             if b.num_rows == 0:
                 continue
-            self.engine.seen.push_batch(
+            eng.seen.push_batch(
                 [
-                    {"url": u, "host": h, "score": float(sc),
-                     "depth": int(d) + 1, "parent_url": p}
+                    {"url": u, "host": h, "score": sc, "depth": d + 1, "parent_url": p}
                     for u, h, sc, d, p in zip(
                         b.column("url").to_pylist(),
                         b.column("host").to_pylist(),

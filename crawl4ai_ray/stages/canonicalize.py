@@ -27,19 +27,25 @@ def canonicalize_batch(batch: pa.Table, base_url_col: str | None = None) -> pa.T
 
     When ``base_url_col`` is given the ``href`` column is joined against it
     (link discovery); otherwise the ``url`` column is normalized in place
-    (seed ingestion).  Rows whose canonical form is invalid are kept with
-    ``valid=False`` so the caller decides (the reference's validity gate is
-    separate from normalization, bfs_strategy.py:59-79).
+    (seed ingestion).  Invalid rows are kept with ``valid=False`` so the
+    caller decides.  The reference's validity gate is separate from
+    normalization and reads the raw link (bfs_strategy.py:59-79, 118-124):
+    a link row is valid when its canonical form exists and its ``href``
+    passes ``is_valid_frontier_url``; a seed row when its canonical form
+    passes.
     """
     if base_url_col is not None:
-        hrefs = batch.column("href").to_pylist()
+        raw = batch.column("href").to_pylist()
         bases = batch.column(base_url_col).to_pylist()
-        canon = [normalize_url_for_deep_crawl(h, b) for h, b in zip(hrefs, bases)]
+        canon = [normalize_url_for_deep_crawl(h, b) for h, b in zip(raw, bases)]
     else:
-        urls = batch.column("url").to_pylist()
-        canon = [normalize_url_for_deep_crawl(u, u) for u in urls]
+        canon = [normalize_url_for_deep_crawl(u, u) for u in batch.column("url").to_pylist()]
+        raw = canon
 
-    valid = np.array([c is not None and is_valid_frontier_url(c) for c in canon])
+    valid = np.fromiter(
+        (c is not None and is_valid_frontier_url(r) for c, r in zip(canon, raw)),
+        dtype=bool, count=len(canon),
+    )
     canon_str = [c or "" for c in canon]
     hosts = [host_of(c) if v else "" for c, v in zip(canon_str, valid)]
 
@@ -95,7 +101,9 @@ class FilterScoreStage:
             surls = batch.column(self.score_url_col).to_pylist()
             idx = np.nonzero(keep)[0]
             scores[idx] = self.scorer.score_batch([surls[i] for i in idx])
-        out = batch.append_column("score", pa.array(scores, type=pa.float32()))
+        # float64, the scorer's own precision: the score threshold and the
+        # per-source cap compare these values as the reference does
+        out = batch.append_column("score", pa.array(scores, type=pa.float64()))
         out = out.append_column("passed", pa.array(keep, type=pa.bool_()))
         return out
 

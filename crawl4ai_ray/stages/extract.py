@@ -424,8 +424,9 @@ def extract_spans(root: Node) -> list[dict]:
 def extract_links(root: Node, url: str, base_domain: str, index=None) -> tuple[list[dict], list[dict]]:
     """Link records with first-wins dedup per page
     (content_scraping_strategy.py:255-311).  ``link_pos`` is the document
-    order index of the <a> element — the deterministic merge key the frontier
-    uses (SURVEY.md §7.4 item 1)."""
+    order index of the <a> element.  The frontier orders a page's links by
+    their position in internal + external, the order the reference visits
+    them (SURVEY.md §7.4 item 1)."""
     internal: dict[str, dict] = {}
     external: dict[str, dict] = {}
     pos = 0

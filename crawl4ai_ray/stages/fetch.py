@@ -125,9 +125,8 @@ class FetchStage:
 
         # overlap fetches across the batch (each job honors its own grant
         # time, so politeness spacing is per-host while hosts run in
-        # parallel); results land in index slots, so output order — and the
-        # downstream parity fold — is deterministic regardless of completion
-        # order
+        # parallel); results land in index slots, so output order is
+        # deterministic regardless of completion order
         order = sorted(range(len(urls)), key=lambda i: grants[i][1])
         jobs: list[int] = []
         for i in order:

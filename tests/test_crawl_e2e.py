@@ -192,6 +192,53 @@ def test_max_pages_capacity(tmp_path, ray_session):
     assert seen == sorted(oracle_visited)
 
 
+def test_parity_bfs_with_filter_threshold_and_page_cap(tmp_path, ray_session):
+    """Parity BFS with every discovery knob at once — a URL-pattern filter
+    that rejects part of each host, a score threshold, external links and a
+    binding max_pages under a scorer with ties — equals the sequential
+    oracle in per-epoch order, depth, parent and status, and in the seen
+    set."""
+    from crawl4ai_ray.functions.filters import FilterChain, URLPatternFilter
+
+    params = CorpusParams(n_hosts=3, pages_per_host=30, seed=17, link_back_to_seed=True)
+
+    def filter_factory():
+        return FilterChain([URLPatternFilter(["*/p/*5*"], reverse=True)])
+
+    def scorer_factory():
+        return KeywordRelevanceScorer(["p/1", "p/2", "site0"])
+
+    knobs = dict(max_depth=5, max_pages=40, include_external=True)
+    cfg = CrawlConfig(
+        **knobs, num_seen_shards=2, deterministic=True, score_threshold=0.3,
+        filter_factory=filter_factory, scorer_factory=scorer_factory,
+    )
+    engine, summary = _run_engine(tmp_path, params, cfg)
+    oracle_results, oracle_visited = oracle_bfs(
+        SyntheticTransport(params), robots_map(params), params.seeds(), **knobs,
+        filter_chain=filter_factory(), scorer=scorer_factory(), score_threshold=0.3,
+    )
+    cols = ["url", "frontier_epoch", "frontier_rank", "depth", "parent_url", "status_code"]
+    docs = _docs_table(engine).select(cols).to_pylist()
+    got = {(r["url"], r["frontier_epoch"]): tuple(r[c] for c in cols[2:]) for r in docs}
+    want = {
+        (r["url"], r["epoch"]): (
+            r["rank_in_epoch"], r["depth"], r["parent_url"] or "", r["status_code"]
+        )
+        for r in oracle_results
+    }
+    assert len(got) == len(docs)
+    assert got == want
+    assert sorted(u for s in engine.seen.dump_all() for u in s) == sorted(oracle_visited)
+    pages = sum(1 for r in oracle_results if r["success"])
+    assert summary["pages_crawled"] == pages >= 40  # the cap bound
+    # the filter and the threshold both rejected links the crawl reached
+    assert not any("5" in u.rsplit("/", 1)[-1] for u in oracle_visited)
+    assert any(u.startswith("http://site1.test/p/") for u in oracle_visited)
+    assert not any(u.startswith("http://site1.test/p/3") for u in oracle_visited)
+    engine.shutdown()
+
+
 def test_scale_mode_same_url_set(tmp_path, ray_session):
     """Scale mode (distributed check_and_add, no driver fold) must crawl the
     same URL *set* as parity mode when capacity/threshold don't bind."""
@@ -341,7 +388,10 @@ def test_politeness_spacing_under_concurrent_fetchers(ray_session):
 
 def test_best_first_oracle_parity(tmp_path, ray_session):
     """Best-First engine matches the sequential priority-queue oracle:
-    per-batch URL sets, depths, parents, and the visited set."""
+    per-batch URL sets, depths, parents, and the visited set — without and
+    with a URL filter."""
+    from crawl4ai_ray.functions.filters import FilterChain, URLPatternFilter
+
     from oracle_bfs import oracle_best_first
 
     params = CorpusParams(n_hosts=2, pages_per_host=25, seed=13)
@@ -349,29 +399,37 @@ def test_best_first_oracle_parity(tmp_path, ray_session):
     def scorer_factory():
         return KeywordRelevanceScorer(["p/1", "p/2"])
 
-    cfg = CrawlConfig(
-        strategy="best_first", max_depth=5, max_pages=30, num_seen_shards=2,
-        scorer_factory=scorer_factory, best_first_batch=10,
-    )
-    engine, summary = _run_engine(tmp_path, params, cfg, name="bfo")
-    oracle_results, oracle_visited = oracle_best_first(
-        SyntheticTransport(params), robots_map(params), params.seeds(),
-        max_depth=5, max_pages=30, scorer=scorer_factory(),
-    )
-    docs = _docs_table(engine)
-    got = {
-        (r["url"], r["frontier_epoch"]): (r["depth"], r["parent_url"])
-        for r in docs.select(["url", "frontier_epoch", "depth", "parent_url"]).to_pylist()
-    }
-    want = {
-        (r["url"], r["epoch"]): (r["depth"], r["parent_url"] or "")
-        for r in oracle_results
-    }
-    # engine fetches whole batches; the oracle's mid-batch stop may cut the
-    # last batch short — every oracle row must appear identically in ours
-    for k, v in want.items():
-        assert k in got and got[k] == v, k
-    assert summary["pages_crawled"] == sum(1 for r in oracle_results if r["success"])
+    def filter_factory():
+        return FilterChain([URLPatternFilter(["*/p/*3*"], reverse=True)])
+
+    for name, filters in (("bfo", None), ("bfo_filtered", filter_factory)):
+        cfg = CrawlConfig(
+            strategy="best_first", max_depth=5, max_pages=30, num_seen_shards=2,
+            scorer_factory=scorer_factory, best_first_batch=10, filter_factory=filters,
+        )
+        engine, summary = _run_engine(tmp_path, params, cfg, name=name)
+        oracle_results, oracle_visited = oracle_best_first(
+            SyntheticTransport(params), robots_map(params), params.seeds(),
+            max_depth=5, max_pages=30, scorer=scorer_factory(),
+            filter_chain=filters() if filters else None,
+        )
+        docs = _docs_table(engine)
+        got = {
+            (r["url"], r["frontier_epoch"]): (r["depth"], r["parent_url"])
+            for r in docs.select(["url", "frontier_epoch", "depth", "parent_url"]).to_pylist()
+        }
+        want = {
+            (r["url"], r["epoch"]): (r["depth"], r["parent_url"] or "")
+            for r in oracle_results
+        }
+        # engine fetches whole batches; the oracle's mid-batch stop may cut the
+        # last batch short — every oracle row must appear identically in ours
+        for k, v in want.items():
+            assert k in got and got[k] == v, (name, k)
+        assert summary["pages_crawled"] == sum(1 for r in oracle_results if r["success"])
+        if filters:
+            assert not any("3" in u.rsplit("/", 1)[-1] for u, _ in got if "/p/" in u)
+        engine.shutdown()
 
 
 def test_salt_heavy_hosts(ray_session):
@@ -825,9 +883,11 @@ def _shard_killing_transport(params, victim_url: str):
     ),
 ])
 def test_host_shard_killed_mid_epoch_resumes(tmp_path, ray_session, params, base):
-    """A host shard dies while epoch 1 is fetching: run() fails cleanly, and
-    a fresh engine resuming from the checkpoint produces exactly the docs
-    and seen set of an uninterrupted run — nothing lost, nothing doubled."""
+    """A host shard dies while epoch 1 is fetching, or a fetch raises inside
+    an epoch-1 task: run() fails cleanly, and a fresh engine resuming from
+    the checkpoint produces exactly the docs and seen set of an
+    uninterrupted run — nothing lost, nothing doubled (no docs part of the
+    failed execution survives into the resumed epoch)."""
     import ray
 
     def _engine(name, transport):
@@ -840,25 +900,53 @@ def test_host_shard_killed_mid_epoch_resumes(tmp_path, ray_session, params, base
     full_docs = sorted(tuple(r.values()) for r in _docs_table(full).select(cols).to_pylist())
     victim_url = min(u for u, e, _ in full_docs if e == 1)
 
-    transport = _shard_killing_transport(params, victim_url)
-    failed = _engine("killed", transport)
-    transport.victim = failed.seen.shards[h64(host_of(victim_url)) % base["num_seen_shards"]]
-    with pytest.raises(ray.exceptions.RayError):
-        failed.run(params.seeds())
-    assert failed.store.read_manifest()["epoch"] == 0
-    failed.shutdown()
+    def _fails_then_resumes(name, transport, error):
+        failed = _engine(name, transport)
+        if hasattr(transport, "victim"):  # the shard-killing transport
+            transport.victim = failed.seen.shards[
+                h64(host_of(victim_url)) % base["num_seen_shards"]
+            ]
+        with pytest.raises(error):
+            failed.run(params.seeds())
+        assert failed.store.read_manifest()["epoch"] == 0
+        failed.shutdown()
 
-    resumed = _engine("killed", _shard_killing_transport(params, ""))
-    resumed.run(params.seeds(), resume=True)
-    got_docs = sorted(tuple(r.values()) for r in _docs_table(resumed).select(cols).to_pylist())
-    assert [(u, e) for u, e, _ in got_docs] == [(u, e) for u, e, _ in full_docs]
-    assert len(set(got_docs)) == len(got_docs)  # one doc_id per url per epoch
-    assert got_docs == full_docs
-    if base["deterministic"]:
-        def _seen(eng):
-            return sorted(u for shard in eng.seen.dump_all() for u in shard)
+        resumed = _engine(name, _shard_killing_transport(params, ""))
+        resumed.run(params.seeds(), resume=True)
+        got_docs = sorted(
+            tuple(r.values()) for r in _docs_table(resumed).select(cols).to_pylist()
+        )
+        assert [(u, e) for u, e, _ in got_docs] == [(u, e) for u, e, _ in full_docs]
+        assert len(set(got_docs)) == len(got_docs)  # one doc_id per url per epoch
+        assert got_docs == full_docs
+        if base["deterministic"]:
+            def _seen(eng):
+                return sorted(u for shard in eng.seen.dump_all() for u in shard)
 
-        assert _seen(resumed) == _seen(full)
-    assert resumed.seen.total_size() == full.seen.total_size()
+            assert _seen(resumed) == _seen(full)
+        assert resumed.seen.total_size() == full.seen.total_size()
+        resumed.shutdown()
+
+    _fails_then_resumes(
+        "killed", _shard_killing_transport(params, victim_url), ray.exceptions.RayError
+    )
+    _fails_then_resumes(
+        "raised", _failing_transport(params, victim_url), ray.exceptions.RayTaskError
+    )
     full.shutdown()
-    resumed.shutdown()
+
+
+def _failing_transport(params, victim_url: str):
+    """Synthetic transport whose fetch of ``victim_url`` raises inside the
+    fetch task (pickled by value, like ``_shard_killing_transport``)."""
+
+    class _FailingTransport:
+        def __init__(self):
+            self.inner = SyntheticTransport(params)
+
+        def fetch(self, url: str) -> tuple[int, str]:
+            if url == victim_url:
+                raise RuntimeError(f"transport failed on {url}")
+            return self.inner.fetch(url)
+
+    return _FailingTransport()
