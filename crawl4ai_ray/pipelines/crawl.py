@@ -23,8 +23,14 @@ URLs per epoch — ``_HeapFrontier`` on the driver, ``_ShardedHeapFrontier``
 as per-host-shard heaps).
 
 All host-keyed state — URL-seen filter, rate limiter, robots cache, outcome
-counters and the sharded heap — lives in ONE pool of ``num_seen_shards``
-``HostShard`` actors (stages/hostshard.py), started once per engine.
+counters and the sharded heap — is partitioned into ``num_seen_shards``
+logical host shards, held by ONE pool of ``HostShard`` actors
+(stages/hostshard.py) started once per engine.  Shards are not processes:
+the pool starts one actor per alive node (at most one per shard), and each
+actor hosts several logical shards.  Epoch 0 does not wait for the actors
+to boot: the driver holds the bloom generations, so under a zero
+politeness budget (no ``acquire`` RPC) its fetch → extract runs while they
+start.
 
 One discovery chain, two seen policies (``CrawlConfig.deterministic``).
 Every policy takes its candidates from ``_epoch_candidate_ds``: the task
@@ -104,7 +110,9 @@ class CrawlConfig:
     include_external: bool = False
     score_threshold: float = -INF
     strategy: str = "bfs"  # bfs | best_first | dfs
-    num_seen_shards: int = 4  # host shards: seen + politeness + heap state
+    # logical host shards (seen + politeness + heap state, one metrics row
+    # each); not processes — they share one actor per alive node
+    num_seen_shards: int = 4
     # read by nothing; kept only because perfbench/inputs.py passes it
     num_politeness_shards: int = 2
     # per-fetch-task session overlap (reference max_session_permit=20,
@@ -358,7 +366,9 @@ class CrawlEngine:
             max_retries=config.max_retries,
             seed=config.seed,
         )
-        self._generations: list[int] | None = None  # see _seen_generations
+        # per logical shard; only a resume's ``load`` bumps them, so the
+        # driver keeps them and no epoch waits on an actor to read them
+        self.bloom_generations = [0] * config.num_seen_shards
         self.pages_crawled = 0
         self.filter_chain = (
             config.filter_factory() if config.filter_factory else None
@@ -395,13 +405,6 @@ class CrawlEngine:
         # at most one run_iter per engine holds it (the lock)
         self._epoch_listener = None
         self._run_iter_lock = threading.Lock()
-
-    def _seen_generations(self) -> list[int]:
-        """Per-shard bloom generations.  Only a resume's ``load`` changes
-        them, so a run reads them once, at first use (after its resume)."""
-        if self._generations is None:
-            self._generations = self.seen.generations()
-        return self._generations
 
     def shutdown(self) -> None:
         """Kill the host shard actors (tests create many engines per session)."""
@@ -442,7 +445,9 @@ class CrawlEngine:
         else:
             urls = [u for e in range(1, last_done + 2) for u in self._frontier_urls(e)]
         if urls:
-            self.seen.load_partitioned(urls, [host_of(u) for u in urls])
+            loaded = self.seen.load_partitioned(urls, [host_of(u) for u in urls])
+            for sid, gen in loaded.items():
+                self.bloom_generations[sid] = gen
         return last_done + 1
 
     # ------------------------------------------------------------ epochs
@@ -485,7 +490,7 @@ class CrawlEngine:
                 zero_copy_batch=True,
             )
 
-        bloom_gen = max(self._seen_generations(), default=0)
+        bloom_gen = max(self.bloom_generations)
 
         def _add_lineage(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
@@ -631,11 +636,12 @@ class CrawlEngine:
         return len(rows)
 
     def _write_metrics(self, counters: list[dict], epoch: int, wall_s: float) -> None:
-        """The epoch's metrics table, one row per host shard, from the
-        outcome counters its fetch tasks reported (robots denials →
-        ``skipped``, non-200 fetches → ``failed``) and the shard's seen size
-        and false-positive estimate at the epoch's end."""
-        bloom_gen = max(self._seen_generations(), default=0)
+        """The epoch's metrics table, one row per logical host shard, from
+        the outcome counters its fetch tasks reported (robots denials →
+        ``skipped``, non-200 fetches → ``failed``), the shard's seen size
+        and false-positive estimate at the epoch's end, and the pool's
+        actor count and boot time (``HostShardPool.drain_counters``)."""
+        bloom_gen = max(self.bloom_generations)
         n = len(counters)
         tbl = pa.table(
             {
@@ -650,6 +656,12 @@ class CrawlEngine:
                     [c["seen_fp_est"] for c in counters], type=pa.float64()
                 ),
                 "wall_s": pa.array([wall_s] * n, type=pa.float64()),
+                "host_shard_actors": pa.array(
+                    [c["host_shard_actors"] for c in counters], type=pa.int32()
+                ),
+                "actor_ready_s": pa.array(
+                    [c["actor_ready_s"] for c in counters], type=pa.float64()
+                ),
             }
         )
         self.store.write_epoch_table("metrics", epoch, tbl)
@@ -690,7 +702,6 @@ class CrawlEngine:
             )
         if cfg.strategy == "dfs":
             return self._run_dfs(seeds)
-        self._generations = None  # a resume below may bump them
         if cfg.strategy == "bfs":
             frontier = _LevelFrontier(self, seeds, resume)
         elif cfg.deterministic:
@@ -708,10 +719,11 @@ class CrawlEngine:
                 input_dir = frontier.take(epoch)
                 if input_dir is None:
                     break
+                taken = frontier.n
                 frontier.crawl(input_dir, epoch)
-                # fetch tasks report outcomes fire-and-forget; they are
-                # submitted before the tasks finish, so they precede this drain
-                counters = self.seen.drain_counters()
+                # fetch tasks report one outcome per frontier row,
+                # fire-and-forget: drain until all of them are in
+                counters = self.seen.drain_counters(taken)
                 fetched = sum(c["fetched"] for c in counters)
                 total_fetched += fetched
                 self.pages_crawled = min(self.pages_crawled + fetched, frontier.page_cap)
@@ -722,7 +734,7 @@ class CrawlEngine:
                         "epoch": epoch,
                         "pages_crawled": self.pages_crawled,
                         "num_seen_shards": cfg.num_seen_shards,
-                        "bloom_generations": self._seen_generations(),
+                        "bloom_generations": list(self.bloom_generations),
                         "deterministic": cfg.deterministic,
                         "seen_source": (
                             "seen_deltas" if cfg.deterministic else "frontier_dirs"
@@ -1023,10 +1035,11 @@ class _Frontier:
     stages the epoch's frontier as ``frontier/epoch=N/`` parts and returns
     that dir (None when exhausted); ``crawl(input_dir, epoch)`` runs fetch →
     extract → sink → discovery over it; ``close()`` releases the policy's
-    state.  ``start_epoch`` is where the run begins; ``pages_crawled``
-    never exceeds ``page_cap``."""
+    state.  ``start_epoch`` is where the run begins; ``n`` is the row count
+    the last ``take`` staged; ``pages_crawled`` never exceeds ``page_cap``."""
 
     start_epoch = 0
+    n = 0
     page_cap = INF
 
     def close(self) -> None:
@@ -1125,6 +1138,7 @@ class _HeapFrontier(_Frontier):
                 )
         if not rows:
             return None
+        self.n = len(rows)
         self.popped = _frontier_table(rows, epoch, self.engine.config.num_seen_shards)
         return self.engine._stage_frontier(self.popped, epoch)
 
@@ -1193,6 +1207,7 @@ class _ShardedHeapFrontier(_Frontier):
                 [r["url"] for r in popped], [host_of(r["url"]) for r in popped]
             )
             rows = [r for r, f in zip(popped, fresh) if f]
+        self.n = len(rows)
         return eng._stage_frontier(_frontier_table(rows, epoch, cfg.num_seen_shards), epoch)
 
     def crawl(self, input_dir: str, epoch: int) -> None:

@@ -7,7 +7,8 @@ the deserialized object across epochs.  ``__call__`` handles one Arrow
 batch.  Per batch it:
 
   1. groups URLs by host and asks each host's owning host shard for a
-     schedule (ONE RPC per (batch, shard) — batched, never per URL);
+     schedule (ONE RPC per (batch, host-shard actor), its rows grouped by
+     logical shard — batched, never per URL);
   2. robots-denied URLs short-circuit to status 403 (reference behavior:
      async_webcrawler.py:381-395 yields a 403-style failure without fetching);
   3. sleeps until each URL's granted start time (no-op at zero delay);
@@ -19,7 +20,12 @@ batch.  Per batch it:
      mirroring the reference's 20-session overlap,
      async_dispatcher.py:155,411-437);
   5. reports status codes back to the host shards (backoff feedback and the
-     outcome counters behind the per-epoch metrics, one row per host shard).
+     outcome counters behind the per-epoch metrics, one row per logical
+     host shard).
+
+Logical shards are not processes: ``num_politeness_shards`` logical shards
+live on the ``politeness_shards`` actors, shard ``sid`` on actor
+``sid % len(politeness_shards)`` (stages/hostshard.py ``route``).
 
 Output columns: input passthrough + ``html``, ``status_code``, ``success``.
 """
@@ -29,10 +35,9 @@ from __future__ import annotations
 import time
 
 import pyarrow as pa
-import ray
 
 from ..urlnorm import host_of
-from .hostshard import host_buckets
+from .hostshard import gather, submit
 
 
 class FetchStage:
@@ -53,8 +58,8 @@ class FetchStage:
         wall time.  Robots rules are static, so shipping the gate in the
         closure is a plain broadcast; outcome counters still flow to the
         host shards via fire-and-forget ``report``.  ``politeness_shards``
-        are ``HostShard`` handles, routed by ``h64(host) %
-        num_politeness_shards``."""
+        are ``HostShard`` actor handles hosting ``num_politeness_shards``
+        logical shards (default: one per handle)."""
         self.transport = transport
         self.politeness = politeness_shards or []
         self.num_politeness = num_politeness_shards or len(self.politeness)
@@ -85,31 +90,22 @@ class FetchStage:
                 ok = self.local_robots.can_fetch(host, url)
                 denied += not ok
                 out.append((ok, 0.0))
-            if denied and self.politeness:
-                self.politeness[0].report_denied.remote(denied)
+            if denied and self.politeness:  # counted on shard 0
+                self.politeness[0].call.remote("report_denied", {0: [denied]})
             return out
         if not self.politeness:
             return [(True, 0.0)] * len(urls)
-        buckets = host_buckets(hosts, self.num_politeness)
-        refs = {
-            sid: self.politeness[sid].acquire.remote(
-                [hosts[i] for i in idx], [urls[i] for i in idx]
-            )
-            for sid, idx in buckets.items()
-        }
         out: list[tuple[bool, float]] = [(True, 0.0)] * len(urls)
-        for sid, idx in buckets.items():
-            for i, grant in zip(idx, ray.get(refs[sid])):
+        for _, idx, grants in gather(
+            submit(self.politeness, self.num_politeness, "acquire", hosts, hosts, urls)
+        ):
+            for i, grant in zip(idx, grants):
                 out[i] = grant
         return out
 
     def _report(self, hosts: list[str], statuses: list[int]) -> None:
-        if not self.politeness:
-            return
-        for sid, idx in host_buckets(hosts, self.num_politeness).items():
-            self.politeness[sid].report.remote(
-                [hosts[i] for i in idx], [statuses[i] for i in idx]
-            )
+        if self.politeness:  # fire-and-forget
+            submit(self.politeness, self.num_politeness, "report", hosts, hosts, statuses)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch.column("url").to_pylist()

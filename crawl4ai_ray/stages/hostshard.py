@@ -1,9 +1,9 @@
-"""Host shards — the one actor class keyed by ``h64(host) % num_shards``.
+"""Host shards — host-keyed crawl state, partitioned by ``h64(host) % num_shards``.
 
 The host hash localizes URL-seen, politeness and robots state (SURVEY.md
-§4.2 item 1), so one ``@ray.remote`` actor per shard owns all of a host's
-crawl state (SURVEY.md §2.5: the one place the Dataset API can't express
-the semantics — shared mutable state consulted and updated mid-stream):
+§4.2 item 1), so one logical shard owns all of a host's crawl state
+(SURVEY.md §2.5: the one place the Dataset API can't express the
+semantics — shared mutable state consulted and updated mid-stream):
 
   * the URL-seen filter: an exact ``set`` (parity mode and the resume
     ground truth) or an approximate bloom / cuckoo filter (scale mode, FP
@@ -21,14 +21,23 @@ the semantics — shared mutable state consulted and updated mid-stream):
   * a slice of the scale Best-First frontier heap (empty otherwise): a
     URL's heap entry, seen bit and rate bucket co-locate.
 
-Callers batch their RPCs: ``HostShardPool`` and the fetch stage partition
-a batch by shard locally and issue ONE call per (caller, shard) — no
+Shards are not processes.  ``HostShardState`` is one logical shard's state,
+a plain Python object; a ``HostShard`` actor hosts every logical shard
+``sid`` with ``sid % num_actors == its index``.  ``HostShardPool`` starts
+one actor per alive node (at most one per shard, Ray's SPREAD placement):
+each actor is a Ray worker process, whose start-up costs far more CPU than
+the state it serves, so the shard count sets the partition of host state,
+not the process count.
+
+Callers batch their RPCs through ``route``/``submit``: rows are grouped
+by logical shard locally and each (caller, actor) pair gets ONE call — no
 per-URL round trips and no all-to-all shuffle.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
 import time
 
 import numpy as np
@@ -39,26 +48,56 @@ from ..state.bloom import BloomFilter
 from ..state.cuckoo import NOMINAL_FP_RATE, CuckooFilter
 from ..state.politeness import RateLimiterState, RobotsGate
 
+logger = logging.getLogger(__name__)
 
-def host_buckets(hosts: list[str], num_shards: int) -> dict[int, list[int]]:
-    """Row indices per owning shard."""
-    buckets: dict[int, list[int]] = {}
+# drain_counters waits at most this long for an epoch's outcome reports
+DRAIN_TIMEOUT_S = 60.0
+
+
+def route(hosts: list[str], num_shards: int, num_actors: int) -> dict[int, dict[int, list[int]]]:
+    """Row indices per owning actor, then per logical shard: host ``h`` is
+    shard ``h64(h) % num_shards``, and shard ``sid`` lives on actor
+    ``sid % num_actors``."""
+    out: dict[int, dict[int, list[int]]] = {}
     for i, host in enumerate(hosts):
-        buckets.setdefault(h64(host) % num_shards, []).append(i)
-    return buckets
+        sid = h64(host) % num_shards
+        out.setdefault(sid % num_actors, {}).setdefault(sid, []).append(i)
+    return out
+
+
+def submit(actors: list, num_shards: int, method: str, hosts: list[str], *cols: list) -> list:
+    """ONE ``method`` call per owning actor, carrying each of its logical
+    shards' rows of ``cols``.  Returns [(row indices per shard, ref)]; the
+    ref resolves to {shard: result} (``gather``), or is dropped by
+    fire-and-forget callers."""
+    return [
+        (by_sid, actors[a].call.remote(
+            method, {sid: [[c[i] for i in idx] for c in cols] for sid, idx in by_sid.items()}
+        ))
+        for a, by_sid in route(hosts, num_shards, len(actors)).items()
+    ]
+
+
+def gather(submitted: list) -> list[tuple[int, list[int], object]]:
+    """[(shard, row indices, result)] of ``submit``'s calls."""
+    replies = ray.get([ref for _, ref in submitted])
+    return [
+        (sid, idx, reply[sid])
+        for (by_sid, _), reply in zip(submitted, replies)
+        for sid, idx in by_sid.items()
+    ]
+
+
+_OUTCOMES = ("fetched", "failed", "denied")
 
 
 def _zero_counters() -> dict:
-    return {"fetched": 0, "failed": 0, "denied": 0}
+    return dict.fromkeys(_OUTCOMES, 0)
 
 
-@ray.remote(num_cpus=0)
-class HostShard:
-    """All crawl state of one host shard.
-
-    num_cpus=0: a lightweight RPC state server (microseconds per batched
-    call); reserving CPU slots for it would starve the map tasks on small
-    clusters and add nothing on big ones."""
+class HostShardState:
+    """All crawl state of one logical host shard (no Ray: a ``HostShard``
+    actor holds one per shard it hosts)."""
 
     def __init__(
         self,
@@ -144,12 +183,11 @@ class HostShard:
         """Exact contents for checkpointing (parity mode only)."""
         return sorted(self.exact) if self.exact is not None else []
 
-    def load(self, urls: list[str]) -> None:
-        """Rebuild from checkpoint; bumps the generation (lineage)."""
+    def load(self, urls: list[str]) -> int:
+        """Rebuild from checkpoint; bumps and returns the generation
+        (lineage)."""
         self.add(urls)
         self.generation += 1
-
-    def get_generation(self) -> int:
         return self.generation
 
     # ------------------------------------------------------- politeness
@@ -237,16 +275,44 @@ class HostShard:
                 break
         return out
 
+    def heap_size(self) -> int:
+        """Live entries (each URL holds one entry; ``dead`` ones linger)."""
+        return len(self.heap) - len(self.dead)
+
     def discard(self, urls: list[str]) -> None:
         for u in urls:
             if u in self.queued:
                 self.dead.add(u)  # queued membership is permanent (see heap_clear)
 
 
+@ray.remote(num_cpus=0)
+class HostShard:
+    """One actor process hosting the logical shards ``shard_ids``.
+
+    num_cpus=0: a lightweight RPC state server (microseconds per batched
+    call); reserving CPU slots for it would starve the map tasks on small
+    clusters and add nothing on big ones."""
+
+    def __init__(self, shard_ids: list[int], **state_kwargs):
+        self.states = {sid: HostShardState(sid, **state_kwargs) for sid in shard_ids}
+        self.ready_ts = time.time()  # wall clock: the pool subtracts its start
+
+    def call(self, method: str, args_by_sid: dict[int, list]) -> dict[int, object]:
+        """``HostShardState.method(*args)`` on each listed shard."""
+        return {sid: getattr(self.states[sid], method)(*args) for sid, args in args_by_sid.items()}
+
+    def drain_counters(self) -> dict[int, dict]:
+        return {
+            sid: {**st.drain_counters(), "ready_ts": self.ready_ts}
+            for sid, st in self.states.items()
+        }
+
+
 class HostShardPool:
-    """Driver-side bundle of the host shards: the one scatter-gather by
-    host, the Best-First k-way merge, and the one kill loop.  Fetch stages
-    capture ``shards`` at construction (a put-once broadcast of handles)."""
+    """Driver-side bundle of the host shards: ``num_shards`` logical shards
+    on ``min(num_shards, alive nodes)`` actors (``shards``, the handles fetch
+    stages capture), the one scatter-gather by host, the Best-First k-way
+    merge, and the one kill loop."""
 
     def __init__(
         self,
@@ -263,32 +329,49 @@ class HostShardPool:
         seed: int = 42,
     ):
         self.num_shards = num_shards
+        self._t_start = time.time()
+        nodes = sum(1 for n in ray.nodes() if n["Alive"])
+        n_actors = max(1, min(num_shards, nodes))
         self.shards = [
-            HostShard.remote(
-                i, robots_bodies, capacity_per_shard, error_rate, exact,
-                filter_kind, base_delay, max_delay, max_retries, seed,
+            HostShard.options(scheduling_strategy="SPREAD").remote(
+                list(range(a, num_shards, n_actors)),
+                robots_bodies=robots_bodies, capacity=capacity_per_shard,
+                error_rate=error_rate, exact=exact, filter_kind=filter_kind,
+                base_delay=base_delay, max_delay=max_delay,
+                max_retries=max_retries, seed=seed,
             )
-            for i in range(num_shards)
+            for a in range(n_actors)
         ]
 
     def _scatter(self, method: str, hosts: list[str], *cols: list) -> list:
-        """One ``method`` call per owning shard with its rows of ``cols``;
-        returns [(row indices, result)]."""
-        buckets = host_buckets(hosts, self.num_shards)
-        refs = [
-            getattr(self.shards[sid], method).remote(*[[c[i] for i in idx] for c in cols])
-            for sid, idx in buckets.items()
-        ]
-        return list(zip(buckets.values(), ray.get(refs)))
+        """One ``method`` call per owning actor with its rows of ``cols``;
+        returns [(shard, row indices, result)]."""
+        return gather(submit(self.shards, self.num_shards, method, hosts, *cols))
 
     def _mask(self, method: str, urls: list[str], hosts: list[str]) -> np.ndarray:
         out = np.zeros(len(urls), dtype=bool)
-        for idx, res in self._scatter(method, hosts, urls):
+        for _, idx, res in self._scatter(method, hosts, urls):
             out[idx] = res
         return out
 
+    def _submit(self, method: str, args_by_sid: dict[int, list]) -> list:
+        """``method`` on the listed logical shards, one call per actor."""
+        n = len(self.shards)
+        per_actor: dict[int, dict[int, list]] = {}
+        for sid, args in args_by_sid.items():
+            per_actor.setdefault(sid % n, {})[sid] = args
+        return [self.shards[a].call.remote(method, g) for a, g in per_actor.items()]
+
+    def _call(self, method: str, args_by_sid: dict[int, list]) -> dict[int, object]:
+        out: dict[int, object] = {}
+        for reply in ray.get(self._submit(method, args_by_sid)):
+            out.update(reply)
+        return out
+
     def _all(self, method: str, *args) -> list:
-        return ray.get([getattr(s, method).remote(*args) for s in self.shards])
+        """``method(*args)`` on every logical shard, in shard order."""
+        out = self._call(method, {sid: args for sid in range(self.num_shards)})
+        return [out[sid] for sid in range(self.num_shards)]
 
     # ------------------------------------------------------------- seen
     def contains(self, urls: list[str], hosts: list[str]) -> np.ndarray:
@@ -298,10 +381,12 @@ class HostShardPool:
         return self._mask("check_and_add", urls, hosts)
 
     def add(self, urls: list[str], hosts: list[str]) -> int:
-        return sum(n for _, n in self._scatter("add", hosts, urls))
+        return sum(n for _, _, n in self._scatter("add", hosts, urls))
 
-    def load_partitioned(self, urls: list[str], hosts: list[str]) -> None:
-        self._scatter("load", hosts, urls)
+    def load_partitioned(self, urls: list[str], hosts: list[str]) -> dict[int, int]:
+        """Rebuild from checkpoint; returns {shard: its new generation} for
+        the shards that received URLs."""
+        return {sid: gen for sid, _, gen in self._scatter("load", hosts, urls)}
 
     def total_size(self) -> int:
         return sum(self._all("size"))
@@ -309,11 +394,42 @@ class HostShardPool:
     def dump_all(self) -> list[list[str]]:
         return self._all("dump")
 
-    def generations(self) -> list[int]:
-        return self._all("get_generation")
+    def drain_counters(self, expected: int = 0) -> list[dict]:
+        """Per logical shard, in shard order: the outcome counters since the
+        last drain, the seen size and FP estimate, ``host_shard_actors``
+        and ``actor_ready_s`` (pool start to the last actor's constructor
+        end).
 
-    def drain_counters(self) -> list[dict]:
-        return self._all("drain_counters")
+        Fetch tasks report fire-and-forget, and calls from different
+        callers reach an actor in no fixed order: a task's report to an
+        actor still booting can land after the driver's drain.  So this
+        drains until the counters cover ``expected`` outcomes (the epoch's
+        frontier rows) or ``DRAIN_TIMEOUT_S`` passes."""
+        total = [_zero_counters() for _ in range(self.num_shards)]
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
+        while True:
+            drained: dict[int, dict] = {}
+            for reply in ray.get([s.drain_counters.remote() for s in self.shards]):
+                drained.update(reply)
+            for sid, c in drained.items():
+                for k in _OUTCOMES:
+                    c[k] += total[sid][k]
+                total[sid] = c
+            seen = sum(c[k] for c in total for k in _OUTCOMES)
+            if seen >= expected:
+                break
+            if time.monotonic() > deadline:
+                logger.warning(
+                    "drain_counters: %d of %d outcome reports after %.0f s",
+                    seen, expected, DRAIN_TIMEOUT_S,
+                )
+                break
+            time.sleep(0.005)
+        ready_s = max(c.pop("ready_ts") for c in total) - self._t_start
+        for c in total:
+            c["host_shard_actors"] = len(self.shards)
+            c["actor_ready_s"] = ready_s
+        return total
 
     # ------------------------------------------------ best-first heap
     def push_batch(self, rows: list[dict]) -> int:
@@ -321,10 +437,14 @@ class HostShardPool:
         entries = [
             (r.get("score", 0.0), r["depth"], r["url"], r.get("parent_url")) for r in rows
         ]
-        return sum(n for _, n in self._scatter("push", [r["host"] for r in rows], entries))
+        return sum(n for _, _, n in self._scatter("push", [r["host"] for r in rows], entries))
 
     def age_all(self, delta: float) -> None:
         self._all("age_all", delta)
+
+    def heap_sizes(self) -> list[int]:
+        """Live entries per logical shard's heap, in shard order."""
+        return self._all("heap_size")
 
     def pop_global_batch(self, k: int) -> list[dict]:
         """K-way merge: top(k) per shard → global (score desc, depth, url)
@@ -346,15 +466,14 @@ class HostShardPool:
             taken.append({"url": url, "depth": depth, "score": score, "parent_url": parent})
             to_discard.setdefault(sid, []).append(url)
         if to_discard:
-            ray.get([self.shards[s].discard.remote(us) for s, us in to_discard.items()])
+            self._call("discard", {sid: [us] for sid, us in to_discard.items()})
         return taken
 
     def heap_clear(self) -> None:
         """Empty every shard's heap.  Fire-and-forget: calls from one caller
         run in submission order, so the next push still follows it, and a
         dead shard cannot mask the error that ended a run."""
-        for s in self.shards:
-            s.heap_clear.remote()
+        self._submit("heap_clear", {sid: [] for sid in range(self.num_shards)})
 
     # -------------------------------------------------------- lifecycle
     def shutdown(self) -> None:

@@ -57,11 +57,14 @@ class BloomFilter:
         return self._test_and_set(self._positions(keys), set_bits=False)
 
     def add_batch(self, keys: list[str]) -> np.ndarray:
-        """Insert; returns mask of keys that were (probably) already present."""
+        """Insert; returns mask of keys that were (probably) already present
+        before this call.  ``count`` grows by the distinct new keys: a key
+        repeated within one call counts once, so the count (and the FP
+        estimate) does not depend on how keys are split into calls."""
         if not keys:
             return np.zeros(0, dtype=bool)
         present = self._test_and_set(self._positions(keys), set_bits=True)
-        self.count += int((~present).sum())
+        self.count += len({k for k, p in zip(keys, present) if not p})
         return present
 
     def fp_estimate(self) -> float:

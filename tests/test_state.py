@@ -6,6 +6,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from crawl4ai_ray.hashing import h64
 from crawl4ai_ray.state.bloom import BloomFilter
 from crawl4ai_ray.state.checkpoint import CheckpointStore
 from crawl4ai_ray.state.politeness import RateLimiterState, RobotsGate
@@ -31,6 +32,21 @@ def test_bloom_add_batch_reports_dups():
     assert not first.any()
     second = bf.add_batch(["a", "b", "d"])
     assert second.tolist() == [True, True, False]
+
+
+def test_bloom_count_is_independent_of_call_split():
+    """A key repeated within one add_batch call counts once, so the count
+    (the shards' ``seen_size``) is the same however the keys are chunked —
+    in scale mode the chunking follows task completion order."""
+    keys = [f"k{i % 40}" for i in range(100)]
+    one = BloomFilter(capacity=1000)
+    one.add_batch(keys)
+    split = BloomFilter(capacity=1000)
+    for i in range(0, 100, 7):
+        split.add_batch(keys[i:i + 7])
+    assert one.count == split.count == 40
+    assert one.add_batch(["k1", "new", "new"]).tolist() == [True, False, False]
+    assert one.count == 41
 
 
 def test_bloom_serialization_roundtrip():
@@ -104,19 +120,16 @@ def test_checkpoint_store(tmp_path):
     assert store.docs_dirs() == [d]
 
 
-def test_bloom_shard_within_batch_dedup(ray_session):
+def test_bloom_shard_within_batch_dedup():
     """Regression: bloom-only check_and_add must not report duplicate URLs
     within one call as fresh (add_batch tests before setting bits)."""
-    import ray as _ray
+    from crawl4ai_ray.stages.hostshard import HostShardState
 
-    from crawl4ai_ray.stages.hostshard import HostShard
-
-    shard = HostShard.remote(0, capacity=1000, error_rate=0.01, exact=False)  # bloom only
-    fresh = _ray.get(shard.check_and_add.remote(["a", "b", "a", "c", "b"]))
+    shard = HostShardState(0, capacity=1000, error_rate=0.01, exact=False)  # bloom only
+    fresh = shard.check_and_add(["a", "b", "a", "c", "b"])
     assert fresh.tolist() == [True, True, False, True, False]
-    fresh2 = _ray.get(shard.check_and_add.remote(["a", "d"]))
+    fresh2 = shard.check_and_add(["a", "d"])
     assert fresh2.tolist() == [False, True]
-    _ray.kill(shard)
 
 
 def test_lance_sink_shim(tmp_path, ray_session):
@@ -162,8 +175,6 @@ def test_sharded_frontier_heap_global_order(ray_session):
     reference."""
     import random
 
-    import ray
-
     from crawl4ai_ray.stages.hostshard import HostShardPool
 
     rng = random.Random(7)
@@ -182,6 +193,7 @@ def test_sharded_frontier_heap_global_order(ray_session):
         assert heap.push_batch(rows) == 200
         # duplicate pushes are ignored while queued
         assert heap.push_batch(rows[:10]) == 0
+        assert sum(heap.heap_sizes()) == 200
 
         got = []
         while True:
@@ -191,9 +203,46 @@ def test_sharded_frontier_heap_global_order(ray_session):
             got.extend(batch)
         want = sorted(rows, key=lambda r: (-r["score"], r["depth"], r["url"]))
         assert [r["url"] for r in got] == [r["url"] for r in want]
-        assert ray.get([s.top.remote(1) for s in heap.shards]) == [[], [], []]
+        assert heap.heap_sizes() == [0, 0, 0]  # every logical shard's heap
     finally:
         heap.shutdown()
+
+
+def test_drain_counters_waits_for_reports_to_a_booting_actor(ray_session):
+    """Fetch tasks report outcomes fire-and-forget, often while the pool's
+    actor is still booting; calls from a task and from the driver then
+    reach it in no fixed order.  drain_counters(expected) must see every
+    report: sent to a freshly started pool before the drain, or landing
+    after the drain's first round (a report sent 0.3 s into the drain)."""
+    import threading
+
+    import ray
+
+    from crawl4ai_ray.stages.hostshard import HostShardPool, submit
+
+    @ray.remote
+    def _fetch_task(actors, hosts):
+        submit(actors, 3, "report", hosts, hosts, [200] * (len(hosts) - 1) + [404])
+
+    hosts = [f"site{i}.test" for i in range(12)]
+    want = [sum(1 for h in hosts[:-1] if h64(h) % 3 == sid) for sid in range(3)]
+    for late in (False, False, False, True):
+        pool = HostShardPool(3)
+        try:
+            if late:
+                pool.total_size()  # the actor is up: the first round sees nothing
+                timer = threading.Timer(0.3, _fetch_task.remote, (pool.shards, hosts))
+                timer.start()
+            else:
+                ray.get(_fetch_task.remote(pool.shards, hosts))
+            counters = pool.drain_counters(expected=len(hosts))
+            assert [c["fetched"] for c in counters] == want
+            assert sum(c["failed"] for c in counters) == 1
+            if late:
+                timer.join(timeout=10)
+                assert not timer.is_alive()
+        finally:
+            pool.shutdown()
 
 
 def test_sharded_frontier_heap_aging(ray_session):
@@ -416,34 +465,34 @@ def test_cuckoo_overflow_stash_keeps_no_fn():
     assert cf.delete_batch(keys[:10]).all()
 
 
-def test_seen_shard_cuckoo_backend(ray_session):
-    import ray
+def test_seen_shard_cuckoo_backend():
+    from crawl4ai_ray.stages.hostshard import HostShardState
 
-    from crawl4ai_ray.stages.hostshard import HostShard
-
-    shard = HostShard.remote(
+    shard = HostShardState(
         0, capacity=10_000, error_rate=0.01, exact=False, filter_kind="cuckoo"
     )
-    fresh = ray.get(shard.check_and_add.remote(["u1", "u2", "u1"]))
+    fresh = shard.check_and_add(["u1", "u2", "u1"])
     assert fresh.tolist() == [True, True, False]
-    again = ray.get(shard.check_and_add.remote(["u2", "u3"]))
+    again = shard.check_and_add(["u2", "u3"])
     assert again.tolist() == [False, True]
-    assert ray.get(shard.size.remote()) == 3
+    assert shard.size() == 3
 
 
 def test_seen_shard_cuckoo_rejects_unsatisfiable_error_rate(ray_session):
+    """The state's ValueError surfaces from the pool's actor construction."""
     import ray
 
-    from crawl4ai_ray.stages.hostshard import HostShard
+    from crawl4ai_ray.stages.hostshard import HostShardPool
 
-    shard = HostShard.remote(
-        0, capacity=10_000, error_rate=1e-6, exact=False, filter_kind="cuckoo"
-    )
+    pool = HostShardPool(2, capacity_per_shard=10_000, error_rate=1e-6, exact=False,
+                         filter_kind="cuckoo")
     try:
-        ray.get(shard.size.remote())
+        pool.total_size()
         raise AssertionError("expected constructor ValueError")
     except ray.exceptions.RayActorError as e:
         assert "unsatisfiable" in str(e)
+    finally:
+        pool.shutdown()
 
 
 def test_cuckoo_set_semantics_delete_removes_entirely():
