@@ -16,12 +16,8 @@ consistent).
 
 from __future__ import annotations
 
-import re
-
-import pyarrow as pa
-
 from ..hashing import h64
-from ..stages.extract import Node, parse_dom
+from ..stages.extract import Node, head_fingerprint_of, parse_dom
 
 _REMOVE_TAGS = frozenset(
     "script style noscript iframe canvas svg video audio source track map area head title meta link".split()
@@ -92,29 +88,8 @@ def fit_html(
         return html[:max_size] if len(html) > max_size else html
 
 
-_WS = re.compile(r"\s+")
-
-
 def head_fingerprint(html: str) -> str:
-    """Stable hash of the <head> section (cache-validation column)."""
-    root = parse_dom(html)
-    for node in root.iter():
-        if node.tag == "head":
-            canon = _WS.sub(" ", node.text_content()).strip()
-            meta = "|".join(
-                f"{c.tag}:{sorted(c.attrs.items())}"
-                for c in node.children
-                if not isinstance(c, str)
-            )
-            return f"{h64(canon + meta):016x}"
-    return f"{h64(''):016x}"
-
-
-def fit_html_batch(batch: pa.Table, html_col: str = "html") -> pa.Table:
-    htmls = batch.column(html_col).to_pylist()
-    return batch.append_column(
-        "fit_html", pa.array([fit_html(h or "") for h in htmls], type=pa.string())
-    ).append_column(
-        "head_fingerprint",
-        pa.array([head_fingerprint(h or "") for h in htmls], type=pa.string()),
-    )
+    """Stable hash of the <head> section (cache-validation column): the
+    head-only entry point; the extract stage fingerprints the DOM it
+    already parsed (``head_fingerprint_of``)."""
+    return head_fingerprint_of(parse_dom(html))

@@ -130,7 +130,7 @@ class CrawlConfig:
     filter_factory: object = None  # () -> FilterChain
     scorer_factory: object = None  # () -> URLScorer
     best_first_batch: int = 10
-    enrich: bool = False  # post-extract quality/langid/simhash/minhash enrichment
+    enrich: bool = False  # post-extract n_tokens/alpha_ratio/lang_pred columns
     max_epochs: int | None = None  # stop after N epochs (kill point for resume tests)
 
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 import re
 from html.parser import HTMLParser
 
-import numpy as np
 import pyarrow as pa
 
+from ..hashing import h64
 from ..urlnorm import get_base_domain, is_external_url, normalize_url, normalize_url_cached
 
 IMAGE_SCORE_THRESHOLD = 2  # config.py:94
@@ -528,9 +528,28 @@ def spans_to_markdown(spans: list[dict]) -> str:
     return "\n\n".join(parts)
 
 
+def head_fingerprint_of(root: Node) -> str:
+    """Stable hash of the first <head> under ``root`` (the cache-validation
+    column; ``functions/fit_html.py::head_fingerprint`` parses, then calls
+    this)."""
+    for node in root.iter():
+        if node.tag == "head":
+            canon = _WS_RE.sub(" ", node.text_content()).strip()
+            meta = "|".join(
+                f"{c.tag}:{sorted(c.attrs.items())}"
+                for c in node.children
+                if not isinstance(c, str)
+            )
+            return f"{h64(canon + meta):016x}"
+    return f"{h64(''):016x}"
+
+
 def extract_page(html: str, url: str) -> dict:
-    """Full per-page extraction → plain dict (used inside extract_batch)."""
+    """Full per-page extraction → plain dict (used inside extract_batch).
+    The page is parsed once; its head fingerprint is taken before any
+    extraction walk."""
     root, index = parse_dom_indexed(html)
+    fingerprint = head_fingerprint_of(root)
     base_domain = get_base_domain(url)
     meta = extract_metadata(root, index)
     internal, external = extract_links(root, url, base_domain, index)
@@ -543,6 +562,7 @@ def extract_page(html: str, url: str) -> dict:
         "spans": spans,
         "media": media,
         "markdown": spans_to_markdown(spans),
+        "head_fingerprint": fingerprint,
     }
 
 
@@ -553,8 +573,9 @@ def extract_batch(batch: pa.Table) -> pa.Table:
 
     Expects columns ``url`` and ``html`` (plus passthrough columns); appends
     ``spans`` (list<struct>), ``links`` (list<struct>: href/text/title/
-    internal/link_pos), ``title``, ``description``, ``markdown`` and drops
-    ``html`` (wide rows must not survive the stage — SURVEY.md §7.4 item 6).
+    internal/link_pos), ``title``, ``description``, ``markdown``,
+    ``head_fingerprint`` and drops ``html`` (wide rows must not survive the
+    stage — SURVEY.md §7.4 item 6).  Each page is parsed once.
     """
     from ..schema import SPAN_STRUCT
 
@@ -565,8 +586,6 @@ def extract_batch(batch: pa.Table) -> pa.Table:
         if "success" in batch.column_names
         else [True] * len(urls)
     )
-
-    from ..functions.fit_html import head_fingerprint
 
     spans_col: list[list[dict]] = []
     links_col: list[list[dict]] = []
@@ -583,8 +602,8 @@ def extract_batch(batch: pa.Table) -> pa.Table:
             markdowns.append("")
             fingerprints.append("")
             continue
-        fingerprints.append(head_fingerprint(html))
         page = extract_page(html, url)
+        fingerprints.append(page["head_fingerprint"])
         spans_col.append(page["spans"])
         links = [
             {
@@ -626,47 +645,26 @@ def extract_batch(batch: pa.Table) -> pa.Table:
     return out
 
 
-_ENRICH_MINHASHER = None  # per-process singleton (module-level worker state)
-
-
 def enrich_batch(batch: pa.Table) -> pa.Table:
-    """Optional post-extract enrichment: token count, ASCII-letter ratio,
-    language ID, simhash fingerprint, and a minhash signature over 3-token
-    shingles (near-dup prep) — the scoring/dedup work a production crawl
-    pipeline runs between extract and sink.  Appended columns only; the
-    one piece of state is a per-process ``MinHasher`` built on first use.
+    """Optional post-extract enrichment: token count, ASCII-letter ratio
+    and language ID of the ``markdown`` column.  Appended columns only;
+    stateless.
 
     Each document is lowercased and split once; every column comes from
     those tokens (``len(tokens(t.lower())) == len(tokens(t))``)."""
-    global _ENRICH_MINHASHER
-    from ..functions.textstats import (
-        MinHasher,
-        alpha_ratio,
-        language_from_tokens,
-        shingles_from_tokens,
-        simhash_from_tokens,
-        tokens,
-    )
+    from ..functions.textstats import alpha_ratio, language_from_tokens, tokens
 
-    if _ENRICH_MINHASHER is None:
-        _ENRICH_MINHASHER = MinHasher(num_perm=64, seed=1)
-    hasher = _ENRICH_MINHASHER
-
-    n_tokens, alpha, langs, simhashes, minhashes = [], [], [], [], []
+    n_tokens, alpha, langs = [], [], []
     for t in batch.column("markdown").to_pylist():
         t = t or ""
         low = tokens(t.lower())
         n_tokens.append(len(low))
         alpha.append(alpha_ratio(t))
         langs.append(language_from_tokens(t, low))
-        simhashes.append(f"{simhash_from_tokens(low):016x}")
-        minhashes.append(hasher.signature(shingles_from_tokens(low, 3)).tobytes())
     return (
         batch.append_column("n_tokens", pa.array(n_tokens, type=pa.int64()))
         .append_column("alpha_ratio", pa.array(alpha, type=pa.float64()))
         .append_column("lang_pred", pa.array(langs, type=pa.string()))
-        .append_column("simhash", pa.array(simhashes, type=pa.string()))
-        .append_column("minhash_sig", pa.array(minhashes, type=pa.binary()))
     )
 
 

@@ -7,8 +7,9 @@ we run the reference's two validation layers against the live transport —
   1. conditional request with the stored ETag / Last-Modified → 304 means
      FRESH (``fresh_304``);
   2. on 200, fetch only the <head> section and compare its fingerprint
-     (functions/fit_html.py::head_fingerprint, same hash that the extract
-     stage persisted with the doc) → match means FRESH (``fresh_fingerprint``
+     (functions/fit_html.py::head_fingerprint, which runs the same walk,
+     ``stages/extract.py::head_fingerprint_of``, as the extract stage did
+     on the page's one parse) → match means FRESH (``fresh_fingerprint``
      — "minor changes only"), mismatch means STALE → full refetch;
   3. transport errors fall back to the cache (``error`` — reference
      CacheValidationResult.ERROR semantics).

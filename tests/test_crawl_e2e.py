@@ -579,6 +579,48 @@ def test_best_first_scale_mode(tmp_path, ray_session):
     assert scored_epochs and min(scored_epochs) <= 2
 
 
+# the docs schema; enrich appends its three columns after extract's
+_DOCS_COLUMNS = [
+    "frontier_rank", "url", "url_hash", "host", "host_hash", "depth",
+    "parent_url", "score", "epoch", "shard_id", "etag", "last_modified",
+    "status_code", "success", "spans", "links", "title", "description",
+    "markdown", "head_fingerprint",
+]
+_ENRICH_COLUMNS = ["n_tokens", "alpha_ratio", "lang_pred"]
+_LINEAGE_COLUMNS = ["doc_id", "frontier_epoch", "bloom_generation"]
+
+
+def _assert_head_fingerprints(docs, params):
+    """Each fetched row's fingerprint is ``head_fingerprint`` of its page;
+    rows without a page carry an empty one."""
+    from crawl4ai_ray.functions.fit_html import head_fingerprint
+
+    transport = SyntheticTransport(params)
+    rows = docs.select(["url", "success", "head_fingerprint"]).to_pylist()
+    assert sum(r["success"] for r in rows) > 20
+    for r in rows:
+        want = head_fingerprint(transport.fetch(r["url"])[1]) if r["success"] else ""
+        assert r["head_fingerprint"] == want, r["url"]
+
+
+def test_docs_schema_pinned(tiny_run, tmp_path):
+    """Exact docs columns of a parity BFS without enrich and of a scale BFS
+    with it, and the head fingerprint the revalidation stage compares."""
+    parity = _docs_table(tiny_run[0])
+    assert parity.column_names == _DOCS_COLUMNS + _LINEAGE_COLUMNS
+    _assert_head_fingerprints(parity, TINY)
+
+    cfg = CrawlConfig(
+        max_depth=4, num_seen_shards=3, deterministic=False,
+        include_external=True, enrich=True,
+    )
+    engine, _ = _run_engine(tmp_path, TINY, cfg, name="enrich")
+    scale = _docs_table(engine)
+    assert scale.column_names == _DOCS_COLUMNS + _ENRICH_COLUMNS + _LINEAGE_COLUMNS
+    assert set(scale.column("url").to_pylist()) == set(parity.column("url").to_pylist())
+    _assert_head_fingerprints(scale, TINY)
+
+
 def test_smart_cache_revalidation(tmp_path, ray_session):
     """Smart-Cache resume: changed pages refetch, unchanged pages don't.
 

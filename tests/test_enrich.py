@@ -1,10 +1,13 @@
-"""Parity of ``enrich_batch`` with a per-document reference.
+"""Parity of ``enrich_batch`` and the text primitives with a per-document
+reference.
 
-The reference below recomputes each enrich column the slow, obvious way:
-regex whitespace tokenizer, ``re.findall`` ASCII-letter count, one
-hexdigest ``md5_64`` per shingle and token, and an ``np.unique`` token
-count for simhash.  Every column of ``enrich_batch`` must equal it exactly,
-on pages of the ``crawl_pages`` benchmark corpus and on edge texts."""
+The reference below recomputes each value the slow, obvious way: regex
+whitespace tokenizer, ``re.findall`` ASCII-letter count, one hexdigest
+``md5_64`` per shingle and token, and an ``np.unique`` token count for
+simhash.  Every column of ``enrich_batch`` (``n_tokens``, ``alpha_ratio``,
+``lang_pred``) must equal it exactly, on pages of the ``crawl_pages``
+benchmark corpus and on edge texts; so must the simhash and minhash
+primitives the dedup and similarity queries call."""
 
 import hashlib
 import re
@@ -94,8 +97,6 @@ def _reference(markdowns):
         "n_tokens": [len(_ref_tokens(t)) for t in texts],
         "alpha_ratio": [_ref_alpha_ratio(t) for t in texts],
         "lang_pred": [_ref_lang(t) for t in texts],
-        "simhash": [f"{_ref_simhash(t):016x}" for t in texts],
-        "minhash_sig": [_ref_minhash(t) for t in texts],
     }
 
 

@@ -1,8 +1,15 @@
 """Extract-stage unit tests: links (first-wins dedup), image scoring,
-metadata fallbacks, and the interleaved span traversal."""
+metadata fallbacks, the interleaved span traversal, and the head
+fingerprint taken from each page's one parse."""
+
+import re
 
 import pyarrow as pa
+from hypothesis import example, given, settings, strategies as st
 
+from crawl4ai_ray.functions.fit_html import head_fingerprint
+from crawl4ai_ray.hashing import h64
+from crawl4ai_ray.sources.corpus import CorpusParams, SyntheticTransport, page_url
 from crawl4ai_ray.stages.extract import (
     IMAGE_SCORE_THRESHOLD,
     extract_batch,
@@ -224,3 +231,124 @@ def test_fast_format_html_parity():
     ]
     for q in quirks:
         assert fast_format_html(q) == ref_fmt(q), repr(q)
+
+
+# ------------------------------------------------ one parse per page
+# ``extract_batch`` takes each page's head fingerprint from the DOM that
+# ``extract_page`` parses.  The in-file copies below are the stage as it
+# was when it parsed every page a second time for the fingerprint; the
+# one-parse stage must equal them on every output column.
+
+
+def _two_parse_head_fingerprint(html):
+    root = parse_dom(html)
+    for node in root.iter():
+        if node.tag == "head":
+            canon = re.sub(r"\s+", " ", node.text_content()).strip()
+            meta = "|".join(
+                f"{c.tag}:{sorted(c.attrs.items())}"
+                for c in node.children
+                if not isinstance(c, str)
+            )
+            return f"{h64(canon + meta):016x}"
+    return f"{h64(''):016x}"
+
+
+def _two_parse_extract_batch(batch):
+    from crawl4ai_ray.schema import SPAN_STRUCT
+
+    urls = batch.column("url").to_pylist()
+    htmls = batch.column("html").to_pylist()
+    successes = batch.column("success").to_pylist()
+    cols = {k: [] for k in ("spans", "links", "title", "description", "markdown", "head_fingerprint")}
+    for url, html, ok in zip(urls, htmls, successes):
+        if not ok or not html:
+            for k, v in (("spans", []), ("links", []), ("title", ""), ("description", ""),
+                         ("markdown", ""), ("head_fingerprint", "")):
+                cols[k].append(v)
+            continue
+        cols["head_fingerprint"].append(_two_parse_head_fingerprint(html))
+        page = extract_page(html, url)
+        cols["spans"].append(page["spans"])
+        cols["links"].append([
+            {"href": l["href"], "text": l["text"], "title": l["title"],
+             "internal": internal, "link_pos": l["link_pos"]}
+            for links, internal in ((page["internal_links"], True), (page["external_links"], False))
+            for l in links
+        ])
+        cols["title"].append(page["metadata"]["title"])
+        cols["description"].append(page["metadata"]["description"])
+        cols["markdown"].append(page["markdown"])
+    link_struct = pa.struct([
+        pa.field("href", pa.string()), pa.field("text", pa.string()),
+        pa.field("title", pa.string()), pa.field("internal", pa.bool_()),
+        pa.field("link_pos", pa.int32()),
+    ])
+    types = {"spans": pa.list_(SPAN_STRUCT), "links": pa.list_(link_struct)}
+    out = batch.drop_columns(["html"])
+    for k, v in cols.items():
+        out = out.append_column(k, pa.array(v, type=types.get(k, pa.string())))
+    return out
+
+
+# the two benchmark corpus shapes: large pages, and small link-dense pages
+_CRAWL_PAGES = CorpusParams(
+    n_hosts=32, pages_per_host=12, heavy_factor=4, branch=64,
+    extra_links=0, seed=3, private_every=23,
+    n_paras_min=50, n_paras_max=90, words_min=25, words_max=55,
+)
+_CRAWL_LINKS = CorpusParams(
+    n_hosts=8, pages_per_host=100, heavy_factor=4, branch=8,
+    extra_links=24, seed=3, private_every=23,
+    n_paras_min=2, n_paras_max=4, words_min=8, words_max=20,
+)
+
+
+def test_one_parse_extract_batch_equals_two_parse_copy():
+    for params in (_CRAWL_PAGES, _CRAWL_LINKS):
+        transport = SyntheticTransport(params)
+        urls = [page_url(params, h, p) for h in range(8) for p in range(6)]
+        fetched = [transport.fetch(u) for u in urls]
+        batch = pa.table({
+            "url": urls,
+            "html": [html for _, html in fetched],
+            "success": [code == 200 for code, _ in fetched],
+        })
+        got, want = extract_batch(batch), _two_parse_extract_batch(batch)
+        assert got.schema == want.schema
+        for col in want.column_names:
+            assert got.column(col).to_pylist() == want.column(col).to_pylist(), col
+        fps = got.column("head_fingerprint").to_pylist()
+        # a real head on every fetched page, and the heads differ
+        assert len({fp for fp, ok in zip(fps, batch.column("success").to_pylist()) if ok}) > 40
+
+
+_ENTITY = st.sampled_from(["&amp;", "&lt;", "&gt;", "&#169;", "&#x41;", "&nbsp;", "&eacute;", "&bogus;", "&"])
+_WORDS = st.lists(
+    st.one_of(st.sampled_from(["Title", "x y", "é", " ", "  \n\t ", " "]), _ENTITY),
+    max_size=6,
+).map("".join)
+_FRAGMENT = st.one_of(
+    st.sampled_from([
+        "<html>", "</html>", "<head>", "</head>", "<body>", "</body>",
+        "<div>", "</div>", "<p>", "<br>", "<!-- c -->",
+        "<script>var s = '<head>';</script>", "<link rel=stylesheet href=/s.css>",
+    ]),
+    _WORDS.map(lambda w: f"<title>{w}</title>"),
+    _WORDS.map(lambda w: f"<title>{w}"),  # unclosed
+    st.tuples(st.sampled_from(["description", "keywords", "og:title"]), _WORDS).map(
+        lambda nw: f'<meta name="{nw[0]}" content="{nw[1]}">'
+    ),
+    _WORDS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(html=st.lists(_FRAGMENT, max_size=14).map("".join))
+@example(html="<html><body><p>no head &amp; here</p></body></html>")
+@example(html="<head><title>one</title></head><head><meta name=a content=b></head><p>x</p>")
+@example(html="<html><body><p>x</p></body><head><title> late &amp;  head </title></head></html>")
+@example(html="<html><head><title>\n  a &lt;b&gt;\t c <meta name='d' content=' e &amp; f '><p>unclosed")
+def test_extract_page_fingerprint_equals_head_fingerprint(html):
+    page = extract_page(html, "http://x.com/page")
+    assert page["head_fingerprint"] == head_fingerprint(html) == _two_parse_head_fingerprint(html)

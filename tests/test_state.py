@@ -132,6 +132,32 @@ def test_bloom_shard_within_batch_dedup():
     assert fresh2.tolist() == [False, True]
 
 
+@pytest.mark.parametrize("num_shards,num_actors", [(5, 2), (7, 3), (4, 3)])
+def test_route_places_each_row_once_under_its_shard_and_actor(num_shards, num_actors):
+    """``route`` without Ray, with shard counts the actor count does not
+    divide: every row index appears exactly once, under shard
+    ``h64(host) % num_shards``, and that shard under actor
+    ``sid % num_actors``."""
+    from crawl4ai_ray.stages.hostshard import route
+
+    # repeated hosts, so several rows share a shard
+    hosts = [f"h{i % 23}.test" for i in range(200)]
+    out = route(hosts, num_shards, num_actors)
+    placed = []
+    for actor, by_sid in out.items():
+        assert 0 <= actor < num_actors
+        for sid, idx in by_sid.items():
+            assert sid % num_actors == actor
+            assert idx == sorted(idx)
+            for i in idx:
+                assert h64(hosts[i]) % num_shards == sid
+            placed.extend(idx)
+    assert sorted(placed) == list(range(len(hosts)))
+    # the 23 hosts cover more than one actor, so the split is exercised
+    assert len(out) > 1
+    assert route([], num_shards, num_actors) == {}
+
+
 def test_lance_sink_shim(tmp_path, ray_session):
     """Format-abstraction point (input_hint names Lance; absent here):
     selection resolves by availability, parquet fallback is live, and the
