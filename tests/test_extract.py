@@ -325,7 +325,7 @@ def test_one_parse_extract_batch_equals_two_parse_copy():
 
 _ENTITY = st.sampled_from(["&amp;", "&lt;", "&gt;", "&#169;", "&#x41;", "&nbsp;", "&eacute;", "&bogus;", "&"])
 _WORDS = st.lists(
-    st.one_of(st.sampled_from(["Title", "x y", "é", " ", "  \n\t ", " "]), _ENTITY),
+    st.one_of(st.sampled_from(["Title", "x y", "é", " ", "  \n\t ", "\u00a0"]), _ENTITY),
     max_size=6,
 ).map("".join)
 _FRAGMENT = st.one_of(
