@@ -11,9 +11,10 @@ multimodal plumbing).
 
 Design contract (see SURVEY.md):
   * every per-record transform is a ``map_batches`` over Arrow batches;
-  * stateful stages are actor pools or explicit shard actors;
+  * stages run as tasks: a stage with build-once state is a callable
+    instance built on the driver, which Ray Data ships once per operator;
   * only shared-mutable state (the host shards: URL-seen, politeness) uses
-    raw actors;
+    actors;
   * no stage materializes the full dataset on the driver;
   * checkpoints are partitioned Parquet tables (Lance API is not available in
     this container — the storage layer is abstracted in ``state.store`` and a

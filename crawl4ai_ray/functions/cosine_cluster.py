@@ -15,7 +15,8 @@
      hashing defaults (documented; a sentence-transformers embedder slots
      straight in).
 
-Ray mapping: ``CosineClusterStage`` — embedder/tagger built once per actor;
+Ray mapping: ``CosineClusterStage`` — embedder/tagger built once per stage
+instance, which runs as a task;
 one page's chunks cluster inside the batch (clusters never span pages, so
 no shuffle is needed)."""
 
@@ -217,7 +218,8 @@ class CosineClusterer:
 
 class CosineClusterStage:
     """map_batches stage: per-document chunk clustering (clusterer built
-    once per actor; one output row per kept cluster)."""
+    once in __init__ and shipped with the instance; one output row per
+    kept cluster)."""
 
     def __init__(self, chunk_delimiter: str = "\n", **clusterer_kwargs):
         self.clusterer = CosineClusterer(**clusterer_kwargs)

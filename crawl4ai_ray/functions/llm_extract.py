@@ -1,4 +1,4 @@
-"""LLM block-extraction actor shape (reference extraction_strategy.py:493-743
+"""LLM block-extraction stage (reference extraction_strategy.py:493-743
 ``LLMExtractionStrategy``).
 
 No model runs in this sandbox, so the LLM CLIENT is pluggable: the stage is
@@ -18,9 +18,11 @@ summary of the chunk, and reports word-rate token usage — so the full
 pipeline runs end-to-end and a real client (an HTTP completion endpoint)
 swaps in via ``client_factory`` with no other change.
 
-Ray shape: ``LLMExtractionStage`` is a callable class for
-``map_batches(..., concurrency=N)`` — the client (connection pool, auth)
-is per-actor state built once in ``__init__``.
+Ray shape: ``LLMExtractionStage`` is a callable class whose client
+(connection pool, auth) is built once in ``__init__``.  The package passes
+an instance to ``map_batches``, which runs it as a task; a deployment with
+a real client can pass the class with a pool size instead, so the client is
+built once per actor.
 """
 
 from __future__ import annotations
@@ -197,7 +199,7 @@ class LLMExtractionStage:
         self.url_col = url_col
         self.total_usage = TokenUsage()
         # LLM response cache (reference content_filter_strategy.py:877-881:
-        # file cache keyed md5(content + instruction)): actor-local dict so
+        # file cache keyed md5(content + instruction)): instance-local dict so
         # a repeated chunk skips the completion call entirely — boilerplate
         # sections repeat constantly across a crawl — plus an optional
         # persisted parquet side table (``cache_dir``) that pre-warms the

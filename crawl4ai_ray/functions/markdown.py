@@ -107,7 +107,8 @@ def generate_markdown(html: str, base_url: str = "", content_filter=None,
 
 class MarkdownGenStage:
     """map_batches stage: html column → the five MarkdownGenerationResult
-    columns (converter + filter built once per actor)."""
+    columns (content filter built once in __init__ and shipped with the
+    instance)."""
 
     def __init__(self, content_filter_factory=None, citations: bool = True,
                  html_col: str = "html", url_col: str = "url"):

@@ -4,8 +4,8 @@
 uuid, currency, dates, …) producing ``{url, label, value, span}`` records.
 
 Ray Data mapping (SURVEY.md §2.2): ``flat_map``-style ``map_batches`` over a
-text column; patterns compile once per stage object (built in the closure /
-actor ctor, not per batch).
+text column; patterns compile once per stage object (built in ``__init__``,
+not per batch).
 """
 
 from __future__ import annotations

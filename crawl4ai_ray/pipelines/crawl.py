@@ -115,10 +115,6 @@ class CrawlConfig:
     num_seen_shards: int = 4
     # read by nothing; kept only because perfbench/inputs.py passes it
     num_politeness_shards: int = 2
-    # per-fetch-task session overlap (reference max_session_permit=20,
-    # async_dispatcher.py:155); forced to 1 when the politeness budget is
-    # zero and the transport is in-process (CPU-bound — threads only hurt)
-    max_sessions: int = 20
     base_delay: tuple[float, float] = (0.0, 0.0)
     max_delay: float = 60.0
     max_retries: int = 3
@@ -388,11 +384,12 @@ class CrawlEngine:
             politeness_shards=self.seen.shards,
             num_politeness_shards=config.num_seen_shards,
             local_robots=local_robots,
-            # session overlap pays only when fetches actually wait (network
-            # I/O or politeness sleeps); with a zero budget and an in-process
+            # session overlap (FetchStage's default, the reference's 20)
+            # pays only when fetches actually wait (network I/O or
+            # politeness sleeps); with a zero budget and an in-process
             # transport the work is CPU-bound and threads just add GIL
             # contention — measured 723→537 URLs/s on the sf0.1 bench
-            max_sessions=1 if zero_budget else config.max_sessions,
+            **({"max_sessions": 1} if zero_budget else {}),
         )
         self._filter_stage = FilterScoreStage(
             filter_factory=config.filter_factory,
@@ -836,12 +833,12 @@ class CrawlEngine:
             raise box["error"]
         self.last_run_stats = box["stats"]
 
-    def revalidate_and_refresh(self, concurrency: int = 8) -> dict:
+    def revalidate_and_refresh(self) -> dict:
         """Smart-Cache resume (reference async_webcrawler.py:273-315 +
         cache_validator.py): instead of skipping seen URLs forever, read the
         cached validator catalog (url, etag, last_modified,
         head_fingerprint — persisted by FetchStage/extract_batch), run the
-        two-layer revalidation per URL (RevalidateStage actor pool:
+        two-layer revalidation per URL (RevalidateStage, run as tasks:
         conditional request → 304 = fresh; else head fetch → fingerprint
         match = fresh), and refetch ONLY the stale URLs as a fresh docs
         epoch.  Fresh and errored URLs keep their cached docs (error → use
@@ -888,10 +885,8 @@ class CrawlEngine:
 
         cat = cat.groupby("url").map_groups(_latest, batch_format="pyarrow")
         rv = cat.map_batches(
-            RevalidateStage,
-            fn_constructor_kwargs=dict(transport=self.transport),
+            RevalidateStage(self.transport),
             batch_format="pyarrow",
-            concurrency=(1, concurrency),
             zero_copy_batch=True,
         ).materialize()  # url + verdict + validators — catalog-sized, not corpus-sized
         counts = dict(zero)

@@ -546,26 +546,24 @@ def dedup_exact(sf_dir: str):
 
 
 def llm_extract_demo(sf_dir: str):
-    """LLM block-extraction actor shape over documents (rows-only: the
+    """LLM block-extraction stage over documents (rows-only: the
     deterministic FakeLLMClient stands in for the absent model — the chunk
     merge, prompt templating, <blocks> parsing, error-block contract and
     token accounting are the real reference semantics,
-    extraction_strategy.py:493-743).  Actor pool: client built once per
-    actor in __init__."""
+    extraction_strategy.py:493-743).  The stage instance (client built
+    once on the driver) runs as a task."""
     from ..functions.llm_extract import LLMExtractionStage
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     return ds.map_batches(
-        LLMExtractionStage,
         # cache off HERE for row-wise determinism: with a cache, a
-        # duplicate doc's token columns depend on which actor its batch
-        # landed on (first actor pays, the rest hit) — the driver's
+        # duplicate doc's token columns depend on which task its batch
+        # landed in (first task pays, the rest hit) — the driver's
         # repeated-run compare needs identical rows
-        fn_constructor_kwargs=dict(
+        LLMExtractionStage(
             instruction="summarize the key facts", response_cache=False
         ),
         batch_format="pyarrow",
-        concurrency=(1, 8),
         zero_copy_batch=True,
     )
 
@@ -1106,33 +1104,22 @@ def events_value_zscores(sf_dir: str):
         mean = s / cnt
         var = (ss - s * s / cnt) / (cnt - 1) if cnt > 1 else 0.0
         stats[t] = (mean, float(np.sqrt(max(var, 0.0))))
-    ref = ray.put(stats)
 
-    class _Z:
-        def __init__(self, ref):
-            self.stats = ray.get(ref)
+    def _z(b: pa.Table) -> pa.Table:
+        zs = []
+        for t, v in zip(
+            b.column("event_type").to_pylist(), b.column("value").to_numpy()
+        ):
+            mean, std = stats[t]
+            zs.append(float(duck_round((v - mean) / std, 4)) if std else 0.0)
+        return pa.table(
+            {
+                "event_id": b.column("event_id"),
+                "z": pa.array(zs, type=pa.float64()),
+            }
+        )
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            zs = []
-            for t, v in zip(
-                b.column("event_type").to_pylist(), b.column("value").to_numpy()
-            ):
-                mean, std = self.stats[t]
-                zs.append(float(duck_round((v - mean) / std, 4)) if std else 0.0)
-            return pa.table(
-                {
-                    "event_id": b.column("event_id"),
-                    "z": pa.array(zs, type=pa.float64()),
-                }
-            )
-
-    return ds.map_batches(
-        _Z,
-        fn_constructor_kwargs=dict(ref=ref),
-        concurrency=(1, 8),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    return ds.map_batches(_z, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def user_funnel_stages(sf_dir: str):
@@ -1914,18 +1901,13 @@ def knn_cosine_lsh(sf_dir: str):
 
     q = _query_vec(sf_dir)
     dim = len(q)
-    qkey = HyperplaneLSHStage(dim=dim, n_planes=8, seed=7).bucket_of(q)
+    lsh = HyperplaneLSHStage(dim=dim, n_planes=8, seed=7, passthrough=True)
+    qkey = lsh.bucket_of(q)
     near = pa.array(
         sorted({qkey} | {qkey ^ (1 << i) for i in range(8)}), type=pa.uint64()
     )
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    sigs = ds.map_batches(
-        HyperplaneLSHStage,
-        fn_constructor_kwargs=dict(dim=dim, n_planes=8, seed=7, passthrough=True),
-        batch_format="pyarrow",
-        concurrency=(1, 2),
-        zero_copy_batch=True,
-    )
+    sigs = ds.map_batches(lsh, batch_format="pyarrow", zero_copy_batch=True)
 
     def _in_near_bucket(b: pa.Table) -> pa.Table:
         mask = pc.is_in(b.column("bucket"), value_set=near)
@@ -1959,9 +1941,7 @@ def embedding_kmeans_assign(sf_dir: str):
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     centroids = train_ivf_centroids(ds, n_centroids=8, seed=11)
     return ds.map_batches(
-        IVFAssignStage,
-        fn_constructor_kwargs=dict(centroids=centroids, passthrough=False),
-        concurrency=(1, 8),
+        IVFAssignStage(centroids, passthrough=False),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
@@ -2092,8 +2072,8 @@ def spans_flat(sf_dir: str):
 
 
 def media_catalog(sf_dir: str):
-    """Multimodal plumbing demo: spans → media rows → actor-pool decode
-    stage (deterministic fake decoder; real decoder is a stub — libs absent)."""
+    """Multimodal plumbing demo: spans → media rows → decode stage
+    (deterministic fake decoder; real decoder is a stub — libs absent)."""
     from ..stages.multimodal import MediaDecodeStage, spans_to_media_rows
 
     spans = spans_flat(sf_dir)
@@ -2124,10 +2104,9 @@ def media_catalog(sf_dir: str):
 
     media = spans.map_batches(_to_docs, batch_format="pyarrow", zero_copy_batch=True)
     decoded = media.map_batches(
-        MediaDecodeStage,
+        MediaDecodeStage(),
         batch_size=64,
         batch_format="pyarrow",
-        concurrency=(1, 2),
         zero_copy_batch=True,
     )
 
@@ -2156,12 +2135,8 @@ def chunks_fixed(sf_dir: str, chunk_size: int = 50):
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     return ds.map_batches(
-        ChunkStage,
-        fn_constructor_kwargs=dict(
-            chunker_factory=lambda: FixedLengthWordChunking(chunk_size)
-        ),
+        ChunkStage(lambda: FixedLengthWordChunking(chunk_size)),
         batch_format="pyarrow",
-        concurrency=(1, 2),
         zero_copy_batch=True,
     )
 
@@ -2174,12 +2149,8 @@ def chunks_sliding(sf_dir: str, window: int = 40, step: int = 20):
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     return ds.map_batches(
-        ChunkStage,
-        fn_constructor_kwargs=dict(
-            chunker_factory=lambda: SlidingWindowChunking(window, step)
-        ),
+        ChunkStage(lambda: SlidingWindowChunking(window, step)),
         batch_format="pyarrow",
-        concurrency=(1, 2),
         zero_copy_batch=True,
     )
 
@@ -2228,12 +2199,8 @@ def regex_numbers_events(sf_dir: str):
 
     ds = _read(sf_dir, "events", columns=["event_id", "props"])
     out = ds.map_batches(
-        RegexExtractStage,
-        fn_constructor_kwargs=dict(
-            labels=["number"], id_col="event_id", text_col="props"
-        ),
+        RegexExtractStage(labels=["number"], id_col="event_id", text_col="props"),
         batch_format="pyarrow",
-        concurrency=(1, 2),
         zero_copy_batch=True,
     )
 
@@ -2463,10 +2430,8 @@ def cosine_cluster_demo(sf_dir: str):
     return ds.map_batches(
         _chunked, batch_format="pyarrow", zero_copy_batch=True
     ).map_batches(
-        CosineClusterStage,
-        fn_constructor_kwargs=dict(word_count_threshold=15, max_dist=0.7),
+        CosineClusterStage(word_count_threshold=15, max_dist=0.7),
         batch_format="pyarrow",
-        concurrency=(1, 4),
         zero_copy_batch=True,
     )
 
@@ -2489,12 +2454,10 @@ def raw_markdown_demo(sf_dir: str):
     ]
     ds = ray.data.from_items(items)
     return ds.map_batches(
-        MarkdownGenStage,
-        fn_constructor_kwargs=dict(
+        MarkdownGenStage(
             content_filter_factory=lambda: PruningContentFilter(threshold=0.3)
         ),
         batch_format="pyarrow",
-        concurrency=(1, 2),
         zero_copy_batch=True,
     )
 
@@ -2619,8 +2582,7 @@ def link_preview_demo(sf_dir: str):
     return ds.map_batches(
         extract_batch, batch_format="pyarrow", zero_copy_batch=True
     ).map_batches(
-        LinkPreviewStage,
-        fn_constructor_kwargs=dict(
+        LinkPreviewStage(
             head_fetcher=head_fetcher_from_transport(SyntheticTransport(params)),
             config=LinkPreviewConfig(
                 include_internal=True, max_links=5,
@@ -2628,7 +2590,6 @@ def link_preview_demo(sf_dir: str):
             ),
         ),
         batch_format="pyarrow",
-        concurrency=(1, 4),
         zero_copy_batch=True,
     )
 
@@ -2648,14 +2609,12 @@ def media_catalog_crawl(sf_dir: str):
     ds = ray.data.from_arrow(docs)
     return (
         ds.map_batches(spans_to_media_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(MediaDecodeStage, batch_format="pyarrow", batch_size=64,
-                     concurrency=(1, 2), zero_copy_batch=True)
-        .map_batches(MediaResizeStage, fn_constructor_kwargs=dict(max_side=256),
-                     batch_format="pyarrow", batch_size=64, concurrency=(1, 2),
+        .map_batches(MediaDecodeStage(), batch_format="pyarrow", batch_size=64,
                      zero_copy_batch=True)
-        .map_batches(FrameSampleStage, fn_constructor_kwargs=dict(max_frames=3),
-                     batch_format="pyarrow", batch_size=64, concurrency=(1, 2),
-                     zero_copy_batch=True)
+        .map_batches(MediaResizeStage(max_side=256), batch_format="pyarrow",
+                     batch_size=64, zero_copy_batch=True)
+        .map_batches(FrameSampleStage(max_frames=3), batch_format="pyarrow",
+                     batch_size=64, zero_copy_batch=True)
     )
 
 

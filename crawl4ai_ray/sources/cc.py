@@ -11,8 +11,8 @@ client (tests) and a real HTTP client (deployment) plug into the same slot —
 exactly how the sitemap transport is wired (sources/seeder.py).
 
 Ray mapping: ``cc_seed_urls`` fans domains out through ``CCSeederStage`` in
-``map_batches`` (one actor = one cache dir + one client), emitting one row
-per discovered URL.
+``map_batches`` tasks (one stage instance = one cache dir + one client,
+shipped to every task), emitting one row per discovered URL.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ class CCSeederSource:
 
 
 class CCSeederStage:
-    """map_batches stage: domain rows → (domain, url) rows via a per-actor
-    CCSeederSource (client + cache built once per actor)."""
+    """map_batches stage: domain rows → (domain, url) rows via one
+    CCSeederSource (client + cache dir built once in __init__)."""
 
     def __init__(self, client_factory, cache_dir: str, index_id: str | None = None,
                  pattern: str = "*"):
@@ -177,13 +177,8 @@ def cc_seed_urls(domains: list[str], client_factory, cache_dir: str,
 
     ds = ray.data.from_items([{"domain": d} for d in domains])
     out = ds.map_batches(
-        CCSeederStage,
-        fn_constructor_kwargs=dict(
-            client_factory=client_factory, cache_dir=cache_dir,
-            index_id=index_id, pattern=pattern,
-        ),
+        CCSeederStage(client_factory, cache_dir, index_id, pattern),
         batch_format="pyarrow",
-        concurrency=(1, 2),
         zero_copy_batch=True,
     ).sort(["domain", "url"])
     if max_urls and max_urls > 0:

@@ -4,7 +4,7 @@ async_crawler_strategy.py:2247-2506).
 The crawl engine's fetch stage is transport-pluggable (stages/fetch.py);
 until round 4 the only transports in the repo were synthetic.  This module
 is the concrete network path, re-expressed for the Ray shape: FetchStage
-overlaps up to ``max_sessions`` fetches per actor on a THREAD pool, so the
+overlaps up to ``max_sessions`` fetches per task on a THREAD pool, so the
 reference's single-event-loop aiohttp session becomes one blocking
 ``requests.Session`` PER WORKER THREAD (``threading.local``) — each thread
 gets connection keep-alive + pooling, and no session object is ever shared

@@ -152,7 +152,6 @@ def seed_urls(
     query: str | None = None,
     max_urls: int = -1,
     extract_head: bool = False,
-    concurrency: int = 2,
 ):
     """The seeder pipeline: domains → sitemap fan-out → nonsense gate →
     glob pattern → (head extract → BM25 score) → sort/limit.
@@ -164,11 +163,7 @@ def seed_urls(
 
     ds = ray.data.from_items([{"domain": d} for d in domains])
     cand = ds.map_batches(
-        SeederStage,
-        fn_constructor_kwargs=dict(transport=transport),
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
-        zero_copy_batch=True,
+        SeederStage(transport), batch_format="pyarrow", zero_copy_batch=True
     )
     nonsense = NonsenseURLFilter()
 

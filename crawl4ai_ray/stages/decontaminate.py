@@ -69,36 +69,26 @@ def flag_contaminated(
     with the broadcast benchmark gram set?  Output columns: (id, bool)."""
     ref = ray.put(np.ascontiguousarray(gram_hashes))
 
-    class _Flag:
-        def __init__(self, ref, k: int):
-            self.grams = ray.get(ref)  # once per actor
-            self.k = k
+    def _flag(b: pa.Table) -> pa.Table:
+        grams = ray.get(ref)
+        texts = b.column(text_col).to_pylist()
+        per_row = [shingle_hashes(t or "", k=k) for t in texts]
+        lens = np.fromiter((len(a) for a in per_row), dtype=np.int64, count=len(per_row))
+        out = np.zeros(len(per_row), dtype=bool)
+        nz = lens > 0
+        if nz.any() and len(grams):
+            flat = np.concatenate([a for a in per_row if len(a)])
+            idx = np.searchsorted(grams, flat)
+            idx[idx == len(grams)] = len(grams) - 1
+            hit = (grams[idx] == flat).astype(np.int8)
+            starts = np.zeros(int(nz.sum()), dtype=np.int64)
+            np.cumsum(lens[nz][:-1], out=starts[1:])
+            out[nz] = np.maximum.reduceat(hit, starts) > 0 if len(hit) else False
+        return pa.table(
+            {
+                id_col: b.column(id_col),
+                "contaminated": pa.array(out, type=pa.bool_()),
+            }
+        )
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            texts = b.column(text_col).to_pylist()
-            per_row = [shingle_hashes(t or "", k=self.k) for t in texts]
-            lens = np.fromiter((len(a) for a in per_row), dtype=np.int64, count=len(per_row))
-            out = np.zeros(len(per_row), dtype=bool)
-            nz = lens > 0
-            if nz.any() and len(self.grams):
-                flat = np.concatenate([a for a in per_row if len(a)])
-                idx = np.searchsorted(self.grams, flat)
-                idx[idx == len(self.grams)] = len(self.grams) - 1
-                hit = (self.grams[idx] == flat).astype(np.int8)
-                starts = np.zeros(int(nz.sum()), dtype=np.int64)
-                np.cumsum(lens[nz][:-1], out=starts[1:])
-                out[nz] = np.maximum.reduceat(hit, starts) > 0 if len(hit) else False
-            return pa.table(
-                {
-                    id_col: b.column(id_col),
-                    "contaminated": pa.array(out, type=pa.bool_()),
-                }
-            )
-
-    return corpus_ds.map_batches(
-        _Flag,
-        fn_constructor_kwargs=dict(ref=ref, k=k),
-        concurrency=(1, 8),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    return corpus_ds.map_batches(_flag, batch_format="pyarrow", zero_copy_batch=True)

@@ -6,8 +6,8 @@ large-scale variants, each expressed Ray-Data-first:
 
   * exact dedup        — 64-bit content hash → groupby(hash) → min(id).
     The hash shrinks shuffle payload: the full text never shuffles.
-  * minhash + LSH      — map_batches signature (stateful MinHasher per
-    worker) → band keys → groupby(band) emits candidate pairs → exact
+  * minhash + LSH      — map_batches signature (one MinHasher, built on
+    the driver and shipped once per operator) → band keys → groupby(band) emits candidate pairs → exact
     jaccard verify over per-doc shingle-hash sets (8 bytes/shingle, never
     the text): semi-join pushdown + O(pairs) broadcast when candidates are
     few, two ``keyed_join`` exchanges (stages/join.py) above a threshold.
@@ -70,8 +70,9 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
 
 # ----------------------------------------------------------------- minhash
 class MinHashSignatureStage:
-    """Stateful map_batches stage: text → minhash signature + band keys.
-    MinHasher built once per worker (__init__), applied per batch."""
+    """map_batches stage: text → minhash signature + band keys.  The
+    MinHasher is built once in __init__; callers pass the instance, which
+    Ray Data ships once per operator to every task."""
 
     def __init__(self, num_perm: int = 64, band_rows: int = 8, shingle_k: int = 3, seed: int = 1):
         self.hasher = MinHasher(num_perm, seed)
@@ -169,12 +170,8 @@ def minhash_candidate_pairs(
     from .bucketcap import DEFAULT_MAX_BUCKET, capped_group_pairs
 
     sigs = ds.map_batches(
-        MinHashSignatureStage,
-        fn_constructor_kwargs=dict(
-            num_perm=num_perm, band_rows=band_rows, shingle_k=shingle_k, seed=seed
-        ),
+        MinHashSignatureStage(num_perm, band_rows, shingle_k, seed),
         batch_format="pyarrow",
-        concurrency=(1, 16),
         zero_copy_batch=True,
     )
     return capped_group_pairs(
@@ -311,10 +308,8 @@ def minhash_dedup_pairs(
         sh_rows = (
             ds.map_batches(_only_candidates, batch_format="pyarrow", zero_copy_batch=True)
             .map_batches(
-                ShingleHashStage,
-                fn_constructor_kwargs=dict(shingle_k=shingle_k),
+                ShingleHashStage(shingle_k),
                 batch_format="pyarrow",
-                concurrency=(1, 16),
                 zero_copy_batch=True,
             )
             .take_all()
@@ -334,10 +329,8 @@ def minhash_dedup_pairs(
         )
 
     shingle_ds = ds.map_batches(
-        ShingleHashStage,
-        fn_constructor_kwargs=dict(shingle_k=shingle_k),
+        ShingleHashStage(shingle_k),
         batch_format="pyarrow",
-        concurrency=(1, 16),
         zero_copy_batch=True,
     )
 
@@ -377,10 +370,8 @@ def jaccard_neardup_exact(ds, threshold: float = 0.5, shingle_k: int = 3):
 
     sh_rows = (
         ds.map_batches(
-            ShingleHashStage,
-            fn_constructor_kwargs=dict(shingle_k=shingle_k),
+            ShingleHashStage(shingle_k),
             batch_format="pyarrow",
-            concurrency=(1, 16),
             zero_copy_batch=True,
         ).take_all()
     )
@@ -421,10 +412,8 @@ def jaccard_neardup_exact(ds, threshold: float = 0.5, shingle_k: int = 3):
         )
 
     sh_ds = ds.map_batches(
-        ShingleHashStage,
-        fn_constructor_kwargs=dict(shingle_k=shingle_k),
+        ShingleHashStage(shingle_k),
         batch_format="pyarrow",
-        concurrency=(1, 16),
         zero_copy_batch=True,
     )
     return sh_ds.map_batches(_pairs, batch_format="pyarrow", zero_copy_batch=True)
@@ -446,10 +435,8 @@ def jaccard_neardup_exact_blockwise(ds, threshold: float = 0.5,
     from ..functions.numeric import duck_round
 
     sh_ds = ds.map_batches(
-        ShingleHashStage,
-        fn_constructor_kwargs=dict(shingle_k=shingle_k),
+        ShingleHashStage(shingle_k),
         batch_format="pyarrow",
-        concurrency=(1, 16),
         zero_copy_batch=True,
     ).materialize()
     refs = sh_ds.to_arrow_refs()
@@ -515,7 +502,7 @@ def jaccard_neardup_exact_blockwise(ds, threshold: float = 0.5,
 
 # ----------------------------------------------------------------- simhash
 class SimHashBandStage:
-    """Stateful map_batches stage: text → one row per 16-bit simhash band
+    """map_batches stage: text → one row per 16-bit simhash band
     (doc_id, band_idx, band_val, sim).  With 64-bit signatures and 4 bands,
     any pair within hamming distance 3 shares at least one identical band
     (pigeonhole), so the band groupby is a recall-1 candidate generator for
@@ -584,10 +571,8 @@ def simhash_neardup_pairs(ds, max_hamming: int = 3, n_bands: int = 4,
         return group.slice(0, 1)
 
     bands = ds.map_batches(
-        SimHashBandStage,
-        fn_constructor_kwargs=dict(n_bands=n_bands, text_col=text_col, id_col=id_col),
+        SimHashBandStage(n_bands, text_col, id_col),
         batch_format="pyarrow",
-        concurrency=(1, 16),
         zero_copy_batch=True,
     )
     pairs = capped_group_pairs(

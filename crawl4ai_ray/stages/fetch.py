@@ -15,7 +15,7 @@ batch.  Per batch it:
   4. fetches via the pluggable transport (synthetic page generator in this
      sandbox; an HTTP transport mirroring async_crawler_strategy.py:2402-2481
      slots into the same interface) with up to ``max_sessions`` overlapped
-     fetches per actor (thread pool; each thread sleeps until ITS OWN grant
+     fetches per task (thread pool; each thread sleeps until ITS OWN grant
      time, so per-host politeness spacing holds while other hosts proceed —
      mirroring the reference's 20-session overlap,
      async_dispatcher.py:155,411-437);
@@ -66,7 +66,7 @@ class FetchStage:
         self.enforce_delays = enforce_delays
         self.local_robots = local_robots
         self.max_sessions = max_sessions
-        # per-actor proxy rotation hook (state/proxy.py, reference
+        # per-worker proxy rotation hook (state/proxy.py, reference
         # proxy_strategy.py): sticky per-host sessions, failure feedback
         # from status codes; transports that route via proxy implement
         # fetch_via(url, proxy), others just get the rotation bookkeeping

@@ -133,7 +133,7 @@ class LinkPreviewConfig:
 
 class LinkPreviewStage:
     """The composed LinkPreview operator (reference link_preview.py:71-360)
-    as an actor-pool map_batches stage over crawled docs:
+    as a map_batches stage over crawled docs:
 
       per page: filter links (internal/external flags, include/exclude
       fnmatch, max_links cap) → head fetch via the pluggable peeker →

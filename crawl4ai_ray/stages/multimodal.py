@@ -6,9 +6,11 @@ counts from bytes); ``RealDecoder`` is the gated PIL/ffmpeg pixel-decode
 slot (libs not in this container → NotImplementedError); and
 ``DeterministicFakeDecoder`` gives md5-derived metadata the DuckDB oracle
 can recompute.  Everything Ray-side is real and tested: schema (binary
-payload column + struct metadata), actor-pool stage signature (decoder
-built once per actor), small-batch sizing for wide binary rows, and the
-output layout.
+payload column + struct metadata), the callable-class stage signature
+(decoder built once in ``__init__``), small-batch sizing for wide binary
+rows, and the output layout.  The package passes stage instances, which Ray
+Data runs as tasks; a deployment whose decoder loads a real model can pass
+the class instead and get an actor pool that loads it once per actor.
 
 Mirrors the reference's media model (MediaItem {src, data, alt, desc, score,
 type, format, width}, /root/reference/crawl4ai/models.py:343-352) with the
@@ -221,12 +223,11 @@ class DeterministicFakeDecoder:
 
 
 class MediaDecodeStage:
-    """Actor-pool map_batches stage: decoder constructed ONCE per actor
+    """map_batches stage: decoder constructed ONCE in __init__
     (model-load pattern); per batch fills the meta struct from payloads.
 
     Use small batch_size (wide binary rows): e.g.
-    ``ds.map_batches(MediaDecodeStage, fn_constructor_kwargs={...},
-    concurrency=N, batch_size=16, num_cpus=1)``.
+    ``ds.map_batches(MediaDecodeStage(), batch_size=16)``.
     """
 
     def __init__(self, decoder_factory=DeterministicFakeDecoder, synth_payload: bool = True):
@@ -278,8 +279,8 @@ class DeterministicFakeResizer:
 
 
 class MediaResizeStage:
-    """Actor-pool map_batches stage: bounded-resolution variant of every
-    image row (resizer built once per actor; pass-through for non-images).
+    """map_batches stage: bounded-resolution variant of every image row
+    (resizer built once in __init__; pass-through for non-images).
     Real deployments swap ``resizer_factory`` for a PIL/libvips resizer —
     the Ray plumbing (schema in = schema out, small batches for wide binary
     rows) is what's tested here."""
@@ -308,7 +309,7 @@ class MediaResizeStage:
 
 
 class FrameSampleStage:
-    """Actor-pool flat-map stage: video rows → one row per sampled frame
+    """Flat-map stage: video rows → one row per sampled frame
     (uniform stride over n_frames, ≤ ``max_frames``); non-video rows pass
     through untouched.  A real deployment decodes frames with ffmpeg in the
     same slot; here frame payloads derive deterministically from

@@ -14,8 +14,8 @@ we run the reference's two validation layers against the live transport —
   3. transport errors fall back to the cache (``error`` — reference
      CacheValidationResult.ERROR semantics).
 
-Expressed Ray-Data-first: a stateful actor-pool ``map_batches`` stage (the
-transport/HTTP client is per-actor state); the input is the tiny
+Expressed Ray-Data-first: a task ``map_batches`` stage (the instance carries
+the transport, shipped once per operator); the input is the tiny
 (url, etag, last_modified, head_fingerprint) catalog, never the doc bodies.
 """
 

@@ -207,9 +207,10 @@ def cosine_neardup_pairs_blockwise(
 
 
 class HyperplaneLSHStage:
-    """Random-hyperplane signature stage (stateful: planes drawn once per
-    worker from a fixed seed).  bucket = sign-bit prefix of the projection —
-    vectors in the same bucket are near-duplicate candidates."""
+    """Random-hyperplane signature stage (planes drawn once in __init__
+    from a fixed seed; the instance ships once per operator).  bucket =
+    sign-bit prefix of the projection — vectors in the same bucket are
+    near-duplicate candidates."""
 
     def __init__(self, dim: int, n_planes: int = 16, seed: int = 7,
                  vec_col: str = "embedding", id_col: str = "vec_id",
@@ -292,13 +293,8 @@ def lsh_neardup_pairs(
         )
 
     sigs = ds.map_batches(
-        HyperplaneLSHStage,
-        fn_constructor_kwargs=dict(
-            dim=dim, n_planes=n_planes, seed=seed,
-            vec_col=vec_col, id_col=id_col, passthrough=True,
-        ),
+        HyperplaneLSHStage(dim, n_planes, seed, vec_col, id_col, passthrough=True),
         batch_format="pyarrow",
-        concurrency=(1, 16),
         zero_copy_batch=True,
     )
     return capped_group_pairs(
@@ -356,9 +352,10 @@ def train_ivf_centroids(ds, n_centroids: int = 16, n_iters: int = 8,
 
 
 class IVFAssignStage:
-    """map_batches stage: nearest-centroid assignment (centroid matrix in
-    the closure — a small broadcast); passthrough keeps the vector for the
-    in-pipeline probe filter + exact re-rank."""
+    """map_batches stage: nearest-centroid assignment (centroid matrix on
+    the instance — a small broadcast, shipped once per operator);
+    passthrough keeps the vector for the in-pipeline probe filter + exact
+    re-rank."""
 
     def __init__(self, centroids: np.ndarray, vec_col: str = "embedding",
                  id_col: str = "vec_id", passthrough: bool = True):
@@ -393,12 +390,8 @@ def ivf_knn(ds, query_vec, centroids: np.ndarray, k: int = 10,
     probe_arr = pa.array(sorted(int(c) for c in probe), type=pa.int32())
 
     assigned = ds.map_batches(
-        IVFAssignStage,
-        fn_constructor_kwargs=dict(
-            centroids=centroids, vec_col=vec_col, id_col=id_col, passthrough=True
-        ),
+        IVFAssignStage(centroids, vec_col, id_col, passthrough=True),
         batch_format="pyarrow",
-        concurrency=(1, 16),
         zero_copy_batch=True,
     )
 
@@ -429,10 +422,8 @@ def lsh_bucket_pairs(ds, dim: int, n_planes: int = 12, seed: int = 7,
         )
 
     sigs = ds.map_batches(
-        HyperplaneLSHStage,
-        fn_constructor_kwargs=dict(dim=dim, n_planes=n_planes, seed=seed, vec_col=vec_col, id_col=id_col),
+        HyperplaneLSHStage(dim, n_planes, seed, vec_col, id_col),
         batch_format="pyarrow",
-        concurrency=(1, 16),
         zero_copy_batch=True,
     )
     return capped_group_pairs(

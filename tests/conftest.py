@@ -30,11 +30,12 @@ def ray_session():
 @pytest.fixture(autouse=True)
 def _release_leaked_actors():
     """Ray Data frees a finished actor pool by dropping its actor handles;
-    handles caught in reference cycles live until the cyclic GC runs.  In
-    the one 4-CPU session cluster, actors leaked by earlier tests can hold
-    every CPU, and the next actor-pool query (media_catalog_crawl runs three
-    pools, twice) then waits forever with an idle driver that never
-    triggers a collection.  Collect after every test."""
+    handles caught in reference cycles live until the cyclic GC runs.  The
+    package's own stages run as tasks, but some tests still pass a stage
+    class with ``concurrency=1`` to check the callable-class contract, and
+    each such pool holds a CPU of the one 4-CPU session cluster until its
+    actor is freed.  Collect after every test, so leaked pools cannot add
+    up and starve a later test."""
     yield
     import gc
 
