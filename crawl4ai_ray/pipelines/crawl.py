@@ -25,12 +25,20 @@ as per-host-shard heaps).
 All host-keyed state — URL-seen filter, rate limiter, robots cache, outcome
 counters and the sharded heap — is partitioned into ``num_seen_shards``
 logical host shards, held by ONE pool of ``HostShard`` actors
-(stages/hostshard.py) started once per engine.  Shards are not processes:
-the pool starts one actor per alive node (at most one per shard), and each
-actor hosts several logical shards.  Epoch 0 does not wait for the actors
-to boot: the driver holds the bloom generations, so under a zero
-politeness budget (no ``acquire`` RPC) its fetch → extract runs while they
-start.
+(stages/hostshard.py) per engine.  Shards are not processes: the pool runs
+one actor per alive node (at most one per shard), and each actor hosts
+several logical shards.  The actors outlive the engine: ``shutdown`` parks
+them and the next engine in the Ray session resets and reuses them, so
+only a session's first engine boots an actor process.  Even then epoch 0
+does not wait for the boot: the driver holds the bloom generations, so
+under a zero politeness budget (no ``acquire`` RPC) its fetch → extract
+runs while the actor starts.
+
+Each epoch is ONE fused Ray Data operator, ``ReadParquet->MapBatches(
+FetchStage)->…->MapBatches(_sink_and_discover)``, with one task per staged
+frontier part.  ``_epoch_parts`` is the one decision about that task
+count (k = min(rows, 2×CPUs)), used by every frontier writer, and
+``_epoch_source`` is the one reader (see both for why).
 
 One discovery chain, two seen policies (``CrawlConfig.deterministic``).
 Every policy takes its candidates from ``_epoch_candidate_ds``: the task
@@ -83,7 +91,7 @@ from ..stages.canonicalize import FilterScoreStage, canonicalize_batch
 from ..stages.extract import extract_batch, extract_page
 from ..stages.fetch import FetchStage
 from ..stages.hostshard import HostShardPool
-from ..state.checkpoint import CheckpointStore
+from ..state.checkpoint import CheckpointStore, write_parts
 from ..urlnorm import (
     host_of,
     is_valid_frontier_url,
@@ -101,6 +109,8 @@ SEEN_ROUND_CHUNK = 65536
 # greediness) is that discoveries from the pass can't preempt URLs later in
 # the same pass.
 BEST_FIRST_ROUNDS_PER_PASS = 8
+# target_max_block_size of an epoch's Dataset (see _epoch_source)
+EPOCH_BLOCK_BYTES = 8 << 20
 
 
 @dataclass
@@ -144,6 +154,16 @@ def _fail_fsspec_http_import_once() -> None:
         import fsspec.implementations.http  # noqa: F401
     except ImportError:
         sys.modules["fsspec.implementations.http"] = None
+
+
+def _epoch_parts(rows: int) -> int:
+    """The one decision about an epoch's task count: a frontier of ``rows``
+    rows is staged as k = min(rows, 2×CPUs) part files, and each part is
+    one task of the epoch's fused operator.  Two per CPU, so a CPU whose
+    task ends early has a second one to run while the slowest part
+    finishes."""
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    return max(1, min(rows, 2 * cpus))
 
 
 def _canonical_seeds(seeds: list[str]) -> list[str]:
@@ -287,6 +307,18 @@ def _candidate_keys(
     return _first_per_url(cand) if dedup else cand
 
 
+def _task_seconds(ds) -> float:
+    """Summed task time of an executed epoch Dataset (one fused operator),
+    from its own Ray Data stats: the wall times of the blocks its tasks
+    produced, which tile each task's run."""
+    return sum(
+        b.exec_stats.wall_time_s
+        for blocks in ds._plan.stats().metadata.values()
+        for b in blocks
+        if b.exec_stats is not None
+    )
+
+
 def _collect(ds) -> pa.Table:
     """All candidate keys of an epoch on the driver (parity policies)."""
     tables = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
@@ -402,9 +434,12 @@ class CrawlEngine:
         # at most one run_iter per engine holds it (the lock)
         self._epoch_listener = None
         self._run_iter_lock = threading.Lock()
+        # the last epoch's candidate-key Dataset (run() reads its stats)
+        self._epoch_ds = None
 
     def shutdown(self) -> None:
-        """Kill the host shard actors (tests create many engines per session)."""
+        """Release the host shard actors to the next engine of the session
+        (``HostShardPool.shutdown``)."""
         self.seen.shutdown()
 
     # ------------------------------------------------------------- setup
@@ -449,23 +484,40 @@ class CrawlEngine:
 
     # ------------------------------------------------------------ epochs
     def _stage_frontier(self, frontier: pa.Table, epoch: int, group: str = "frontier") -> str:
-        """Stage a frontier table as a directory of parquet part files sized
-        for full read fan-out (≤ 4×CPUs files)."""
-        n = frontier.num_rows
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        target_files = max(1, min(math.ceil(n / 64), 4 * cpus))
-        rows_per_file = math.ceil(n / target_files)
-        return self.store.write_epoch_sharded(group, epoch, frontier, rows_per_file)
+        """Stage a frontier table as ``_epoch_parts`` parquet part files in
+        rank order: one task each when ``_epoch_source`` reads them."""
+        return self.store.write_epoch_sharded(
+            group, epoch, frontier, _epoch_parts(frontier.num_rows)
+        )
+
+    @staticmethod
+    def _epoch_source(input_dir: str):
+        """A staged frontier directory as the source of one epoch's fused
+        operator.
+
+        ``override_num_blocks`` = the part count plans one read task per
+        part.  Left to itself, Ray Data plans more read blocks than a small
+        frontier has files and adds a separate ``ReadParquet->SplitBlocks``
+        operator; while that operator is live, its CPU reservation leaves
+        the fetch → … → sink operator a budget of one task.
+
+        ``target_max_block_size`` is set on this Dataset's own context,
+        never the process-wide one: every epoch is a new operator, and until
+        its first task reports, Ray Data budgets each task for two blocks of
+        the target size (128 MiB by default) against the object store.  At
+        that estimate the backpressure policy refuses the second task,
+        although an epoch task returns about 10 KB of candidate keys."""
+        parts = sum(f.endswith(".parquet") for f in os.listdir(input_dir))
+        ds = ray.data.read_parquet(input_dir, override_num_blocks=max(1, parts))
+        ds.context.target_max_block_size = EPOCH_BLOCK_BYTES
+        return ds
 
     def _transform_from_ds(self, ds, epoch: int):
         """Attach fetch → extract (→ enrich) → lineage to a frontier Dataset."""
         ds = ds.map_batches(
             self._fetch_fn,
-            batch_size=None,  # batch == block; parallelism is set by the
-            #                   input file count (coalescing to a target
+            batch_size=None,  # batch == block; parallelism is the staged
+            #                   part count (coalescing to a target
             #                   batch_size would merge small epochs into
             #                   one or two tasks)
             batch_format="pyarrow",
@@ -534,10 +586,11 @@ class CrawlEngine:
                 batch, include_external, filter_stage, max_depth, threshold, dedup
             )
 
-        ds = self._transform_from_ds(ray.data.read_parquet(input_dir), epoch)
-        return ds.map_batches(
+        ds = self._transform_from_ds(self._epoch_source(input_dir), epoch)
+        self._epoch_ds = ds.map_batches(
             _sink_and_discover, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
         )
+        return self._epoch_ds
 
     def _epoch_budget(self, epoch: int) -> np.ndarray:
         """``_page_budget`` of a crawled epoch, from two narrow columns of
@@ -577,9 +630,10 @@ class CrawlEngine:
         # epoch's key set can be tens of GB, which must never sit on the
         # driver at once.  Each fresh chunk is staged straight into the
         # next-frontier directory (the parts double as the seen-set resume
-        # delta).  In-task ray.get on the shard actors stalls workers and
-        # triggers raylet spawn storms at high parallelism, so driver-paced
-        # rounds stay.
+        # delta), as ``_epoch_parts`` part files, so a small epoch still
+        # reads in several tasks.  In-task ray.get on the shard actors
+        # stalls workers and triggers raylet spawn storms at high
+        # parallelism, so driver-paced rounds stay.
         next_n = 0
         part_seq = 0
         for batch in keys.iter_batches(
@@ -597,8 +651,7 @@ class CrawlEngine:
                 fresh_tbl, rank_offset=next_n, epoch=next_epoch,
                 num_shards=num_shards,
             )
-            pq.write_table(part, f"{next_dir}/part-{part_seq:05d}.parquet")
-            part_seq += 1
+            part_seq = write_parts(part, next_dir, _epoch_parts(part.num_rows), part_seq)
             next_n += part.num_rows
         return (next_dir if next_n else None), next_n
 
@@ -632,14 +685,20 @@ class CrawlEngine:
         self._stage_frontier(tbl, epoch)
         return len(rows)
 
-    def _write_metrics(self, counters: list[dict], epoch: int, wall_s: float) -> None:
+    def _write_metrics(
+        self, counters: list[dict], epoch: int, wall_s: float, task_s: float
+    ) -> None:
         """The epoch's metrics table, one row per logical host shard, from
         the outcome counters its fetch tasks reported (robots denials →
         ``skipped``, non-200 fetches → ``failed``), the shard's seen size
         and false-positive estimate at the epoch's end, and the pool's
-        actor count and boot time (``HostShardPool.drain_counters``)."""
+        actor count and boot time (``HostShardPool.drain_counters``).
+        Every row also carries the epoch's summed task seconds ``task_s``
+        and ``busy_frac = task_s / (CPUs × wall_s)``, the share of the
+        cluster's CPU slots the epoch's tasks filled."""
         bloom_gen = max(self.bloom_generations)
         n = len(counters)
+        busy_frac = task_s / (ray.cluster_resources().get("CPU", 1) * wall_s)
         tbl = pa.table(
             {
                 "epoch": pa.array([epoch] * n, type=pa.int32()),
@@ -659,6 +718,8 @@ class CrawlEngine:
                 "actor_ready_s": pa.array(
                     [c["actor_ready_s"] for c in counters], type=pa.float64()
                 ),
+                "task_s": pa.array([task_s] * n, type=pa.float64()),
+                "busy_frac": pa.array([busy_frac] * n, type=pa.float64()),
             }
         )
         self.store.write_epoch_table("metrics", epoch, tbl)
@@ -724,7 +785,10 @@ class CrawlEngine:
                 fetched = sum(c["fetched"] for c in counters)
                 total_fetched += fetched
                 self.pages_crawled = min(self.pages_crawled + fetched, frontier.page_cap)
-                self._write_metrics(counters, epoch, time.time() - t0)
+                self._write_metrics(
+                    counters, epoch, time.time() - t0,
+                    _task_seconds(self._epoch_ds),
+                )
                 self.store.write_manifest(
                     {
                         "strategy": cfg.strategy,
@@ -933,7 +997,7 @@ class CrawlEngine:
         (revalidation refresh — no frontier expansion, no seen mutation)."""
         frontier = _frontier_table(rows, epoch, self.config.num_seen_shards)
         input_dir = self._stage_frontier(frontier, epoch, group="refetch")
-        ds = self._transform_from_ds(ray.data.read_parquet(input_dir), epoch)
+        ds = self._transform_from_ds(self._epoch_source(input_dir), epoch)
         ds.write_parquet(self.store.docs_epoch_dir(epoch))
         n = len(rows)
         manifest = self.store.read_manifest() or {}

@@ -78,44 +78,35 @@ class CheckpointStore:
         pq.write_table(table, self.epoch_file(group, epoch), row_group_size=row_group_size)
 
     def write_epoch_sharded(
-        self, group: str, epoch: int, table: pa.Table, rows_per_file: int
+        self, group: str, epoch: int, table: pa.Table, parts: int
     ) -> str:
-        """Write one epoch table as a DIRECTORY of part files so
-        ``ray.data.read_parquet`` spawns one read task per file — a single
-        file reads in ONE task whose SplitBlocks generator trickles blocks
-        through backpressure and serializes the downstream stage."""
+        """Write one epoch table as a DIRECTORY of ``parts`` near-equal part
+        files in row order (the caller picks ``parts``: one read task each)."""
         d = self.epoch_dir(group, epoch)
         shutil.rmtree(d, ignore_errors=True)
         os.makedirs(d, exist_ok=True)
-        n = table.num_rows
-        offsets = list(range(0, n, rows_per_file))
-        if len(offsets) > 8:
+        if parts > 8:
             # parallel staging: ship the table once, workers write slices
             import ray
 
             @ray.remote(num_cpus=0.5)
-            def _write_parts(tbl, offs, rows, dir_, ids):
+            def _write_parts(tbl, slices, dir_, ids):
                 import pyarrow.parquet as _pq
 
-                for off, i in zip(offs, ids):
+                for (off, rows), i in zip(slices, ids):
                     chunk = tbl.slice(off, rows).combine_chunks()
                     _pq.write_table(chunk, os.path.join(dir_, f"part-{i:05d}.parquet"))
-                return len(offs)
+                return len(slices)
 
+            slices = part_slices(table.num_rows, parts)
             tbl_ref = ray.put(table.combine_chunks())
             groups = 8
-            refs = []
-            for g in range(groups):
-                offs = offsets[g::groups]
-                ids = list(range(g, len(offsets), groups))
-                if offs:
-                    refs.append(_write_parts.remote(tbl_ref, offs, rows_per_file, d, ids))
-            ray.get(refs)
+            ray.get([
+                _write_parts.remote(tbl_ref, slices[g::groups], d, list(range(g, parts, groups)))
+                for g in range(groups)
+            ])
         else:
-            for i, off in enumerate(offsets):
-                chunk = table.slice(off, rows_per_file)
-                # combine_chunks: a slice otherwise serializes its parent buffers
-                pq.write_table(chunk.combine_chunks(), os.path.join(d, f"part-{i:05d}.parquet"))
+            write_parts(table, d, parts)
         return d
 
     def read_group(self, group: str, upto_epoch: int | None = None) -> pa.Table | None:
@@ -157,3 +148,21 @@ class CheckpointStore:
                 continue
             out.append(os.path.join(base, name))
         return out
+
+
+def part_slices(n: int, parts: int) -> list[tuple[int, int]]:
+    """(offset, rows) of ``parts`` near-equal slices of ``n`` rows, in order."""
+    bounds = [n * i // parts for i in range(parts + 1)]
+    return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def write_parts(table: pa.Table, d: str, parts: int, first: int = 0) -> int:
+    """Write ``table`` into ``d`` as ``parts`` near-equal files
+    ``part-<first>.parquet``, ``part-<first + 1>.parquet``, ... in row order;
+    returns the next free index."""
+    for i, (off, rows) in enumerate(part_slices(table.num_rows, parts), first):
+        # combine_chunks: a slice otherwise serializes its parent buffers
+        pq.write_table(
+            table.slice(off, rows).combine_chunks(), os.path.join(d, f"part-{i:05d}.parquet")
+        )
+    return first + parts

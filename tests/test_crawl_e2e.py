@@ -883,6 +883,17 @@ def _live_anonymous_actors() -> dict[str, str]:
     }
 
 
+def _hosted_shards(actor) -> dict:
+    """The logical shards a HostShard actor hosts ({} once it is reset to
+    none, or dead)."""
+    import ray
+
+    try:
+        return ray.get(actor.drain_counters.remote())
+    except ray.exceptions.RayActorError:
+        return {}
+
+
 @pytest.mark.parametrize("strategy,deterministic", [
     pytest.param("bfs", True, id="bfs-parity"),
     pytest.param("bfs", False, id="bfs-scale"),
@@ -890,11 +901,12 @@ def _live_anonymous_actors() -> dict[str, str]:
 ])
 def test_one_host_shard_actor_per_shard(tmp_path, ray_session, strategy, deterministic):
     """A crawl runs on exactly one HostShard actor per alive node (one on
-    the test cluster), not one per logical shard — no separate politeness
-    or heap actors — and shutdown() kills them.  The logical shards still
-    give one metrics row each per epoch."""
-    import time as _time
-
+    the test cluster), not one per logical shard: through every epoch the
+    engine's actors are alive HostShards and no other actor appears — no
+    separate politeness or heap actors.  The actor may be one an earlier
+    engine parked.  After shutdown() the engine holds no actor and the
+    actors host no shard state.  The logical shards still give one metrics
+    row each per epoch."""
     import ray
 
     params = CorpusParams(n_hosts=3, pages_per_host=15, seed=7)
@@ -905,27 +917,121 @@ def test_one_host_shard_actor_per_shard(tmp_path, ray_session, strategy, determi
                     exact_seen=deterministic, max_depth=3, num_seen_shards=3),
         str(tmp_path / "ckpt"), robots_bodies=robots_map(params),
     )
-    seen_per_epoch = []
-    started: set[str] = set()
-    for _epoch, _docs in engine.run_iter(params.seeds()):
-        new = {a: c for a, c in _live_anonymous_actors().items() if a not in before}
-        seen_per_epoch.append(sorted(new.values()))
-        started |= set(new)
-    assert len(seen_per_epoch) >= 2
     nodes = sum(1 for n in ray.nodes() if n["Alive"])
     assert nodes == 1
-    assert all(classes == ["HostShard"] * nodes for classes in seen_per_epoch), seen_per_epoch
-    assert len(engine.seen.shards) == nodes
+    actors = list(engine.seen.shards)
+    serving = {a._actor_id.hex() for a in actors}
+    assert len(serving) == nodes
+    epochs = 0
+    for _epoch, _docs in engine.run_iter(params.seeds()):
+        live = _live_anonymous_actors()
+        assert {live.get(a) for a in serving} == {"HostShard"}, live
+        assert {a for a in live if a not in before} <= serving, live
+        epochs += 1
+    assert epochs >= 2
+    assert sorted(int(s) for a in actors for s in _hosted_shards(a)) == [0, 1, 2]
     shard_ids: dict[int, list[int]] = {}
     for r in engine.store.read_group("metrics").to_pylist():
         shard_ids.setdefault(r["epoch"], []).append(r["shard_id"])
-    assert sorted(shard_ids) == list(range(len(seen_per_epoch)))
+    assert sorted(shard_ids) == list(range(epochs))
     assert all(sorted(s) == [0, 1, 2] for s in shard_ids.values()), shard_ids
     engine.shutdown()
+    assert engine.seen.shards == []
+    assert [_hosted_shards(a) for a in actors] == [{}] * nodes
+
+
+def _actor_ids(engine) -> list[str]:
+    return [a._actor_id.hex() for a in engine.seen.shards]
+
+
+def test_second_engine_reuses_the_first_engines_actor(tmp_path, ray_session):
+    """After a crawl and shutdown(), the next engine of the session runs on
+    the first engine's actor: no new actor (so no new actor process)
+    starts, and the reused actor's process is the same.  It starts clean:
+    seen size 0, empty heaps, zero outcome counters, and it crawls the
+    same pages as the first engine."""
+    import ray._private.state as gcs
+
+    params = CorpusParams(n_hosts=2, pages_per_host=15, seed=3)
+    cfg = CrawlConfig(max_depth=3, num_seen_shards=3)
+
+    def _engine(name):
+        return CrawlEngine(SyntheticTransport(params), cfg, str(tmp_path / name),
+                           robots_bodies=robots_map(params))
+
+    first = _engine("first")
+    first_summary = first.run(params.seeds())
+    assert first.seen.total_size() > 0
+    ids = _actor_ids(first)
+    pids = {aid: gcs.actors()[aid]["Pid"] for aid in ids}
+    first.shutdown()
+    live_before = set(_live_anonymous_actors())
+
+    second = _engine("second")
+    assert _actor_ids(second) == ids
+    assert second.seen.total_size() == 0
+    assert second.seen.heap_sizes() == [0, 0, 0]
+    counters = second.seen.drain_counters()
+    assert [(c["fetched"], c["failed"], c["denied"], c["seen_size"]) for c in counters] \
+        == [(0, 0, 0, 0)] * 3
+    summary = second.run(params.seeds())
+    assert set(_live_anonymous_actors()) <= live_before  # no new actor
+    assert {aid: gcs.actors()[aid]["Pid"] for aid in ids} == pids
+    assert summary["pages_crawled"] == first_summary["pages_crawled"]
+    assert summary["seen_size"] == first_summary["seen_size"]
+    second.shutdown()
+
+
+def test_live_engines_never_share_an_actor(tmp_path, ray_session):
+    """Two engines alive at once own distinct actors, however many actors
+    earlier engines parked; the second one crawls while the first holds
+    its state."""
+    from crawl4ai_ray.stages.hostshard import HostShardPool
+
+    HostShardPool(2).shutdown()  # an actor is parked for the next pool
+    params = CorpusParams(n_hosts=2, pages_per_host=10, seed=4)
+    cfg = CrawlConfig(max_depth=2, num_seen_shards=2)
+    one = CrawlEngine(SyntheticTransport(params), cfg, str(tmp_path / "one"),
+                      robots_bodies=robots_map(params))
+    two = CrawlEngine(SyntheticTransport(params), cfg, str(tmp_path / "two"),
+                      robots_bodies=robots_map(params))
+    try:
+        assert not set(_actor_ids(one)) & set(_actor_ids(two))
+        one.seen.add(["http://held.test/"], ["held.test"])
+        two.run(params.seeds())
+        assert one.seen.total_size() == 1
+    finally:
+        one.shutdown()
+        two.shutdown()
+
+
+def test_parked_actor_killed_from_outside_is_replaced(tmp_path, ray_session):
+    """An actor killed while parked (as a benchmark kills pool actors with
+    ray.kill) is dropped: the next engine starts a new actor and crawls."""
+    import time as _time
+
+    import ray
+
+    params = CorpusParams(n_hosts=2, pages_per_host=10, seed=6)
+    cfg = CrawlConfig(max_depth=2, num_seen_shards=2)
+
+    def _engine(name):
+        return CrawlEngine(SyntheticTransport(params), cfg, str(tmp_path / name),
+                           robots_bodies=robots_map(params))
+
+    first = _engine("first")
+    actors = list(first.seen.shards)
+    first.shutdown()
+    for a in actors:
+        ray.kill(a)
     deadline = _time.time() + 30
-    while started & set(_live_anonymous_actors()) and _time.time() < deadline:
-        _time.sleep(0.2)
-    assert not started & set(_live_anonymous_actors())
+    while set(_live_anonymous_actors()) & {a._actor_id.hex() for a in actors}:
+        assert _time.time() < deadline
+        _time.sleep(0.1)
+    second = _engine("second")
+    assert not set(_actor_ids(second)) & {a._actor_id.hex() for a in actors}
+    assert second.run(params.seeds())["pages_crawled"] > 0
+    second.shutdown()
 
 
 def _shard_killing_transport(params, victim_url: str):
@@ -1041,3 +1147,178 @@ def _failing_transport(params, victim_url: str):
             return self.inner.fetch(url)
 
     return _FailingTransport()
+
+
+# ------------------------------------------------------------ epoch plan
+_EPOCH_OP = (
+    "ReadParquet->MapBatches(FetchStage)->MapBatches(extract_batch)"
+    "->MapBatches(_add_lineage)->MapBatches(_sink_and_discover)"
+)
+
+
+def _op_blocks(stats) -> dict[str, list]:
+    """Operator name → output block stats of an executed Dataset."""
+    out = dict(stats.metadata)
+    for parent in stats.parents:
+        out.update(_op_blocks(parent))
+    return out
+
+
+@pytest.mark.parametrize("strategy,deterministic", [
+    pytest.param("bfs", True, id="bfs-parity"),
+    pytest.param("bfs", False, id="bfs-scale"),
+])
+def test_each_epoch_is_one_fused_operator(
+    tmp_path, ray_session, monkeypatch, strategy, deterministic
+):
+    """Every epoch executes as ONE TaskPoolMapOperator[ReadParquet->
+    MapBatches(FetchStage)->…->MapBatches(_sink_and_discover)] with one task
+    per staged frontier part, and the frontier writers (the seed and parity
+    ``_stage_frontier``, the scale path's per-chunk writer) stage
+    min(rows, 2×CPUs) parts.  The crawl leaves the process-wide DataContext
+    as it found it, and every metrics row's ``busy_frac`` lies in (0, 1]."""
+    import logging
+    import os
+
+    import ray
+
+    plans: list[str] = []
+
+    class _PlanLog(logging.Handler):
+        def emit(self, record):
+            msg = record.getMessage()
+            if "Execution plan of Dataset" in msg and "FetchStage" in msg:
+                plans.append(msg.split(": ", 1)[1])
+
+    epochs: list[tuple[int, str, object]] = []
+    candidate_ds = CrawlEngine._epoch_candidate_ds
+
+    def _recorded(self, input_dir, epoch, *args, **kwargs):
+        ds = candidate_ds(self, input_dir, epoch, *args, **kwargs)
+        epochs.append((epoch, input_dir, ds))
+        return ds
+
+    monkeypatch.setattr(CrawlEngine, "_epoch_candidate_ds", _recorded)
+    ctx = ray.data.DataContext.get_current()
+    settings = {k: v for k, v in vars(ctx).items() if isinstance(v, (bool, int, float, str))}
+    handler = _PlanLog(logging.INFO)
+    logging.getLogger("ray.data").addHandler(handler)
+    try:
+        params = CorpusParams(n_hosts=3, pages_per_host=25, seed=12)
+        engine, _ = _run_engine(
+            tmp_path, params,
+            CrawlConfig(strategy=strategy, deterministic=deterministic,
+                        exact_seen=deterministic, max_depth=3, num_seen_shards=3),
+        )
+    finally:
+        logging.getLogger("ray.data").removeHandler(handler)
+    assert ray.data.DataContext.get_current() is ctx
+    assert {k: v for k, v in vars(ctx).items() if k in settings} == settings
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert [e for e, _, _ in epochs] == list(range(len(epochs))) and len(epochs) >= 3
+    assert plans == [f"InputDataBuffer[Input] -> TaskPoolMapOperator[{_EPOCH_OP}]"] * len(epochs)
+    for epoch, input_dir, ds in epochs:
+        parts = [f for f in os.listdir(input_dir) if f.endswith(".parquet")]
+        rows = pq.read_table(input_dir).num_rows
+        assert len(parts) == min(rows, 2 * cpus), (epoch, rows, parts)
+        blocks = _op_blocks(ds._plan.stats())
+        assert list(blocks) == [_EPOCH_OP]
+        assert len({b.exec_stats.task_idx for b in blocks[_EPOCH_OP]}) == len(parts)
+
+    metrics = engine.store.read_group("metrics")
+    assert set(metrics.column("epoch").to_pylist()) == set(range(len(epochs)))
+    for r in metrics.select(["epoch", "task_s", "busy_frac"]).to_pylist():
+        assert r["task_s"] > 0, r
+        assert 0 < r["busy_frac"] <= 1, r
+    engine.shutdown()
+
+
+def _old_stage_frontier(self, frontier, epoch, group="frontier"):
+    """The frontier staging the engine used before ``_epoch_parts``: parts
+    of at least 64 rows, at most 4×CPUs of them, read as Ray Data plans."""
+    import os
+    import shutil
+
+    import ray
+
+    n = frontier.num_rows
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    rows_per_file = math.ceil(n / max(1, min(math.ceil(n / 64), 4 * cpus)))
+    d = self.store.epoch_dir(group, epoch)
+    shutil.rmtree(d, ignore_errors=True)
+    os.makedirs(d)
+    for i, off in enumerate(range(0, n, rows_per_file)):
+        pq.write_table(
+            frontier.slice(off, rows_per_file).combine_chunks(),
+            os.path.join(d, f"part-{i:05d}.parquet"),
+        )
+    return d
+
+
+def _ranked(d: str) -> pa.Table:
+    return pq.read_table(d).sort_by("frontier_rank")
+
+
+@pytest.mark.parametrize("strategy,deterministic", MODES)
+def test_epoch_staging_keeps_crawl_outputs(
+    tmp_path, ray_session, monkeypatch, strategy, deterministic
+):
+    """Staging each frontier as min(rows, 2×CPUs) parts read one task each
+    changes no output against the old staging (an in-file copy: at least 64
+    rows per part, one scale part per seen round, Ray Data's own read
+    plan).  Parity runs stay bit-identical: docs rows, each epoch's frontier
+    in rank order, seen deltas, and metrics apart from their timing
+    columns.  Scale runs crawl the same (url, depth) set, each page's
+    parent a crawled page one level up.  Which parent a scale page keeps
+    is not fixed, with either staging: the seen check takes the epoch's
+    keys in task completion order, and the first caller wins."""
+    import os
+
+    import ray
+
+    from crawl4ai_ray.pipelines import crawl as crawl_mod
+
+    params = CorpusParams(n_hosts=3, pages_per_host=25, seed=9, p_404=0.1)
+    cfg = CrawlConfig(strategy=strategy, deterministic=deterministic,
+                      exact_seen=deterministic, max_depth=3, num_seen_shards=3)
+    new, _ = _run_engine(tmp_path, params, cfg, name="new")
+    with monkeypatch.context() as m:
+        m.setattr(CrawlEngine, "_stage_frontier", _old_stage_frontier)
+        m.setattr(CrawlEngine, "_epoch_source", staticmethod(ray.data.read_parquet))
+        m.setattr(crawl_mod, "_epoch_parts", lambda rows: 1)
+        old, _ = _run_engine(tmp_path, params, cfg, name="old")
+
+    def _docs(engine) -> pa.Table:
+        return _docs_table(engine).sort_by([("frontier_epoch", "ascending"),
+                                            ("frontier_rank", "ascending")])
+
+    if deterministic:
+        assert _docs(new).equals(_docs(old))
+        frontier = [sorted(os.listdir(os.path.join(e.store.root, "frontier")))
+                    for e in (new, old)]
+        assert frontier[0] == frontier[1] and len(frontier[0]) >= 3
+        for d in frontier[0]:
+            assert _ranked(os.path.join(new.store.root, "frontier", d)).equals(
+                _ranked(os.path.join(old.store.root, "frontier", d))), d
+        assert new.store.read_group("seen").equals(old.store.read_group("seen"))
+        timing = ["wall_s", "actor_ready_s", "task_s", "busy_frac"]
+        assert new.store.read_group("metrics").drop_columns(timing).equals(
+            old.store.read_group("metrics").drop_columns(timing))
+    else:
+        def _crawled(engine):
+            return _docs(engine).select(["url", "depth", "parent_url"]).to_pylist()
+
+        def _levels(engine):
+            return {(r["url"], r["depth"]) for r in _crawled(engine)}
+
+        assert _levels(new) == _levels(old)
+        assert len(_levels(new)) > 20
+        for engine in (new, old):
+            levels = _levels(engine)
+            assert all(
+                (r["parent_url"], r["depth"] - 1) in levels
+                for r in _crawled(engine) if r["depth"] > 0
+            )
+    new.shutdown()
+    old.shutdown()

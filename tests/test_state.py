@@ -252,9 +252,14 @@ def test_drain_counters_waits_for_reports_to_a_booting_actor(ray_session):
 
     hosts = [f"site{i}.test" for i in range(12)]
     want = [sum(1 for h in hosts[:-1] if h64(h) % 3 == sid) for sid in range(3)]
-    for late in (False, False, False, True):
-        pool = HostShardPool(3)
-        try:
+    # a pool takes an actor parked by an earlier pool's shutdown: the first
+    # one here absorbs any, and every pool stays alive until the end, so
+    # each iteration's pool starts (and reports to) a booting actor
+    pools = [HostShardPool(3)]
+    try:
+        for late in (False, False, False, True):
+            pool = HostShardPool(3)
+            pools.append(pool)
             if late:
                 pool.total_size()  # the actor is up: the first round sees nothing
                 timer = threading.Timer(0.3, _fetch_task.remote, (pool.shards, hosts))
@@ -267,7 +272,10 @@ def test_drain_counters_waits_for_reports_to_a_booting_actor(ray_session):
             if late:
                 timer.join(timeout=10)
                 assert not timer.is_alive()
-        finally:
+        actors = [a for p in pools for a in p.shards]
+        assert len(set(actors)) == len(actors)
+    finally:
+        for pool in pools:
             pool.shutdown()
 
 
