@@ -25,20 +25,19 @@ as per-host-shard heaps).
 All host-keyed state — URL-seen filter, rate limiter, robots cache, outcome
 counters and the sharded heap — is partitioned into ``num_seen_shards``
 logical host shards, held by ONE pool of ``HostShard`` actors
-(stages/hostshard.py) per engine.  Shards are not processes: the pool runs
-one actor per alive node (at most one per shard), and each actor hosts
-several logical shards.  The actors outlive the engine: ``shutdown`` parks
-them and the next engine in the Ray session resets and reuses them, so
-only a session's first engine boots an actor process.  Even then epoch 0
-does not wait for the boot: the driver holds the bloom generations, so
-under a zero politeness budget (no ``acquire`` RPC) its fetch → extract
-runs while the actor starts.
+(stages/hostshard.py) started once per engine.  Shards are not processes:
+the pool starts one actor per alive node (at most one per shard), and each
+actor hosts several logical shards.  Epoch 0 does not wait for the actors
+to boot: the driver holds the bloom generations, so under a zero
+politeness budget (no ``acquire`` RPC) its fetch → extract runs while they
+start.
 
 Each epoch is ONE fused Ray Data operator, ``ReadParquet->MapBatches(
 FetchStage)->…->MapBatches(_sink_and_discover)``, with one task per staged
-frontier part.  ``_epoch_parts`` is the one decision about that task
-count (k = min(rows, 2×CPUs)), used by every frontier writer, and
-``_epoch_source`` is the one reader (see both for why).
+frontier part (at most 2×CPUs tasks).  ``_epoch_parts`` is the one
+decision about the part count (k = min(rows, 2×CPUs)), used by every
+frontier writer, and ``_epoch_source`` is the one reader (see both for
+why).
 
 One discovery chain, two seen policies (``CrawlConfig.deterministic``).
 Every policy takes its candidates from ``_epoch_candidate_ds``: the task
@@ -156,14 +155,24 @@ def _fail_fsspec_http_import_once() -> None:
         sys.modules["fsspec.implementations.http"] = None
 
 
-def _epoch_parts(rows: int) -> int:
+def _task_slots() -> int:
+    """Tasks per epoch, two per CPU: a CPU whose task ends early has a
+    second one to run while the slowest part finishes."""
+    return 2 * int(ray.cluster_resources().get("CPU", 1))
+
+
+def _epoch_parts(rows: int, staged: int = 0, slots: int | None = None) -> int:
     """The one decision about an epoch's task count: a frontier of ``rows``
-    rows is staged as k = min(rows, 2×CPUs) part files, and each part is
-    one task of the epoch's fused operator.  Two per CPU, so a CPU whose
-    task ends early has a second one to run while the slowest part
-    finishes."""
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    return max(1, min(rows, 2 * cpus))
+    rows is staged as k = min(rows, ``_task_slots()``) part files, and each
+    part is one task of the epoch's fused operator.
+
+    A frontier staged in chunks (the scale path's seen rounds) passes the
+    parts ``staged`` so far: a chunk is split only while the epoch has
+    fewer than ``slots`` parts, and every later chunk is one file, so an
+    epoch of C chunks writes at most ``slots + C - 1`` files."""
+    if slots is None:
+        slots = _task_slots()
+    return max(1, min(rows, slots - staged))
 
 
 def _canonical_seeds(seeds: list[str]) -> list[str]:
@@ -308,15 +317,21 @@ def _candidate_keys(
 
 
 def _task_seconds(ds) -> float:
-    """Summed task time of an executed epoch Dataset (one fused operator),
-    from its own Ray Data stats: the wall times of the blocks its tasks
-    produced, which tile each task's run."""
-    return sum(
-        b.exec_stats.wall_time_s
-        for blocks in ds._plan.stats().metadata.values()
-        for b in blocks
-        if b.exec_stats is not None
-    )
+    """Summed task time of an executed epoch Dataset, from its own Ray Data
+    stats: the wall times of the blocks every operator's tasks produced,
+    which tile each task's run (one operator while the epoch fuses)."""
+    stats = [ds._plan.stats()]
+    total = 0.0
+    while stats:
+        s = stats.pop()
+        stats.extend(s.parents)
+        total += sum(
+            b.exec_stats.wall_time_s
+            for blocks in s.metadata.values()
+            for b in blocks
+            if b.exec_stats is not None
+        )
+    return total
 
 
 def _collect(ds) -> pa.Table:
@@ -434,12 +449,9 @@ class CrawlEngine:
         # at most one run_iter per engine holds it (the lock)
         self._epoch_listener = None
         self._run_iter_lock = threading.Lock()
-        # the last epoch's candidate-key Dataset (run() reads its stats)
-        self._epoch_ds = None
 
     def shutdown(self) -> None:
-        """Release the host shard actors to the next engine of the session
-        (``HostShardPool.shutdown``)."""
+        """Kill the host shard actors (tests create many engines per session)."""
         self.seen.shutdown()
 
     # ------------------------------------------------------------- setup
@@ -495,11 +507,13 @@ class CrawlEngine:
         """A staged frontier directory as the source of one epoch's fused
         operator.
 
-        ``override_num_blocks`` = the part count plans one read task per
-        part.  Left to itself, Ray Data plans more read blocks than a small
-        frontier has files and adds a separate ``ReadParquet->SplitBlocks``
-        operator; while that operator is live, its CPU reservation leaves
-        the fetch → … → sink operator a budget of one task.
+        ``override_num_blocks`` = ``_epoch_parts`` of the part count plans
+        one read task per part, or 2×CPUs tasks of whole parts when a big
+        scale epoch staged more.  Left to itself, Ray Data plans more read
+        blocks than a small frontier has files and adds a separate
+        ``ReadParquet->SplitBlocks`` operator; while that operator is live,
+        its CPU reservation leaves the fetch → … → sink operator a budget
+        of one task.
 
         ``target_max_block_size`` is set on this Dataset's own context,
         never the process-wide one: every epoch is a new operator, and until
@@ -508,7 +522,7 @@ class CrawlEngine:
         that estimate the backpressure policy refuses the second task,
         although an epoch task returns about 10 KB of candidate keys."""
         parts = sum(f.endswith(".parquet") for f in os.listdir(input_dir))
-        ds = ray.data.read_parquet(input_dir, override_num_blocks=max(1, parts))
+        ds = ray.data.read_parquet(input_dir, override_num_blocks=_epoch_parts(parts))
         ds.context.target_max_block_size = EPOCH_BLOCK_BYTES
         return ds
 
@@ -587,10 +601,9 @@ class CrawlEngine:
             )
 
         ds = self._transform_from_ds(self._epoch_source(input_dir), epoch)
-        self._epoch_ds = ds.map_batches(
+        return ds.map_batches(
             _sink_and_discover, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
         )
-        return self._epoch_ds
 
     def _epoch_budget(self, epoch: int) -> np.ndarray:
         """``_page_budget`` of a crawled epoch, from two narrow columns of
@@ -601,7 +614,7 @@ class CrawlEngine:
         )
         return _page_budget(docs, self.pages_crawled, self.config.max_pages)
 
-    def _run_epoch_scale(self, input_dir: str, epoch: int) -> tuple[str | None, int]:
+    def _run_epoch_scale(self, input_dir: str, epoch: int):
         """Scale path: ONE streaming execution per epoch, and the driver
         never holds a row.  The chain is
 
@@ -613,7 +626,8 @@ class CrawlEngine:
         so all the driver collects is one count per batch.  The next epoch
         reads the frontier parts this epoch wrote; those parts double as the
         seen-set delta for resume (scale mode adds to seen exactly what
-        enters the frontier).  Returns (next frontier dir or None, rows)."""
+        enters the frontier).  Returns (next frontier dir or None, rows,
+        the executed epoch Dataset)."""
         cfg = self.config
         next_dir = self.store.epoch_dir("frontier", epoch + 1)
         shutil.rmtree(next_dir, ignore_errors=True)
@@ -630,12 +644,14 @@ class CrawlEngine:
         # epoch's key set can be tens of GB, which must never sit on the
         # driver at once.  Each fresh chunk is staged straight into the
         # next-frontier directory (the parts double as the seen-set resume
-        # delta), as ``_epoch_parts`` part files, so a small epoch still
-        # reads in several tasks.  In-task ray.get on the shard actors
+        # delta), split by ``_epoch_parts`` until the epoch has 2×CPUs parts,
+        # so a small epoch still reads in several tasks and a big one writes
+        # one file per chunk.  In-task ray.get on the shard actors
         # stalls workers and triggers raylet spawn storms at high
         # parallelism, so driver-paced rounds stay.
         next_n = 0
         part_seq = 0
+        slots = _task_slots()
         for batch in keys.iter_batches(
             batch_size=SEEN_ROUND_CHUNK, batch_format="pyarrow"
         ):
@@ -651,9 +667,11 @@ class CrawlEngine:
                 fresh_tbl, rank_offset=next_n, epoch=next_epoch,
                 num_shards=num_shards,
             )
-            part_seq = write_parts(part, next_dir, _epoch_parts(part.num_rows), part_seq)
+            part_seq = write_parts(
+                part, next_dir, _epoch_parts(part.num_rows, part_seq, slots), part_seq
+            )
             next_n += part.num_rows
-        return (next_dir if next_n else None), next_n
+        return (next_dir if next_n else None), next_n, keys
 
     def _trim_frontier_dir(
         self, next_dir: str, keep_n: int, epoch: int, num_shards: int
@@ -778,7 +796,7 @@ class CrawlEngine:
                 if input_dir is None:
                     break
                 taken = frontier.n
-                frontier.crawl(input_dir, epoch)
+                epoch_ds = frontier.crawl(input_dir, epoch)
                 # fetch tasks report one outcome per frontier row,
                 # fire-and-forget: drain until all of them are in
                 counters = self.seen.drain_counters(taken)
@@ -787,7 +805,7 @@ class CrawlEngine:
                 self.pages_crawled = min(self.pages_crawled + fetched, frontier.page_cap)
                 self._write_metrics(
                     counters, epoch, time.time() - t0,
-                    _task_seconds(self._epoch_ds),
+                    _task_seconds(epoch_ds),
                 )
                 self.store.write_manifest(
                     {
@@ -1093,7 +1111,8 @@ class _Frontier:
     """What ``CrawlEngine.run`` asks of a frontier policy: ``take(epoch)``
     stages the epoch's frontier as ``frontier/epoch=N/`` parts and returns
     that dir (None when exhausted); ``crawl(input_dir, epoch)`` runs fetch →
-    extract → sink → discovery over it; ``close()`` releases the policy's
+    extract → sink → discovery over it and returns the executed epoch
+    Dataset (``run`` reads its task seconds); ``close()`` releases the policy's
     state.  ``start_epoch`` is where the run begins; ``n`` is the row count
     the last ``take`` staged; ``pages_crawled`` never exceeds ``page_cap``."""
 
@@ -1132,12 +1151,13 @@ class _LevelFrontier(_Frontier):
             )
         return self.dir if self.n else None
 
-    def crawl(self, input_dir: str, epoch: int) -> None:
+    def crawl(self, input_dir: str, epoch: int):
         eng, cfg = self.engine, self.engine.config
         if not cfg.deterministic:
-            self.dir, self.n = eng._run_epoch_scale(input_dir, epoch)
-            return
-        keys = _collect(eng._epoch_candidate_ds(input_dir, epoch, cfg.score_threshold))
+            self.dir, self.n, ds = eng._run_epoch_scale(input_dir, epoch)
+            return ds
+        ds = eng._epoch_candidate_ds(input_dir, epoch, cfg.score_threshold)
+        keys = _collect(ds)
         nxt, fresh = _level_fold(
             keys, eng._epoch_budget(epoch), eng.scorer is not None, eng.seen.check_and_add
         )
@@ -1146,6 +1166,7 @@ class _LevelFrontier(_Frontier):
         if self.n:
             tbl = _frontier_part_from_keys(nxt, 0, epoch + 1, cfg.num_seen_shards)
             self.dir = eng._stage_frontier(tbl, epoch + 1)
+        return ds
 
 
 class _HeapFrontier(_Frontier):
@@ -1201,9 +1222,10 @@ class _HeapFrontier(_Frontier):
         self.popped = _frontier_table(rows, epoch, self.engine.config.num_seen_shards)
         return self.engine._stage_frontier(self.popped, epoch)
 
-    def crawl(self, input_dir: str, epoch: int) -> None:
+    def crawl(self, input_dir: str, epoch: int):
         eng = self.engine
-        keys = _collect(eng._epoch_candidate_ds(input_dir, epoch, -INF, dedup=False))
+        ds = eng._epoch_candidate_ds(input_dir, epoch, -INF, dedup=False)
+        keys = _collect(ds)
         budget = eng._epoch_budget(epoch)
         keys = keys.filter(
             pa.array(budget[keys.column("src_rank").to_numpy()] > 0, type=pa.bool_())
@@ -1217,6 +1239,7 @@ class _HeapFrontier(_Frontier):
         popped = self.popped
         eng.seen.add(popped.column("url").to_pylist(), popped.column("host").to_pylist())
         eng._write_seen_delta(popped, epoch)
+        return ds
 
 
 class _ShardedHeapFrontier(_Frontier):
@@ -1269,7 +1292,7 @@ class _ShardedHeapFrontier(_Frontier):
         self.n = len(rows)
         return eng._stage_frontier(_frontier_table(rows, epoch, cfg.num_seen_shards), epoch)
 
-    def crawl(self, input_dir: str, epoch: int) -> None:
+    def crawl(self, input_dir: str, epoch: int):
         eng = self.engine
         keys = eng._epoch_candidate_ds(input_dir, epoch, eng.config.score_threshold)
         for b in keys.iter_batches(batch_size=SEEN_ROUND_CHUNK, batch_format="pyarrow"):
@@ -1287,6 +1310,7 @@ class _ShardedHeapFrontier(_Frontier):
                     )
                 ]
             )
+        return keys
 
     def close(self) -> None:
         # the shards outlive the run: a later run() starts with empty heaps

@@ -2014,7 +2014,7 @@ def docs_interleaved(sf_dir: str):
     from ..schema import DOCS_SCHEMA, SPAN_STRUCT
 
     rows = docs.select_columns(["doc_id", "spans"]).take_all()
-    engine.shutdown()  # the next engine reuses the shard actor
+    engine.shutdown()  # shard actors don't outlive the query
     # rebuild with the declared schema (dict round-trips reorder struct
     # fields alphabetically and widen offset to int64)
     return pa.table(
@@ -2702,7 +2702,7 @@ def crawl_bfs_demo(sf_dir: str):
     out = pa.Table.from_pylist(
         docs.map_batches(_summary, batch_format="pyarrow", zero_copy_batch=True).take_all()
     )
-    engine.shutdown()  # the next engine reuses the shard actor
+    engine.shutdown()  # shard actors don't outlive the query
     return out
 
 

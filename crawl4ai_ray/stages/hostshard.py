@@ -23,19 +23,14 @@ semantics — shared mutable state consulted and updated mid-stream):
 
 Shards are not processes.  ``HostShardState`` is one logical shard's state,
 a plain Python object; a ``HostShard`` actor hosts every logical shard
-``sid`` with ``sid % num_actors == its index``.  ``HostShardPool`` runs
+``sid`` with ``sid % num_actors == its index``.  ``HostShardPool`` starts
 one actor per alive node (at most one per shard, Ray's SPREAD placement):
 each actor is a Ray worker process, whose start-up costs far more CPU than
 the state it serves, so the shard count sets the partition of host state,
-not the process count.
-
-Actor lifecycle: actors outlive their pool.  ``shutdown()`` resets an
-actor to no shards and parks it on an idle list of the Ray session; the
-next pool in that session takes it, ``reset``s it with its own config (one
-RPC to a live actor, a few ms) and starts only the actors it still
-lacks.  A steady stream of engines therefore boots no worker process, and
-a new engine's first epoch never waits for one.  A pool owns its actors
-until its ``shutdown``, so two live pools never share one.
+not the process count.  A pool's actors start without blocking (an
+engine's epoch 0 runs while they boot) and ``shutdown()`` kills them, so
+a late fire-and-forget report of an aborted run can never reach the
+counters of a later pool.
 
 Callers batch their RPCs through ``route``/``submit``: rows are grouped
 by logical shard locally and each (caller, actor) pair gets ONE call — no
@@ -46,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-import threading
 import time
 
 import numpy as np
@@ -61,42 +55,6 @@ logger = logging.getLogger(__name__)
 
 # drain_counters waits at most this long for an epoch's outcome reports
 DRAIN_TIMEOUT_S = 60.0
-
-# actors of shut-down pools, ready for the next pool: (Ray session, handles).
-# Keyed by session, not job id: job ids restart at 1 after a ray.shutdown()
-# and ray.init(), and the handles of an earlier session are dead.
-_idle: tuple[str, list] = ("", [])
-_idle_lock = threading.Lock()
-
-
-def _parked() -> list:
-    """This Ray session's parked actors; the caller holds ``_idle_lock``."""
-    global _idle
-    session = ray._private.worker.global_worker.node.session_name
-    if _idle[0] != session:
-        _idle = (session, [])
-    return _idle[1]
-
-
-def _take_idle(n: int) -> list:
-    """Up to ``n`` parked actors of this Ray session, now owned by the caller."""
-    with _idle_lock:
-        parked = _parked()
-        taken = parked[:n]
-        del parked[:n]
-    return taken
-
-
-def _park(actors: list, keep: int) -> None:
-    """Park ``actors`` for the next pool; beyond ``keep`` parked ones (one
-    per alive node) the surplus is killed."""
-    with _idle_lock:
-        parked = _parked()
-        parked.extend(actors)
-        surplus = parked[keep:]
-        del parked[keep:]
-    for a in surplus:
-        ray.kill(a)
 
 
 def route(hosts: list[str], num_shards: int, num_actors: int) -> dict[int, dict[int, list[int]]]:
@@ -339,10 +297,6 @@ class HostShard:
     clusters and add nothing on big ones."""
 
     def __init__(self, shard_ids: list[int], **state_kwargs):
-        self.reset(shard_ids, **state_kwargs)
-
-    def reset(self, shard_ids: list[int], **state_kwargs) -> None:
-        """Host fresh states of ``shard_ids`` (none: an idle actor)."""
         self.states = {sid: HostShardState(sid, **state_kwargs) for sid in shard_ids}
         self.ready_ts = time.time()  # wall clock: the pool subtracts its start
 
@@ -360,8 +314,8 @@ class HostShard:
 class HostShardPool:
     """Driver-side bundle of the host shards: ``num_shards`` logical shards
     on ``min(num_shards, alive nodes)`` actors (``shards``, the handles fetch
-    stages capture; parked ones first), the one scatter-gather by host, the
-    Best-First k-way merge, and ``shutdown``, which parks the actors."""
+    stages capture), the one scatter-gather by host, the Best-First k-way
+    merge, and the one kill loop."""
 
     def __init__(
         self,
@@ -378,42 +332,19 @@ class HostShardPool:
         seed: int = 42,
     ):
         self.num_shards = num_shards
-        self._nodes = sum(1 for n in ray.nodes() if n["Alive"])
-        n_actors = max(1, min(num_shards, self._nodes))
-        state_kwargs = dict(
-            robots_bodies=robots_bodies, capacity=capacity_per_shard,
-            error_rate=error_rate, exact=exact, filter_kind=filter_kind,
-            base_delay=base_delay, max_delay=max_delay,
-            max_retries=max_retries, seed=seed,
-        )
         self._t_start = time.time()
-        # parked actors first, one reset each (a round trip: they are live).
-        # A slot whose parked actor died, or whose reset raised because the
-        # config cannot build a state, gets a new actor, started without
-        # blocking as every missing one is, so epoch 0 never waits for a
-        # boot; a bad config then fails that actor's constructor and the
-        # pool's first call, as it does for a pool of new actors.
-        idle = _take_idle(n_actors)
-        resets = [
-            a.reset.remote(list(range(i, num_shards, n_actors)), **state_kwargs)
-            for i, a in enumerate(idle)
-        ]
-        self.shards = []
-        for i in range(n_actors):
-            if i < len(idle):
-                try:
-                    ray.get(resets[i])
-                    self.shards.append(idle[i])
-                    continue
-                except (ray.exceptions.RayActorError, ray.exceptions.RayTaskError):
-                    pass
-            self.shards.append(
-                HostShard.options(scheduling_strategy="SPREAD").remote(
-                    list(range(i, num_shards, n_actors)), **state_kwargs
-                )
+        nodes = sum(1 for n in ray.nodes() if n["Alive"])
+        n_actors = max(1, min(num_shards, nodes))
+        self.shards = [
+            HostShard.options(scheduling_strategy="SPREAD").remote(
+                list(range(a, num_shards, n_actors)),
+                robots_bodies=robots_bodies, capacity=capacity_per_shard,
+                error_rate=error_rate, exact=exact, filter_kind=filter_kind,
+                base_delay=base_delay, max_delay=max_delay,
+                max_retries=max_retries, seed=seed,
             )
-        # a reused actor is ready when its reset returns
-        self._reset_ts = time.time() if idle else 0.0
+            for a in range(n_actors)
+        ]
 
     def _scatter(self, method: str, hosts: list[str], *cols: list) -> list:
         """One ``method`` call per owning actor with its rows of ``cols``;
@@ -470,7 +401,7 @@ class HostShardPool:
         """Per logical shard, in shard order: the outcome counters since the
         last drain, the seen size and FP estimate, ``host_shard_actors``
         and ``actor_ready_s`` (pool start to the last actor's constructor
-        end; for reused actors, the reset round trip).
+        end).
 
         Fetch tasks report fire-and-forget, and calls from different
         callers reach an actor in no fixed order: a task's report to an
@@ -497,7 +428,7 @@ class HostShardPool:
                 )
                 break
             time.sleep(0.005)
-        ready_s = max(self._reset_ts, *(c.pop("ready_ts") for c in total)) - self._t_start
+        ready_s = max(c.pop("ready_ts") for c in total) - self._t_start
         for c in total:
             c["host_shard_actors"] = len(self.shards)
             c["actor_ready_s"] = ready_s
@@ -549,11 +480,8 @@ class HostShardPool:
 
     # -------------------------------------------------------- lifecycle
     def shutdown(self) -> None:
-        """Clear the shards' state and park the actors for the next pool.
-        The reset is fire-and-forget: it runs before any call of the next
-        owner, which this driver also submits.  The pool holds no actor
-        afterwards, so a second shutdown parks nothing twice."""
         for s in self.shards:
-            s.reset.remote([])
-        _park(self.shards, keep=max(1, self._nodes))
-        self.shards = []
+            try:
+                ray.kill(s)
+            except Exception:
+                pass

@@ -883,17 +883,6 @@ def _live_anonymous_actors() -> dict[str, str]:
     }
 
 
-def _hosted_shards(actor) -> dict:
-    """The logical shards a HostShard actor hosts ({} once it is reset to
-    none, or dead)."""
-    import ray
-
-    try:
-        return ray.get(actor.drain_counters.remote())
-    except ray.exceptions.RayActorError:
-        return {}
-
-
 @pytest.mark.parametrize("strategy,deterministic", [
     pytest.param("bfs", True, id="bfs-parity"),
     pytest.param("bfs", False, id="bfs-scale"),
@@ -901,12 +890,11 @@ def _hosted_shards(actor) -> dict:
 ])
 def test_one_host_shard_actor_per_shard(tmp_path, ray_session, strategy, deterministic):
     """A crawl runs on exactly one HostShard actor per alive node (one on
-    the test cluster), not one per logical shard: through every epoch the
-    engine's actors are alive HostShards and no other actor appears — no
-    separate politeness or heap actors.  The actor may be one an earlier
-    engine parked.  After shutdown() the engine holds no actor and the
-    actors host no shard state.  The logical shards still give one metrics
-    row each per epoch."""
+    the test cluster), not one per logical shard — no separate politeness
+    or heap actors — and shutdown() kills them.  The logical shards still
+    give one metrics row each per epoch."""
+    import time as _time
+
     import ray
 
     params = CorpusParams(n_hosts=3, pages_per_host=15, seed=7)
@@ -917,121 +905,27 @@ def test_one_host_shard_actor_per_shard(tmp_path, ray_session, strategy, determi
                     exact_seen=deterministic, max_depth=3, num_seen_shards=3),
         str(tmp_path / "ckpt"), robots_bodies=robots_map(params),
     )
+    seen_per_epoch = []
+    started: set[str] = set()
+    for _epoch, _docs in engine.run_iter(params.seeds()):
+        new = {a: c for a, c in _live_anonymous_actors().items() if a not in before}
+        seen_per_epoch.append(sorted(new.values()))
+        started |= set(new)
+    assert len(seen_per_epoch) >= 2
     nodes = sum(1 for n in ray.nodes() if n["Alive"])
     assert nodes == 1
-    actors = list(engine.seen.shards)
-    serving = {a._actor_id.hex() for a in actors}
-    assert len(serving) == nodes
-    epochs = 0
-    for _epoch, _docs in engine.run_iter(params.seeds()):
-        live = _live_anonymous_actors()
-        assert {live.get(a) for a in serving} == {"HostShard"}, live
-        assert {a for a in live if a not in before} <= serving, live
-        epochs += 1
-    assert epochs >= 2
-    assert sorted(int(s) for a in actors for s in _hosted_shards(a)) == [0, 1, 2]
+    assert all(classes == ["HostShard"] * nodes for classes in seen_per_epoch), seen_per_epoch
+    assert len(engine.seen.shards) == nodes
     shard_ids: dict[int, list[int]] = {}
     for r in engine.store.read_group("metrics").to_pylist():
         shard_ids.setdefault(r["epoch"], []).append(r["shard_id"])
-    assert sorted(shard_ids) == list(range(epochs))
+    assert sorted(shard_ids) == list(range(len(seen_per_epoch)))
     assert all(sorted(s) == [0, 1, 2] for s in shard_ids.values()), shard_ids
     engine.shutdown()
-    assert engine.seen.shards == []
-    assert [_hosted_shards(a) for a in actors] == [{}] * nodes
-
-
-def _actor_ids(engine) -> list[str]:
-    return [a._actor_id.hex() for a in engine.seen.shards]
-
-
-def test_second_engine_reuses_the_first_engines_actor(tmp_path, ray_session):
-    """After a crawl and shutdown(), the next engine of the session runs on
-    the first engine's actor: no new actor (so no new actor process)
-    starts, and the reused actor's process is the same.  It starts clean:
-    seen size 0, empty heaps, zero outcome counters, and it crawls the
-    same pages as the first engine."""
-    import ray._private.state as gcs
-
-    params = CorpusParams(n_hosts=2, pages_per_host=15, seed=3)
-    cfg = CrawlConfig(max_depth=3, num_seen_shards=3)
-
-    def _engine(name):
-        return CrawlEngine(SyntheticTransport(params), cfg, str(tmp_path / name),
-                           robots_bodies=robots_map(params))
-
-    first = _engine("first")
-    first_summary = first.run(params.seeds())
-    assert first.seen.total_size() > 0
-    ids = _actor_ids(first)
-    pids = {aid: gcs.actors()[aid]["Pid"] for aid in ids}
-    first.shutdown()
-    live_before = set(_live_anonymous_actors())
-
-    second = _engine("second")
-    assert _actor_ids(second) == ids
-    assert second.seen.total_size() == 0
-    assert second.seen.heap_sizes() == [0, 0, 0]
-    counters = second.seen.drain_counters()
-    assert [(c["fetched"], c["failed"], c["denied"], c["seen_size"]) for c in counters] \
-        == [(0, 0, 0, 0)] * 3
-    summary = second.run(params.seeds())
-    assert set(_live_anonymous_actors()) <= live_before  # no new actor
-    assert {aid: gcs.actors()[aid]["Pid"] for aid in ids} == pids
-    assert summary["pages_crawled"] == first_summary["pages_crawled"]
-    assert summary["seen_size"] == first_summary["seen_size"]
-    second.shutdown()
-
-
-def test_live_engines_never_share_an_actor(tmp_path, ray_session):
-    """Two engines alive at once own distinct actors, however many actors
-    earlier engines parked; the second one crawls while the first holds
-    its state."""
-    from crawl4ai_ray.stages.hostshard import HostShardPool
-
-    HostShardPool(2).shutdown()  # an actor is parked for the next pool
-    params = CorpusParams(n_hosts=2, pages_per_host=10, seed=4)
-    cfg = CrawlConfig(max_depth=2, num_seen_shards=2)
-    one = CrawlEngine(SyntheticTransport(params), cfg, str(tmp_path / "one"),
-                      robots_bodies=robots_map(params))
-    two = CrawlEngine(SyntheticTransport(params), cfg, str(tmp_path / "two"),
-                      robots_bodies=robots_map(params))
-    try:
-        assert not set(_actor_ids(one)) & set(_actor_ids(two))
-        one.seen.add(["http://held.test/"], ["held.test"])
-        two.run(params.seeds())
-        assert one.seen.total_size() == 1
-    finally:
-        one.shutdown()
-        two.shutdown()
-
-
-def test_parked_actor_killed_from_outside_is_replaced(tmp_path, ray_session):
-    """An actor killed while parked (as a benchmark kills pool actors with
-    ray.kill) is dropped: the next engine starts a new actor and crawls."""
-    import time as _time
-
-    import ray
-
-    params = CorpusParams(n_hosts=2, pages_per_host=10, seed=6)
-    cfg = CrawlConfig(max_depth=2, num_seen_shards=2)
-
-    def _engine(name):
-        return CrawlEngine(SyntheticTransport(params), cfg, str(tmp_path / name),
-                           robots_bodies=robots_map(params))
-
-    first = _engine("first")
-    actors = list(first.seen.shards)
-    first.shutdown()
-    for a in actors:
-        ray.kill(a)
     deadline = _time.time() + 30
-    while set(_live_anonymous_actors()) & {a._actor_id.hex() for a in actors}:
-        assert _time.time() < deadline
-        _time.sleep(0.1)
-    second = _engine("second")
-    assert not set(_actor_ids(second)) & {a._actor_id.hex() for a in actors}
-    assert second.run(params.seeds())["pages_crawled"] > 0
-    second.shutdown()
+    while started & set(_live_anonymous_actors()) and _time.time() < deadline:
+        _time.sleep(0.2)
+    assert not started & set(_live_anonymous_actors())
 
 
 def _shard_killing_transport(params, victim_url: str):
@@ -1234,6 +1128,76 @@ def test_each_epoch_is_one_fused_operator(
     engine.shutdown()
 
 
+def test_epoch_parts_split_until_the_task_slots():
+    """``_epoch_parts``: a frontier of ``rows`` rows is min(rows, slots)
+    parts; a chunk staged after ``staged`` parts fills only the slots left,
+    and one file once they are full."""
+    from crawl4ai_ray.pipelines.crawl import _epoch_parts
+
+    assert [_epoch_parts(r, slots=8) for r in (0, 1, 5, 8, 9, 10**10)] == [1, 1, 5, 8, 8, 8]
+    assert [_epoch_parts(100, staged, 8) for staged in (0, 3, 7, 8, 20)] == [8, 5, 1, 1, 1]
+    assert _epoch_parts(2, 3, 8) == 2
+
+
+def test_scale_epoch_of_many_chunks_stays_within_the_task_slots(
+    tmp_path, ray_session, monkeypatch
+):
+    """A scale epoch whose candidate keys take many seen rounds (chunks of
+    ``SEEN_ROUND_CHUNK`` keys) splits chunks into next-frontier parts only
+    until the epoch has 2×CPUs parts, then writes one file per chunk: at
+    most 2×CPUs + chunks - 1 files, where a per-chunk split would write up
+    to 2×CPUs per chunk.  The next epoch reads any number of files in at
+    most 2×CPUs tasks of its one fused operator."""
+    import os
+
+    import ray
+
+    from crawl4ai_ray.pipelines import crawl as crawl_mod
+
+    monkeypatch.setattr(crawl_mod, "SEEN_ROUND_CHUNK", 4)
+    writes: dict[str, list[tuple[int, int]]] = {}
+    write_parts = crawl_mod.write_parts
+
+    def _recorded_write(table, d, parts, first=0):
+        writes.setdefault(d, []).append((table.num_rows, parts))
+        return write_parts(table, d, parts, first)
+
+    monkeypatch.setattr(crawl_mod, "write_parts", _recorded_write)
+    epochs: list[tuple[str, object]] = []
+    candidate_ds = CrawlEngine._epoch_candidate_ds
+
+    def _recorded(self, input_dir, epoch, *args, **kwargs):
+        ds = candidate_ds(self, input_dir, epoch, *args, **kwargs)
+        epochs.append((input_dir, ds))
+        return ds
+
+    monkeypatch.setattr(CrawlEngine, "_epoch_candidate_ds", _recorded)
+    params = CorpusParams(n_hosts=3, pages_per_host=25, seed=12)
+    engine, _ = _run_engine(
+        tmp_path, params,
+        CrawlConfig(deterministic=False, max_depth=3, num_seen_shards=3),
+    )
+    slots = 2 * int(ray.cluster_resources()["CPU"])
+    assert writes and max(len(chunks) for chunks in writes.values()) > slots
+    for d, chunks in writes.items():
+        staged = 0
+        for rows, parts in chunks:
+            assert parts == max(1, min(rows, slots - staged)), (d, chunks)
+            staged += parts
+        files = [f for f in os.listdir(d) if f.endswith(".parquet")]
+        assert len(files) == staged <= slots + len(chunks) - 1
+        assert pq.read_table(d).num_rows == sum(rows for rows, _ in chunks)
+    wide = 0
+    for input_dir, ds in epochs:
+        files = sum(f.endswith(".parquet") for f in os.listdir(input_dir))
+        blocks = _op_blocks(ds._plan.stats())
+        assert list(blocks) == [_EPOCH_OP]
+        assert len({b.exec_stats.task_idx for b in blocks[_EPOCH_OP]}) == min(files, slots)
+        wide += files > slots
+    assert wide >= 1
+    engine.shutdown()
+
+
 def _old_stage_frontier(self, frontier, epoch, group="frontier"):
     """The frontier staging the engine used before ``_epoch_parts``: parts
     of at least 64 rows, at most 4×CPUs of them, read as Ray Data plans."""
@@ -1286,7 +1250,7 @@ def test_epoch_staging_keeps_crawl_outputs(
     with monkeypatch.context() as m:
         m.setattr(CrawlEngine, "_stage_frontier", _old_stage_frontier)
         m.setattr(CrawlEngine, "_epoch_source", staticmethod(ray.data.read_parquet))
-        m.setattr(crawl_mod, "_epoch_parts", lambda rows: 1)
+        m.setattr(crawl_mod, "_epoch_parts", lambda *args: 1)
         old, _ = _run_engine(tmp_path, params, cfg, name="old")
 
     def _docs(engine) -> pa.Table:

@@ -252,14 +252,9 @@ def test_drain_counters_waits_for_reports_to_a_booting_actor(ray_session):
 
     hosts = [f"site{i}.test" for i in range(12)]
     want = [sum(1 for h in hosts[:-1] if h64(h) % 3 == sid) for sid in range(3)]
-    # a pool takes an actor parked by an earlier pool's shutdown: the first
-    # one here absorbs any, and every pool stays alive until the end, so
-    # each iteration's pool starts (and reports to) a booting actor
-    pools = [HostShardPool(3)]
-    try:
-        for late in (False, False, False, True):
-            pool = HostShardPool(3)
-            pools.append(pool)
+    for late in (False, False, False, True):
+        pool = HostShardPool(3)
+        try:
             if late:
                 pool.total_size()  # the actor is up: the first round sees nothing
                 timer = threading.Timer(0.3, _fetch_task.remote, (pool.shards, hosts))
@@ -272,11 +267,32 @@ def test_drain_counters_waits_for_reports_to_a_booting_actor(ray_session):
             if late:
                 timer.join(timeout=10)
                 assert not timer.is_alive()
-        actors = [a for p in pools for a in p.shards]
-        assert len(set(actors)) == len(actors)
-    finally:
-        for pool in pools:
+        finally:
             pool.shutdown()
+
+
+def test_reports_to_a_shut_down_pool_never_reach_the_next_pool(ray_session):
+    """A fetch task of an aborted run can report after its engine's
+    shutdown().  The report must fail, not land in the next pool's counters,
+    which gate ``drain_counters(expected)`` and the engine's page count."""
+    import ray
+
+    from crawl4ai_ray.stages.hostshard import HostShardPool, submit
+
+    hosts = [f"site{i}.test" for i in range(12)]
+    first = HostShardPool(3)
+    first.total_size()  # the actor is up
+    stale = list(first.shards)
+    first.shutdown()
+    second = HostShardPool(3)
+    try:
+        refs = [ref for _, ref in submit(stale, 3, "report", hosts, hosts, [200] * len(hosts))]
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(refs)
+        counters = second.drain_counters()
+        assert [(c["fetched"], c["failed"], c["seen_size"]) for c in counters] == [(0, 0, 0)] * 3
+    finally:
+        second.shutdown()
 
 
 def test_sharded_frontier_heap_aging(ray_session):
