@@ -586,16 +586,23 @@ class CrawlEngine:
               → sink docs part, then in the same task: flatten → canonicalize
                 → filter/score → gate at ``threshold`` → one row per URL
                 (``dedup``)
-        """
-        import uuid
 
+        A docs part is named by its block's least ``frontier_rank`` (blocks
+        hold disjoint ranks, so names are unique and sort in rank order) and
+        written under a dot-name, then renamed: a retried task overwrites
+        its part instead of adding a second copy, and a dead attempt leaves
+        only a file no reader lists.
+        """
         cfg = self.config
         docs_dir = self.store.docs_epoch_dir(epoch)
         filter_stage = self._filter_stage
         include_external, max_depth = cfg.include_external, cfg.max_depth
 
         def _sink_and_discover(batch: pa.Table) -> pa.Table:
-            pq.write_table(batch, f"{docs_dir}/part-{uuid.uuid4().hex}.parquet")
+            if batch.num_rows:
+                name = f"part-{pc.min(batch.column('frontier_rank')).as_py():020d}"
+                pq.write_table(batch, f"{docs_dir}/.{name}")
+                os.replace(f"{docs_dir}/.{name}", f"{docs_dir}/{name}.parquet")
             return _candidate_keys(
                 batch, include_external, filter_stage, max_depth, threshold, dedup
             )
@@ -891,14 +898,10 @@ class CrawlEngine:
                 item = q.get()
                 if item is done:
                     break
-                # create=False: the default CLEARS the dir for an idempotent
-                # epoch re-run — here we only read what the epoch committed
-                docs_dir = self.store.docs_epoch_dir(item, create=False)
-                if not os.path.isdir(docs_dir) or not any(
-                    f.endswith(".parquet") for f in os.listdir(docs_dir)
-                ):
+                files = self.store.docs_files(item)
+                if not files:
                     continue  # epoch fetched nothing (all-robots-blocked etc.)
-                yield item, ray.data.read_parquet(docs_dir)
+                yield item, ray.data.read_parquet(files)
         finally:
             self._epoch_listener = None
             # consumer may abandon the iterator early while the crawl
@@ -935,17 +938,9 @@ class CrawlEngine:
 
         from ..stages.revalidate import RevalidateStage
 
-        dirs = self.store.docs_dirs()
         zero = {"checked": 0, "fresh_304": 0, "fresh_fingerprint": 0,
                 "stale": 0, "error": 0, "refetched": 0}
-        if not dirs:
-            return zero
-        files = [
-            os.path.join(d, f)
-            for d in dirs
-            for f in sorted(os.listdir(d))
-            if f.endswith(".parquet")
-        ]
+        files = self.store.docs_files()
         if not files:
             return zero
         cat = ray.data.read_parquet(
@@ -981,7 +976,7 @@ class CrawlEngine:
             return counts
 
         next_epoch = 1 + max(
-            int(d.rsplit("epoch=", 1)[1]) for d in dirs
+            int(d.rsplit("epoch=", 1)[1]) for d in self.store.docs_dirs()
         )
         refetched = 0
         stale_ds = rv.map_batches(
@@ -1093,17 +1088,8 @@ class CrawlEngine:
 
     # ------------------------------------------------------------ outputs
     def docs_dataset(self):
-        dirs = self.store.docs_dirs()
-        if not dirs:
-            return None
-        # read_parquet treats LIST entries as files, not dirs — expand
-        files = [
-            os.path.join(d, f)
-            for d in dirs
-            for f in sorted(os.listdir(d))
-            if f.endswith(".parquet")
-        ]
-        return ray.data.read_parquet(files)
+        files = self.store.docs_files()
+        return ray.data.read_parquet(files) if files else None
 
 
 # ------------------------------------------------------- frontier policies

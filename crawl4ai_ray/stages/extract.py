@@ -124,7 +124,7 @@ class _DomBuilder(HTMLParser):
 
 
 # --------------------------------------------------------------- backends
-# Availability-selected parser backend (the state/lance_sink.py pattern):
+# Availability-selected parser backend:
 # the reference parses with lxml's C parser
 # (content_scraping_strategy.py:607-909) and at crawl scale HTML parsing is
 # the dominant CPU, so when lxml is importable we build the same Node tree

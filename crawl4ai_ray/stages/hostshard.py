@@ -230,8 +230,7 @@ class HostShardState:
         return out
 
     # ------------------------------------------------ best-first heap
-    # entries (neg_score, depth, url, parent); lazy deletion on discard;
-    # aging adjusts a shard-level score offset so age_all is O(1)
+    # entries (neg_score, depth, url, parent); lazy deletion on discard
     def heap_clear(self) -> None:
         self.heap: list[tuple[float, int, str, str | None]] = []
         self.dead: set[str] = set()
@@ -243,7 +242,6 @@ class HostShardState:
         # 10^10 scale swap this exact set for a bloom (it's an optimization
         # only — the seen filter is the correctness gate).
         self.queued: set[str] = set()
-        self.age_bonus = 0.0  # accumulated promotion (score offset)
 
     def push(self, rows: list[tuple[float, int, str, str | None]]) -> int:
         """rows: (score, depth, url, parent); a url enqueues at most once
@@ -252,19 +250,13 @@ class HostShardState:
         for score, depth, url, parent in rows:
             if url in self.queued:
                 continue
-            # store base = score − bonus_at_push: at read time effective =
-            # base + bonus_now, so only entries queued BEFORE a bump gain it
-            heapq.heappush(self.heap, (-(score - self.age_bonus), depth, url, parent))
+            heapq.heappush(self.heap, (-score, depth, url, parent))
             self.queued.add(url)
             n += 1
         return n
 
-    def age_all(self, delta: float) -> None:
-        """Promote everything currently queued by ``delta`` (fairness)."""
-        self.age_bonus += delta
-
     def top(self, k: int) -> list[tuple[float, int, str, str | None]]:
-        """Peek the best ≤k live entries (score already age-adjusted)."""
+        """Peek the best ≤k live entries."""
         if len(self.dead) > 64 and len(self.dead) * 2 > len(self.heap):
             self.heap = [e for e in self.heap if e[2] not in self.dead]
             heapq.heapify(self.heap)
@@ -273,7 +265,7 @@ class HostShardState:
         for neg, depth, url, parent in heapq.nsmallest(k + len(self.dead), self.heap):
             if url in self.dead:
                 continue
-            out.append((-neg + self.age_bonus, depth, url, parent))
+            out.append((-neg, depth, url, parent))
             if len(out) == k:
                 break
         return out
@@ -441,9 +433,6 @@ class HostShardPool:
             (r.get("score", 0.0), r["depth"], r["url"], r.get("parent_url")) for r in rows
         ]
         return sum(n for _, _, n in self._scatter("push", [r["host"] for r in rows], entries))
-
-    def age_all(self, delta: float) -> None:
-        self._all("age_all", delta)
 
     def heap_sizes(self) -> list[int]:
         """Live entries per logical shard's heap, in shard order."""

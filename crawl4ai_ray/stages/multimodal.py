@@ -77,8 +77,8 @@ def pil_available() -> bool:
 
 
 class PilDecoder:
-    """REAL pixel decoder backed by PIL — availability-selected (the
-    lxml/lance_sink pattern): ``select_decoder_factory`` activates this
+    """REAL pixel decoder backed by PIL — availability-selected (as the
+    lxml parser backend is): ``select_decoder_factory`` activates this
     tier automatically when Pillow is importable and falls back to
     HeaderProbeDecoder otherwise.  Image kinds open through PIL (true
     pixel-level dimensions, format, n_frames for animated containers);

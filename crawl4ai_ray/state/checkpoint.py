@@ -5,7 +5,10 @@ Replaces the reference's per-URL JSON state callback + SQLite page cache
 idempotent, resumable layout:
 
     <dir>/manifest.json                    driver manifest (atomic tmp+rename)
-    <dir>/docs/epoch=N/part-*.parquet      extracted documents (spans + lineage)
+    <dir>/docs/epoch=N/part-<rank>.parquet extracted documents (spans +
+                                           lineage); a crawl epoch names
+                                           each block's part by its least
+                                           frontier_rank
     <dir>/seen/epoch=N.parquet             seen-set delta added in epoch N
                                            (parity discovery only)
     <dir>/frontier/epoch=N/part-*.parquet  frontier consumed by epoch N,
@@ -22,7 +25,7 @@ seen — → continue at ``epoch+1`` from ``frontier/epoch=N+1/`` without
 re-fetching any URL already in ``seen``.  A partial epoch that never
 committed its manifest entry is simply re-run; docs for it are overwritten
 (`docs/epoch=N/` is removed before rewrite), which makes the re-run
-idempotent.
+idempotent.  A task retried inside an epoch overwrites its own docs part.
 
 The Lance format is not available in this container; this store is the
 format-abstraction point — a Lance backend implements the same four table
@@ -85,28 +88,7 @@ class CheckpointStore:
         d = self.epoch_dir(group, epoch)
         shutil.rmtree(d, ignore_errors=True)
         os.makedirs(d, exist_ok=True)
-        if parts > 8:
-            # parallel staging: ship the table once, workers write slices
-            import ray
-
-            @ray.remote(num_cpus=0.5)
-            def _write_parts(tbl, slices, dir_, ids):
-                import pyarrow.parquet as _pq
-
-                for (off, rows), i in zip(slices, ids):
-                    chunk = tbl.slice(off, rows).combine_chunks()
-                    _pq.write_table(chunk, os.path.join(dir_, f"part-{i:05d}.parquet"))
-                return len(slices)
-
-            slices = part_slices(table.num_rows, parts)
-            tbl_ref = ray.put(table.combine_chunks())
-            groups = 8
-            ray.get([
-                _write_parts.remote(tbl_ref, slices[g::groups], d, list(range(g, parts, groups)))
-                for g in range(groups)
-            ])
-        else:
-            write_parts(table, d, parts)
+        write_parts(table, d, parts)
         return d
 
     def read_group(self, group: str, upto_epoch: int | None = None) -> pa.Table | None:
@@ -148,6 +130,19 @@ class CheckpointStore:
                 continue
             out.append(os.path.join(base, name))
         return out
+
+    def docs_files(self, epoch: int | None = None) -> list[str]:
+        """The committed ``*.parquet`` docs parts of one epoch, or of every
+        epoch, sorted by directory then name (a list of files: read_parquet
+        takes list entries as files, not dirs)."""
+        dirs = self.docs_dirs() if epoch is None else [self.docs_epoch_dir(epoch, create=False)]
+        return [
+            os.path.join(d, f)
+            for d in dirs
+            if os.path.isdir(d)
+            for f in sorted(os.listdir(d))
+            if f.endswith(".parquet")
+        ]
 
 
 def part_slices(n: int, parts: int) -> list[tuple[int, int]]:

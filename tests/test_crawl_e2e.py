@@ -454,72 +454,6 @@ def test_best_first_oracle_parity(tmp_path, ray_session):
         engine.shutdown()
 
 
-def test_salt_heavy_hosts(ray_session):
-    """Skew handling: a hot host's frontier rows spread across salt_k shards
-    while cold hosts keep their home shard; politeness routing (by unsalted
-    host hash) is unaffected."""
-    import numpy as np
-
-    from crawl4ai_ray.hashing import h64
-    from crawl4ai_ray.pipelines.crawl import _frontier_table
-    from crawl4ai_ray.stages.partition import salt_heavy_hosts, shard_histogram
-
-    num_shards = 16
-    rows = [
-        {"url": f"http://hot.test/p/{i}", "depth": 1, "parent_url": None, "score": 0.0}
-        for i in range(5000)
-    ] + [
-        {"url": f"http://cold{j}.test/p/{i}", "depth": 1, "parent_url": None, "score": 0.0}
-        for j in range(5)
-        for i in range(50)
-    ]
-    frontier = _frontier_table(rows, 1, num_shards)
-    before = shard_histogram(frontier, num_shards)
-    assert before.max() >= 5000  # hot host serialized on one shard
-    salted = salt_heavy_hosts(frontier, num_shards, threshold=1000, salt_k=8)
-    after = shard_histogram(salted, num_shards)
-    assert after.max() < 5000  # spread out
-    # hot rows occupy ~8 salted shards, each ~5000/8
-    hot_mask = np.array([h == "hot.test" for h in salted.column("host").to_pylist()])
-    hot_shards = np.asarray(salted.column("shard_id").to_numpy(zero_copy_only=False))[hot_mask]
-    assert len(set(hot_shards.tolist())) == 8
-    counts = np.bincount(hot_shards, minlength=num_shards)
-    assert counts[counts > 0].min() >= 5000 // 8 - 1
-    # cold hosts untouched (home shard)
-    for j in range(5):
-        host = f"cold{j}.test"
-        mask = np.array([h == host for h in salted.column("host").to_pylist()])
-        sids = set(np.asarray(salted.column("shard_id").to_numpy(zero_copy_only=False))[mask].tolist())
-        assert sids == {h64(host) % num_shards}
-    # determinism
-    again = salt_heavy_hosts(frontier, num_shards, threshold=1000, salt_k=8)
-    assert salted.column("shard_id").to_pylist() == again.column("shard_id").to_pylist()
-
-
-def test_partition_by_host_groups(ray_session):
-    import ray.data
-
-    from crawl4ai_ray.hashing import h64
-    from crawl4ai_ray.stages.partition import partition_by_host
-
-    rows = [
-        {"host": f"h{i % 4}.test", "url": f"http://h{i % 4}.test/p/{i}"}
-        for i in range(40)
-    ]
-    grouped = partition_by_host(ray.data.from_items(rows), num_shards=8)
-
-    def _audit(group: pa.Table) -> pa.Table:
-        hosts = set(group.column("host").to_pylist())
-        sids = set(group.column("shard_id").to_pylist())
-        assert len(sids) == 1
-        sid = sids.pop()
-        assert all(h64(h) % 8 == sid for h in hosts)
-        return pa.table({"shard_id": [sid], "n": [group.num_rows]})
-
-    out = grouped.map_groups(_audit, batch_format="pyarrow").take_all()
-    assert sum(r["n"] for r in out) == 40
-
-
 def test_crawl_with_politeness_budget_threaded_fetch(tmp_path, ray_session):
     """Nonzero politeness budget: FetchStage takes the acquire-RPC grant
     path and overlaps fetches with its thread pool (max_sessions>1).  The
@@ -1041,6 +975,50 @@ def _failing_transport(params, victim_url: str):
             return self.inner.fetch(url)
 
     return _FailingTransport()
+
+
+def _die_once_filter(marker: str):
+    """Filter-chain factory whose first ``apply_batch`` kills its worker
+    process: ``O_EXCL`` lets exactly one call create ``marker``.  The filter
+    runs in discovery, after the task has sunk its docs part, so Ray retries
+    a task whose part is already on disk (pickled by value, like
+    ``_shard_killing_transport``)."""
+
+    class _DieOnce:
+        def apply_batch(self, urls: list[str]):
+            import os
+
+            import numpy as np
+
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return np.ones(len(urls), dtype=bool)
+            os._exit(1)
+
+    return _DieOnce
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["bfs-parity", "bfs-scale"])
+def test_worker_death_after_sink_keeps_docs_once(tmp_path, ray_session, deterministic):
+    """A worker dies once right after its task sank a docs part, and Ray
+    retries the task: the retry overwrites that part, so the docs hold each
+    crawled URL exactly as often as a clean run's."""
+    params = CorpusParams(n_hosts=4, pages_per_host=40, seed=3)
+    marker = tmp_path / "died"
+
+    def _urls(name, filter_factory):
+        cfg = CrawlConfig(max_depth=4, num_seen_shards=4, deterministic=deterministic,
+                          exact_seen=deterministic, filter_factory=filter_factory)
+        engine, _ = _run_engine(tmp_path, params, cfg, name=name)
+        engine.shutdown()
+        return sorted(_docs_table(engine).column("url").to_pylist())
+
+    clean = _urls("clean", None)
+    killed = _urls("killed", _die_once_filter(str(marker)))
+    assert marker.exists()  # a worker did die mid-task
+    assert len(clean) > 100
+    assert killed == clean
 
 
 # ------------------------------------------------------------ epoch plan

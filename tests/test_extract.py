@@ -195,44 +195,6 @@ def test_lxml_tree_conversion_shape():
     assert p.text_content() == "aboldtailafter"
 
 
-def test_fast_format_html_parity():
-    """Char-exact vs the exec'd reference utils.fast_format_html (the
-    function is dependency-free, so it's ast-extracted and exec'd from the
-    reference file) over synthetic pages and a quirk grid."""
-    import ast
-    import os
-
-    import pytest
-
-    ref_file = "/root/reference/crawl4ai/utils.py"
-    if not os.path.exists(ref_file):
-        pytest.skip("reference not present")
-    tree = ast.parse(open(ref_file).read())
-    fn = next(n for n in tree.body
-              if isinstance(n, ast.FunctionDef) and n.name == "fast_format_html")
-    ns: dict = {}
-    exec(compile(ast.Module([fn], type_ignores=[]), ref_file, "exec"), ns)
-    ref_fmt = ns["fast_format_html"]
-
-    from crawl4ai_ray.functions.format_html import fast_format_html
-    from crawl4ai_ray.sources.corpus import CorpusParams, synthesize_html
-
-    params = CorpusParams(n_hosts=1, pages_per_host=30, seed=13)
-    for p in range(1, 12):
-        page = synthesize_html(params, 0, p)
-        assert fast_format_html(page) == ref_fmt(page), p
-    quirks = [
-        "<div><p>a</p><br><p>b</p></div>",          # void tag indents (quirk)
-        "<img src='x'/><div>t</div>",                # self-closing
-        "<div>a < b</div>",                          # stray < in text
-        "<div>\n  line1\n  line2\n</div>",           # multi-line text
-        "<div\nclass='x'>t</div>",                   # tag broken across lines
-        "", "   ", "<p>only</p>",
-    ]
-    for q in quirks:
-        assert fast_format_html(q) == ref_fmt(q), repr(q)
-
-
 # ------------------------------------------------ one parse per page
 # ``extract_batch`` takes each page's head fingerprint from the DOM that
 # ``extract_page`` parses.  The in-file copies below are the stage as it

@@ -293,56 +293,6 @@ def test_cc_seed_urls_pipeline(tmp_path, ray_session):
     assert out[0]["domain"] == "site0.test" and "/p/" in out[0]["url"]
 
 
-# ------------------------------------------------------------- url config
-
-def test_url_config_is_match_vectors():
-    """Reference is_match semantics (async_configs.py:1570-1612)."""
-    from crawl4ai_ray.functions.url_config import MatchMode, UrlConfig
-
-    assert UrlConfig(None).is_match("http://x/a")  # no matcher ⇒ always
-    assert UrlConfig("*/docs/*").is_match("http://x/docs/a")
-    assert not UrlConfig("*/docs/*").is_match("http://x/blog/a")
-    assert UrlConfig(lambda u: "blog" in u).is_match("http://x/blog/a")
-    assert not UrlConfig([]).is_match("http://x/a")  # empty list ⇒ never
-    mixed = ["*/docs/*", lambda u: u.endswith(".pdf")]
-    assert UrlConfig(mixed).is_match("http://x/file.pdf")  # OR default
-    assert not UrlConfig(mixed, MatchMode.AND).is_match("http://x/file.pdf")
-    assert UrlConfig(mixed, MatchMode.AND).is_match("http://x/docs/file.pdf")
-
-
-def test_select_config_first_match_wins_and_skip():
-    from crawl4ai_ray.functions.url_config import UrlConfig, select_config
-
-    only = UrlConfig("*/a/*", payload={"k": 1})
-    assert select_config("http://x/zzz", only) is only  # single passthrough
-    assert select_config("http://x/a", []) is None
-    c1 = UrlConfig("*/docs/*", payload={"k": "docs"})
-    c2 = UrlConfig(None, payload={"k": "default"})
-    assert select_config("http://x/docs/1", [c1, c2]).payload["k"] == "docs"
-    assert select_config("http://x/other", [c1, c2]).payload["k"] == "default"
-    assert select_config("http://x/other", [c1]) is None  # skip
-
-
-def test_config_select_stage(ray_session):
-    import ray.data
-
-    from crawl4ai_ray.functions.url_config import ConfigSelectStage, UrlConfig
-
-    ds = ray.data.from_items(
-        [{"url": f"http://x/{p}/{i}"} for i, p in enumerate(["docs", "blog", "x"])]
-    )
-    out = ds.map_batches(
-        ConfigSelectStage,
-        fn_constructor_kwargs=dict(
-            configs=[UrlConfig("*/docs/*"), UrlConfig("*/blog/*")]
-        ),
-        batch_format="pyarrow",
-        concurrency=1,
-    ).take_all()
-    got = {r["url"]: r["config_idx"] for r in out}
-    assert got == {"http://x/docs/0": 0, "http://x/blog/1": 1}  # /x/ skipped
-
-
 # --------------------------------------------------------- cosine clustering
 
 def test_linkage_clusters_planted_groups():

@@ -158,43 +158,6 @@ def test_route_places_each_row_once_under_its_shard_and_actor(num_shards, num_ac
     assert route([], num_shards, num_actors) == {}
 
 
-def test_lance_sink_shim(tmp_path, ray_session):
-    """Format-abstraction point (input_hint names Lance; absent here):
-    selection resolves by availability, parquet fallback is live, and the
-    lance branch calls the ray-native sink."""
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from crawl4ai_ray.state import lance_sink
-
-    assert lance_sink.ACTIVE_FORMAT in ("lance", "parquet")
-    ds = ray.data.from_items([{"doc_id": "d1", "n": 1}, {"doc_id": "d2", "n": 2}])
-    fmt = lance_sink.write_docs_dataset(ds, str(tmp_path / "docs"))
-    assert fmt == lance_sink.ACTIVE_FORMAT
-    back = lance_sink.read_docs_dataset(str(tmp_path / "docs"), columns=["doc_id"])
-    assert sorted(r["doc_id"] for r in back.take_all()) == ["d1", "d2"]
-
-    import pyarrow as pa
-
-    fmt2 = lance_sink.write_table(
-        pa.table({"a": [1]}), str(tmp_path / "t"), use_lance=False
-    )
-    assert fmt2 == "parquet" and pq.read_table(str(tmp_path / "t.parquet")).num_rows == 1
-
-    class _FakeDs:
-        calls = []
-
-        def write_lance(self, path):
-            self.calls.append(("lance", path))
-
-        def write_parquet(self, path):
-            self.calls.append(("parquet", path))
-
-    fake = _FakeDs()
-    assert lance_sink.write_docs_dataset(fake, "/x", use_lance=True) == "lance"
-    assert fake.calls == [("lance", "/x")]
-
-
 def test_sharded_frontier_heap_global_order(ray_session):
     """K-way merge over per-shard heaps delivers global (score desc, depth,
     url) order with bounded driver rows; crawled set equals a single-heap
@@ -293,30 +256,6 @@ def test_reports_to_a_shut_down_pool_never_reach_the_next_pool(ray_session):
         assert [(c["fetched"], c["failed"], c["seen_size"]) for c in counters] == [(0, 0, 0)] * 3
     finally:
         second.shutdown()
-
-
-def test_sharded_frontier_heap_aging(ray_session):
-    """age_all promotes entries queued BEFORE the bump past later
-    same-score arrivals (dispatcher wait-time promotion semantics)."""
-    from crawl4ai_ray.stages.hostshard import HostShardPool
-
-    heap = HostShardPool(2)
-    try:
-        heap.push_batch([
-            {"url": "http://a.test/old", "host": "a.test", "score": 1.0,
-             "depth": 0, "parent_url": None},
-        ])
-        heap.age_all(5.0)
-        heap.push_batch([
-            {"url": "http://a.test/new", "host": "a.test", "score": 4.0,
-             "depth": 0, "parent_url": None},
-        ])
-        batch = heap.pop_global_batch(2)
-        # old entry: effective 1+5=6 beats the newer 4
-        assert [r["url"] for r in batch] == ["http://a.test/old", "http://a.test/new"]
-        assert batch[0]["score"] == 6.0
-    finally:
-        heap.shutdown()
 
 
 # ------------------------------------------------------------ proxy rotation
