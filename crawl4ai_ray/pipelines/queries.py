@@ -36,6 +36,7 @@ from ..functions.textstats import (
     token_count,
 )
 from ..hashing import h64
+from ..stages import join
 from ..stages.join import keyed_join
 
 
@@ -696,11 +697,10 @@ def simhash_docs(sf_dir: str):
     return simhash_signatures(ds)
 
 
-def jaccard_neardup_exact_pairs(sf_dir: str,
-                                broadcast_threshold: int = 200_000):
+def jaccard_neardup_exact_pairs(sf_dir: str):
     """Exact all-pairs n-gram jaccard, size-adaptive like embedding_neardup:
-    shingle-table broadcast below the row threshold, block-pair
-    decomposition above (worker memory bounded by two blocks, no broadcast,
+    shingle-table broadcast up to ``join.ALLPAIRS_BROADCAST_MAX_ROWS`` docs,
+    block-pair decomposition above (worker memory bounded by two blocks, no broadcast,
     no driver materialization — the work stays O(n²) because exact
     all-pairs is inherently quadratic; minhash_dedup_pairs is the
     sub-quadratic path); SQL-oracled."""
@@ -708,7 +708,9 @@ def jaccard_neardup_exact_pairs(sf_dir: str,
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     n_docs = _parquet_num_rows(f"{sf_dir}/documents.parquet")
-    if n_docs <= broadcast_threshold:
+    if join.decide("jaccard_neardup_exact_pairs", "all-pairs", "docs", n_docs,
+                   join.ALLPAIRS_BROADCAST_MAX_ROWS, "broadcast", "block-pair"
+                   ) == "broadcast":
         return jaccard_neardup_exact(ds, threshold=0.5)
     return jaccard_neardup_exact_blockwise(ds, threshold=0.5)
 
@@ -1500,24 +1502,63 @@ def bigram_collocations(sf_dir: str, min_count: int = 5, k: int = 20):
     return top.map_batches(_round, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def doc_top_keywords(sf_dir: str, k: int = 3,
-                     small_corpus_docs: int = 200_000):
+def _attach_token_total(caller: str, pairs, n_docs: int, name: str,
+                        weight: str | None = None):
+    """Append to every (token, doc_id, ...) pair its token's corpus total
+    as int64 column ``name``: the token's row count (df, since each pair is
+    one distinct (token, doc)) when ``weight`` is None, else the sum of
+    ``weight`` over its rows.  Size-adaptive through ``join.decide``:
+
+    * **small regime** (≤ ``join.TOKEN_GROUP_MAX_ROWS`` docs — so any
+      token's postings, bounded by the doc count, fit one group): ONE
+      sort-shuffle groupby(token); the group IS the token's postings, so
+      the total comes free — no aggregate, no second exchange.
+    * **scale regime**: per-batch Counter partials (partial rows per token
+      ≤ num batches, never df) are summed and pinned onto the pairs by one
+      SALTED ``keyed_join(right_sum=name)`` — a stopword token's df-sized
+      fan-in splits into 32 bounded tasks.
+    """
+    from collections import Counter
+
+    if join.decide(caller, "token total", "docs", n_docs, join.TOKEN_GROUP_MAX_ROWS,
+                   "token-group", "salted-join") == "token-group":
+        def _in_group(g: pa.Table) -> pa.Table:
+            n = g.num_rows
+            total = n if weight is None else int(pc.sum(g.column(weight)).as_py() or 0)
+            return g.append_column(name, pa.array([total] * n, type=pa.int64()))
+
+        return pairs.groupby("token").map_groups(_in_group, batch_format="pyarrow")
+
+    # the pairs feed both the partials and the attach side
+    pairs = pairs.materialize()
+
+    def _partials(b: pa.Table) -> pa.Table:
+        toks = b.column("token").to_pylist()
+        if weight is None:
+            c = Counter(toks)
+        else:
+            c = Counter()
+            for tok, w in zip(toks, b.column(weight).to_pylist()):
+                c[tok] += w
+        return pa.table({"token": pa.array(list(c.keys()), type=pa.string()),
+                         name: pa.array(list(c.values()), type=pa.int64())})
+
+    return keyed_join(
+        pairs, pairs.map_batches(_partials, batch_format="pyarrow", zero_copy_batch=True),
+        "token", how="inner", right_sum=name, salt=32, salt_col="doc_id",
+        right_rows=pairs.count(),  # materialized: bounds the partial rows
+    )
+
+
+def doc_top_keywords(sf_dir: str, k: int = 3):
     """Per-document TF-IDF keyword extraction (top-k tokens by
     tf·ln(N/df), comma-joined).
 
     Fully distributed (round-4: the round-3 shape collected the
     vocab-sized DF table into a driver dict and broadcast it — a
-    10⁸–10⁹-row OOM at web scale), size-adaptive like the dedup family:
-
-    * **small regime** (≤ ``small_corpus_docs`` docs — so any token's df,
-      bounded by the doc count, fits one group): ONE sort-shuffle
-      groupby(token) over the (token, doc_id, tf) pairs; the group IS the
-      token's postings, so df = group size comes free — no DF aggregate,
-      no aggregator actor pools, no second exchange for the lookup.
-    * **scale regime**: per-batch Counter df partials (partial rows per
-      token ≤ num batches, never df) are summed and pinned onto the pairs
-      by one SALTED ``keyed_join(right_sum="df")`` — a stopword token's
-      df-sized message fan-in splits into 32 bounded tasks.
+    10⁸–10⁹-row OOM at web scale): ``_attach_token_total`` pins each
+    token's df onto its (token, doc_id, tf) pairs in one groupby(token)
+    for a small corpus, by one salted ``keyed_join`` at scale.
 
     Both regimes finish with a groupby(doc_id) assembling each doc's
     top-k (group = the doc's distinct tokens) and hold only scalars on
@@ -1573,42 +1614,7 @@ def doc_top_keywords(sf_dir: str, k: int = 3,
             }
         )
 
-    if n_docs <= small_corpus_docs:
-        # small regime: df = token-group size, one sort shuffle total
-        def _df_in_group(g: pa.Table) -> pa.Table:
-            return g.append_column(
-                "df", pa.array([g.num_rows] * g.num_rows, type=pa.int64())
-            )
-
-        attached = pairs_raw.groupby("token").map_groups(
-            _df_in_group, batch_format="pyarrow"
-        )
-        return attached.groupby("doc_id").map_groups(
-            _per_doc, batch_format="pyarrow"
-        )
-
-    # scale regime: pairs feed both the DF computation and the attach side
-    pairs = pairs_raw.materialize()
-
-    def _df_partials(b: pa.Table) -> pa.Table:
-        # pairs are one row per distinct (token, doc) — each doc lives in
-        # exactly one batch and Counter dedups within it — so per-batch
-        # row counts per token ARE df partials (≤ num-batches rows per
-        # token cross the exchange, never df)
-        c = Counter(b.column("token").to_pylist())
-        return pa.table(
-            {
-                "token": pa.array(list(c.keys()), type=pa.string()),
-                "df": pa.array(list(c.values()), type=pa.int64()),
-            }
-        )
-
-    attached = keyed_join(
-        pairs,
-        pairs.map_batches(_df_partials, batch_format="pyarrow", zero_copy_batch=True),
-        "token", how="inner", right_sum="df", salt=32, salt_col="doc_id",
-        right_rows=pairs.count(),  # materialized: bounds the partial rows
-    )
+    attached = _attach_token_total("doc_top_keywords", pairs_raw, n_docs, "df")
     return attached.groupby("doc_id").map_groups(_per_doc, batch_format="pyarrow")
 
 
@@ -1700,7 +1706,7 @@ def _sql_pagerank(iters: int = 5, damping: float = 0.85, fanout: int = 3) -> str
     return f"WITH {chain}\nSELECT doc_id, pr FROM r{iters}\n"
 
 
-def unigram_logprob_scores(sf_dir: str, small_corpus_docs: int = 200_000):
+def unigram_logprob_scores(sf_dir: str):
     """CCNet-style language-model quality score, unigram stand-in: per doc,
     the mean −ln p(token) under the corpus unigram distribution (higher =
     more surprising/atypical — the perplexity-filter shape used to rank
@@ -1708,13 +1714,10 @@ def unigram_logprob_scores(sf_dir: str, small_corpus_docs: int = 200_000):
 
     Fully distributed (round-4: the round-3 shape collected the full
     corpus token-count table into a driver dict and broadcast it — a
-    10⁸–10⁹-row OOM at web-scale vocabularies), size-adaptive like
-    doc_top_keywords: at ≤ ``small_corpus_docs`` docs the token group IS
-    the postings (corpus count = Σ tf inside the group — one sort
-    shuffle, no aggregator pools); at scale, per-batch Counter partials
-    are summed and pinned onto the pairs by one SALTED
-    ``keyed_join(right_sum="n")`` (a stopword's corpus-sized fan-in splits
-    into 32 bounded tasks).  A groupby(doc_id) folds −Σ tf·ln p / Σ tf.  Docs
+    10⁸–10⁹-row OOM at web-scale vocabularies): like doc_top_keywords,
+    ``_attach_token_total`` pins each token's corpus count n = Σ tf onto
+    its pairs (one groupby(token) for a small corpus, one salted
+    ``keyed_join`` at scale).  A groupby(doc_id) folds −Σ tf·ln p / Σ tf.  Docs
     with no tokens ride a sentinel pair (token "", tf 0; "" can never be
     a real token) so they still emit 0.0.  The driver holds one scalar:
     the corpus token total.  OOV tokens are impossible by construction
@@ -1756,44 +1759,10 @@ def unigram_logprob_scores(sf_dir: str, small_corpus_docs: int = 200_000):
 
     total = int(pairs.sum("tf") or 0)  # sentinels contribute 0
 
-    if n_docs <= small_corpus_docs:
-        # small regime (df bounded by doc count): the token group IS the
-        # postings — corpus count = Σ tf within the group; one sort
-        # shuffle total, no aggregator pools, no second exchange
-        def _n_in_group(g: pa.Table) -> pa.Table:
-            n_tok = int(pc.sum(g.column("tf")).as_py() or 0)
-            return g.append_column(
-                "n", pa.array([n_tok] * g.num_rows, type=pa.int64())
-            )
-
-        attached = pairs.groupby("token").map_groups(
-            _n_in_group, batch_format="pyarrow"
-        )
-    else:
-        # scale regime: per-batch Counter partials, summed per token by
-        # the salted join; the sentinel "" gets a zero count row so empty
-        # docs survive the inner join
-        def _count_partials(b: pa.Table) -> pa.Table:
-            agg: dict[str, int] = {}
-            for tok, tf in zip(
-                b.column("token").to_pylist(), b.column("tf").to_pylist()
-            ):
-                agg[tok] = agg.get(tok, 0) + tf
-            return pa.table(
-                {
-                    "token": pa.array(list(agg.keys()), type=pa.string()),
-                    "n": pa.array(list(agg.values()), type=pa.int64()),
-                }
-            )
-
-        attached = keyed_join(
-            pairs,
-            pairs.map_batches(
-                _count_partials, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            "token", how="inner", right_sum="n", salt=32, salt_col="doc_id",
-            right_rows=pairs.count(),  # materialized: bounds the partial rows
-        )
+    # the sentinel "" gets a zero count, so empty docs survive the scale
+    # regime's inner join
+    attached = _attach_token_total("unigram_logprob_scores", pairs, n_docs, "n",
+                                   weight="tf")
 
     def _per_doc(g: pa.Table) -> pa.Table:
         tf = g.column("tf").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1947,10 +1916,9 @@ def embedding_kmeans_assign(sf_dir: str):
     )
 
 
-def embedding_neardup(sf_dir: str, threshold: float = 0.3,
-                      broadcast_threshold: int = 200_000):
+def embedding_neardup(sf_dir: str, threshold: float = 0.3):
     """EXACT all-pairs cosine ≥ threshold, size-adaptive:
-    ≤ ``broadcast_threshold`` vectors → brute-force
+    ≤ ``join.ALLPAIRS_BROADCAST_MAX_ROWS`` vectors → brute-force
     blocked matmul against a broadcast normalized matrix (one matmul per
     batch, fastest at bench scale); above → block-PAIR decomposition
     (stages/similarity.py::cosine_neardup_pairs_blockwise — worker memory
@@ -1967,7 +1935,9 @@ def embedding_neardup(sf_dir: str, threshold: float = 0.3,
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     n_vecs = _parquet_num_rows(f"{sf_dir}/embeddings.parquet")
-    if n_vecs <= broadcast_threshold:
+    if join.decide("embedding_neardup", "all-pairs", "vectors", n_vecs,
+                   join.ALLPAIRS_BROADCAST_MAX_ROWS, "broadcast", "block-pair"
+                   ) == "broadcast":
         t = pq.read_table(
             f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
         )

@@ -32,24 +32,25 @@ is the scale-side answer.
 
 Oversize probe (round-4 redesign — replaces a full ``groupby(keys)`` size
 scan that paid a second all-to-all over every banded row even when nothing
-was skewed):
+was skewed).  Up to ``join.DRIVER_PROBE_ROWS`` banded rows the driver walks
+the materialized blocks and counts exactly; above it, one of:
 
-* **bounded-block regime** (``num_blocks × floor_slack ≤ max_bucket``, the
-  bench / single-node case): ONE shuffle-free counting pass.  Each block
-  emits per-key partial counts ≥ f where f = max_bucket // num_blocks + 1;
-  a key never reaching f in any block has n ≤ (f-1)·num_blocks ≤
-  max_bucket, so it provably cannot be oversized.  The driver receives only
+* **bounded-block regime** (f = max_bucket // num_blocks + 1 is at least
+  ``join.MIN_SAFE_FLOOR``, the bench / single-node case): ONE shuffle-free
+  counting pass.  Each block emits per-key partial counts ≥ f; a key never
+  reaching f in any block has n ≤ (f-1)·num_blocks ≤ max_bucket, so it
+  provably cannot be oversized.  The driver receives only
   the ≥f partials and sizes each candidate by the upper bound
   U = Σ partials + (f-1)·(num_blocks − blocks_seen) ≥ n — U inflates m by
   at most one chunk (U − n ≤ max_bucket), never misses an oversized key,
   and never shuffles anything.
-* **scale regime** (more blocks than max_bucket, so no safe floor exists —
-  a 10⁶-dup key CAN sit at ~1 occurrence per block): per-block partial
-  counts (key, n) pre-aggregate inside ``map_batches``, then a
-  groupby-sum over the pre-aggregated key rows keeps only keys > cap.
-  Still an all-to-all, but over per-block-distinct narrow key rows instead
-  of every banded row, and only in the regime where nothing cheaper is
-  sound.
+* **scale regime** (f below ``join.MIN_SAFE_FLOOR``; with more blocks than
+  max_bucket no safe floor exists — a 10⁶-dup key CAN sit at ~1
+  occurrence per block): per-block partial counts (key, n) pre-aggregate
+  inside ``map_batches``, then a groupby-sum over the pre-aggregated key
+  rows keeps only keys > cap.  Still an all-to-all, but over
+  per-block-distinct narrow key rows instead of every banded row, and only
+  in the regime where nothing cheaper is sound.
 
 The output pair set is therefore IDENTICAL to uncapped all-pairs semantics
 (the DuckDB oracles for minhash/simhash/embedding LSH stay green even when
@@ -69,6 +70,8 @@ import math
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from . import join
 
 TKEY = "_bc_tkey"
 CHUNK = "_bc_chunk"
@@ -128,25 +131,15 @@ def bounded_upper_bound(total: int, seen: int, floor: int,
     return total + (floor - 1) * (num_blocks - seen)
 
 
-DRIVER_PROBE_ROWS = 500_000
-# bounded-block regime needs floor ≥ 2 for EXACTNESS but also a floor high
-# enough that ≥f partials are genuinely rare — at floor 2-7 a dup-heavy
-# corpus could emit a constant fraction of its per-block distinct keys to
-# the driver (the driver-OOM class this module exists to avoid)
-MIN_SAFE_FLOOR = 8
-
-
 def _probe_oversized(
-    sigs, group_cols: list[str], max_bucket: int,
-    driver_rows_threshold: int = DRIVER_PROBE_ROWS,
-    wide_payload: bool = False,
+    sigs, group_cols: list[str], max_bucket: int, wide_payload: bool = False,
 ) -> dict:
     """Find {group key tuple: m chunks} for every key whose bucket size can
     exceed ``max_bucket`` — see "oversize probe" in the module docstring.
     ``sigs`` must be materialized (the probe re-reads its blocks).
 
-    Size-adaptive (house pattern): at ≤ ``driver_rows_threshold`` banded
-    rows the driver walks the already-materialized block refs directly
+    Size-adaptive through ``join.decide``: at ≤ ``join.DRIVER_PROBE_ROWS``
+    banded rows the driver walks the already-materialized block refs directly
     (zero extra tasks, zero shuffle — saves the ~2 s fixed task-launch
     latency that dominates this probe at bench scale); ``wide_payload``
     callers (per-row vectors etc.) project to the key columns first so
@@ -154,7 +147,9 @@ def _probe_oversized(
     distributed regimes below run and the driver never holds more than
     the ≥f partials / over-cap keys."""
     num_blocks = max(1, sigs.num_blocks())
-    if sigs.count() <= driver_rows_threshold:
+    if join.decide("_probe_oversized", "probe", "rows", sigs.count(),
+                   join.DRIVER_PROBE_ROWS, "driver-walk", "distributed"
+                   ) == "driver-walk":
         from collections import Counter
 
         import ray
@@ -172,11 +167,12 @@ def _probe_oversized(
             if n > max_bucket
         }
     floor = max_bucket // num_blocks + 1
-    if floor < MIN_SAFE_FLOOR:
-        floor = 1  # fall through to the distributed scale regime
     key_sel = sigs.select_columns(group_cols)
 
-    if floor >= 2:
+    # floors below MIN_SAFE_FLOOR take the exact scale regime
+    if join.decide("_probe_oversized", "floor", "floor", floor,
+                   join.MIN_SAFE_FLOOR - 1, "scale", "bounded-block"
+                   ) == "bounded-block":
         # bounded-block regime: shuffle-free ≥f partial emission.  The
         # no-miss bound (total + (floor-1)·(num_blocks-seen) ≥ true count)
         # assumes batch_size=None yields EXACTLY one batch per block; each

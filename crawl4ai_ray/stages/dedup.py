@@ -32,6 +32,7 @@ from ..functions.textstats import (
     simhash64,
 )
 from ..hashing import h64
+from . import join
 from .join import keyed_join
 
 
@@ -192,7 +193,6 @@ def minhash_dedup_pairs(
     band_rows: int = 8,
     shingle_k: int = 3,
     seed: int = 1,
-    broadcast_pairs_threshold: int = 200_000,
     max_bucket: int | None = None,
 ):
     """Candidate pairs verified by exact n-gram jaccard ≥ threshold — the
@@ -210,7 +210,7 @@ def minhash_dedup_pairs(
     regime.
 
     Verify is SIZE-ADAPTIVE on the (now known) pair count:
-      * ≤ ``broadcast_pairs_threshold``: semi-join pushdown — the candidate
+      * ≤ ``join.PAIRS_DRIVER_MAX_ROWS``: semi-join pushdown — the candidate
         ID set (ints only) filters the documents scan, shingle hashes are
         computed for candidate docs ONLY, and that provably-small lookup
         (O(pairs), never O(corpus)) broadcasts via ray.put into a single
@@ -233,11 +233,13 @@ def minhash_dedup_pairs(
     ).materialize()
 
     # pair dedup (a pair surfaces once per matching band) is SIZE-ADAPTIVE
-    # like the verify: at ≤ broadcast_pairs_threshold raw candidates the
+    # like the verify: at ≤ join.PAIRS_DRIVER_MAX_ROWS raw candidates the
     # broadcast regime take_all()s the ids anyway, so dedup on the driver
     # and skip a whole all-to-all; above it, a distributed groupby dedup.
     n_raw = pairs.count()  # metadata-only on a materialized dataset
-    if n_raw > broadcast_pairs_threshold:
+    if join.decide("minhash_dedup_pairs", "pair dedup", "raw_pairs", n_raw,
+                   join.PAIRS_DRIVER_MAX_ROWS, "driver", "exchange"
+                   ) == "exchange":
         def _dedup_group(group: pa.Table) -> pa.Table:
             return group.slice(0, 1)
 
@@ -284,7 +286,9 @@ def minhash_dedup_pairs(
             batch_format="pyarrow",
         )
 
-    if n_pairs <= broadcast_pairs_threshold:
+    if join.decide("minhash_dedup_pairs", "verify", "pairs", n_pairs,
+                   join.PAIRS_DRIVER_MAX_ROWS, "broadcast", "exchange"
+                   ) == "broadcast":
         # semi-join pushdown: filter the documents SCAN by candidate ids,
         # hash shingles for those docs only, broadcast the O(pairs) lookup
         import ray.data as rd
@@ -609,8 +613,7 @@ def simhash_signatures(ds, text_col: str = "text", id_col: str = "doc_id"):
 
 
 # ------------------------------------------------- connected components
-def connected_components(pairs, max_iters: int = 20,
-                         driver_threshold: int = 200_000):
+def connected_components(pairs, max_iters: int = 20):
     """Near-dup pairs → (doc_id, component_id) with component_id = min doc
     id in the connected component — the keep-one step on top of any pair
     family (minhash/simhash/embedding LSH).
@@ -645,11 +648,12 @@ def connected_components(pairs, max_iters: int = 20,
     candidate-pair scale, far below the corpus; nothing is broadcast or
     driver-held (the signature fold is one tiny row per block).
 
-    SIZE-ADAPTIVE like the minhash verify: at ≤ ``driver_threshold`` edges
-    (ids only — the same scale the broadcast verify regime already
-    take_all()s) a driver-side union-find answers in one pass instead of
-    paying diameter-many all-to-all rounds of fixed Ray overhead (measured
-    1.8 s for 255 pairs); above it, the distributed label propagation.
+    SIZE-ADAPTIVE like the minhash verify: at ≤ ``join.UNION_FIND_MAX_ROWS``
+    symmetric edge rows, two per pair (ids only — the same scale the
+    broadcast verify regime already take_all()s) a driver-side union-find
+    answers in one pass instead of paying diameter-many all-to-all rounds
+    of fixed Ray overhead (measured 1.8 s for 255 pairs); above it, the
+    distributed label propagation.
     Both paths produce the identical (doc_id, component_id) labeling.
     """
     import pyarrow.compute as pc
@@ -686,7 +690,9 @@ def connected_components(pairs, max_iters: int = 20,
             )
         )
 
-    if n_edges <= 2 * driver_threshold:
+    if join.decide("connected_components", "labels", "edge_rows", n_edges,
+                   join.UNION_FIND_MAX_ROWS, "union-find", "star-contraction"
+                   ) == "union-find":
         import ray.data as rd
 
         tbl = pa.Table.from_pylist(

@@ -46,7 +46,6 @@ class FetchStage:
         transport,
         politeness_shards: list | None = None,
         num_politeness_shards: int = 0,
-        enforce_delays: bool = True,
         local_robots=None,
         max_sessions: int = 20,
         proxy_strategy=None,
@@ -63,7 +62,6 @@ class FetchStage:
         self.transport = transport
         self.politeness = politeness_shards or []
         self.num_politeness = num_politeness_shards or len(self.politeness)
-        self.enforce_delays = enforce_delays
         self.local_robots = local_robots
         self.max_sessions = max_sessions
         # per-worker proxy rotation hook (state/proxy.py, reference
@@ -132,14 +130,12 @@ class FetchStage:
             else:
                 jobs.append(i)
 
-        enforce = self.enforce_delays
-
         strategy = self.proxy_strategy
         fetch_via = getattr(self.transport, "fetch_via", None)
 
         def _fetch_one(i: int) -> tuple[int, int, str]:
             start = grants[i][1]
-            if enforce and start > 0:
+            if start > 0:
                 wait = start - time.time()
                 if wait > 0:
                     time.sleep(wait)

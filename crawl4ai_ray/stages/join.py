@@ -6,7 +6,7 @@ partial-sum attaches, shingle and rank lookups) goes through
 one logical row per key; ``right_sum`` names numeric columns that arrive
 as per-batch partials (several rows per key) and are summed per key.
 
-One regime decision, made here and nowhere else:
+The join's regime, chosen by ``decide`` (below):
 
   * **broadcast** when the caller knows ``right_rows`` and it is at most
     ``BROADCAST_MAX_ROWS``: the right side is collected once, reduced to
@@ -21,8 +21,12 @@ One regime decision, made here and nowhere else:
 ``right_rows`` is the right side's row count, or an upper bound on it,
 that the caller already has (a parquet footer, the count of a Dataset it
 materialized anyway); a side is never materialized just to be counted,
-and ``None`` (no count) always exchanges.  Each call logs one INFO record on this module's logger: caller,
-regime, ``right_rows`` and the threshold.
+and ``None`` (no count) always exchanges.
+
+``decide`` is the package's one size-regime decision: every switch
+between a small and a large regime, this join's included, calls it with a
+size the caller already has and one of the thresholds below.  Tests force
+a regime by setting a threshold here to 0.
 
 Why not ``Dataset.join`` (Ray 2.49): (a) cascaded joins deadlock small
 clusters — its aggregator actors reserve whole CPUs; (b) Ray Data
@@ -56,8 +60,18 @@ import ray
 
 log = logging.getLogger(__name__)
 
-# The one size-regime threshold: right sides up to this many rows broadcast.
-BROADCAST_MAX_ROWS = 2_000_000
+# The size-regime thresholds: a size at most its threshold takes the small
+# regime (the switch, then what the size counts, then the small regime).
+BROADCAST_MAX_ROWS = 2_000_000  # keyed_join right rows: broadcast
+PAIRS_DRIVER_MAX_ROWS = 200_000  # minhash candidate pairs: driver dedup, broadcast verify
+UNION_FIND_MAX_ROWS = 2 * 200_000  # connected_components edge rows (2 per pair): union-find
+ALLPAIRS_BROADCAST_MAX_ROWS = 200_000  # exact all-pairs docs or vectors: broadcast
+TOKEN_GROUP_MAX_ROWS = 200_000  # token-total docs: one groupby(token)
+DRIVER_PROBE_ROWS = 500_000  # bucketcap probe banded rows: driver walk
+# bucketcap floors below this take the exact scale regime: the bounded-block
+# regime needs >=floor partials to be rare, and at floor 2-7 a dup-heavy
+# corpus could emit a constant share of its per-block keys to the driver
+MIN_SAFE_FLOOR = 8
 
 _JOIN_TYPE = {"inner": "inner", "left": "left outer",
               "semi": "left semi", "anti": "left anti"}
@@ -86,6 +100,22 @@ def _one_row_per_key(tbl: pa.Table, on: list[str], how: str,
                      **{c: agg[f"{c}_sum"] for c in right_sum}})
 
 
+def decide(caller: str, switch: str, size_name: str, size: int | None,
+           threshold: int, small: str, large: str) -> str:
+    """``small`` when ``size`` is known and at most ``threshold``, else
+    ``large``, logged as one INFO record ``"<caller>: <switch> <regime>
+    (<size_name>=<size>, threshold=<threshold>)"``.  keyed_join's records
+    go to this module's logger; a switch in another module logs on this
+    logger's child named after that module (``...join.dedup``), so INFO on
+    this logger shows every regime decision of a run."""
+    regime = small if size is not None and size <= threshold else large
+    module = sys._getframe(1).f_globals["__name__"]
+    out = log if module == __name__ else log.getChild(module.rpartition(".")[2])
+    out.info("%s: %s %s (%s=%s, threshold=%d)",
+             caller, switch, regime, size_name, size, threshold)
+    return regime
+
+
 def keyed_join(left, right, on, *, how: str, right_on=None, right_sum=(),
                salt: int = 1, salt_col: str | None = None,
                right_rows: int | None = None):
@@ -100,11 +130,9 @@ def keyed_join(left, right, on, *, how: str, right_on=None, right_sum=(),
     on = _as_list(on)
     right_on = on if right_on is None else _as_list(right_on)
     right_sum = _as_list(right_sum)
-    broadcast = right_rows is not None and right_rows <= BROADCAST_MAX_ROWS
-    log.info("%s: keyed_join %s %s (right_rows=%s, threshold=%d)",
-             sys._getframe(1).f_code.co_name, how,
-             "broadcast" if broadcast else "exchange",
-             right_rows, BROADCAST_MAX_ROWS)
+    broadcast = decide(sys._getframe(1).f_code.co_name, f"keyed_join {how}",
+                       "right_rows", right_rows, BROADCAST_MAX_ROWS,
+                       "broadcast", "exchange") == "broadcast"
 
     def _rename(b: pa.Table) -> pa.Table:  # right keys take the left names
         return b.rename_columns([on[right_on.index(c)] if c in right_on else c

@@ -96,14 +96,8 @@ class CheckpointStore:
         d = os.path.join(self.root, group)
         if not os.path.isdir(d):
             return None
-        tables = []
-        for name in sorted(os.listdir(d)):
-            if not name.endswith(".parquet"):
-                continue
-            epoch = int(name[len("epoch="):-len(".parquet")])
-            if upto_epoch is not None and epoch > upto_epoch:
-                continue
-            tables.append(pq.read_table(os.path.join(d, name)))
+        tables = [pq.read_table(os.path.join(d, name))
+                  for name in _by_epoch(d, ".parquet", upto_epoch)]
         if not tables:
             return None
         return pa.concat_tables(tables, promote_options="default")
@@ -121,15 +115,7 @@ class CheckpointStore:
         base = os.path.join(self.root, "docs")
         if not os.path.isdir(base):
             return []
-        out = []
-        for name in sorted(os.listdir(base)):
-            if not name.startswith("epoch="):
-                continue
-            epoch = int(name[len("epoch="):])
-            if upto_epoch is not None and epoch > upto_epoch:
-                continue
-            out.append(os.path.join(base, name))
-        return out
+        return [os.path.join(base, name) for name in _by_epoch(base, "", upto_epoch)]
 
     def docs_files(self, epoch: int | None = None) -> list[str]:
         """The committed ``*.parquet`` docs parts of one epoch, or of every
@@ -143,6 +129,18 @@ class CheckpointStore:
             for f in sorted(os.listdir(d))
             if f.endswith(".parquet")
         ]
+
+
+def _by_epoch(d: str, suffix: str, upto_epoch: int | None) -> list[str]:
+    """The ``epoch=N<suffix>`` entries of ``d`` up to ``upto_epoch``, in
+    epoch order (a name sort puts ``epoch=10`` before ``epoch=2``)."""
+    found = []
+    for name in os.listdir(d):
+        if name.startswith("epoch=") and name.endswith(suffix):
+            epoch = int(name[len("epoch="):len(name) - len(suffix)])
+            if upto_epoch is None or epoch <= upto_epoch:
+                found.append((epoch, name))
+    return [name for _, name in sorted(found)]
 
 
 def part_slices(n: int, parts: int) -> list[tuple[int, int]]:

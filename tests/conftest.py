@@ -40,3 +40,25 @@ def _release_leaked_actors():
     import gc
 
     gc.collect()
+
+
+@pytest.fixture
+def decisions(caplog):
+    """``decisions(module)``: the messages of the ``join.decide`` records
+    that switches in the package module ``module`` (``join``, ``dedup``,
+    ``queries``, ``bucketcap``) logged since the previous call for that
+    module.  ``keyed_join`` logs on the join logger, every other switch on
+    its child named after the module; INFO is on for all of them."""
+    import logging
+
+    join_log = "crawl4ai_ray.stages.join"
+    caplog.set_level(logging.INFO, logger=join_log)
+    seen: dict[str, int] = {}
+
+    def _since_last(module: str) -> list[str]:
+        name = join_log if module == "join" else f"{join_log}.{module}"
+        msgs = [r.getMessage() for r in caplog.records if r.name == name]
+        start, seen[module] = seen.get(module, 0), len(msgs)
+        return msgs[start:]
+
+    return _since_last

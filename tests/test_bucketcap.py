@@ -68,7 +68,7 @@ def test_cross_chunk_task_with_one_empty_side_emits_nothing():
     assert len(iu) == 4 * 3 // 2
 
 
-def test_probe_regimes_find_oversized_keys():
+def test_probe_regimes_find_oversized_keys(monkeypatch, decisions):
     """_probe_oversized, all three regimes: the driver block-walk (≤
     threshold rows — zero extra tasks), the shuffle-free bounded-block
     floor regime, and the distributed scale regime (num_blocks >
@@ -76,22 +76,30 @@ def test_probe_regimes_find_oversized_keys():
     with m ≥ ceil(n/cap)."""
     import ray.data as rd
 
+    from crawl4ai_ray.stages import join
     from crawl4ai_ray.stages.bucketcap import _probe_oversized
 
     keys = ["hot"] * 120 + [f"k{i}" for i in range(30)]
     t = pa.table({"band_key": pa.array(keys),
                   "doc_id": pa.array(list(range(150)), type=pa.int64())})
-    for nparts, cap, thresh in [
-        (2, 16, 10**6),   # driver block-walk regime (exact counts)
-        (2, 16, 0),       # floor≥2 regime (upper-bound counts)
-        (40, 16, 0),      # scale regime (exact distributed sum)
+    floor_t = join.MIN_SAFE_FLOOR - 1
+    for nparts, cap, thresh, records in [
+        # driver block-walk regime (exact counts)
+        (2, 16, 10**6, ["probe driver-walk (rows=150, threshold=1000000)"]),
+        # floor≥2 regime (upper-bound counts)
+        (2, 16, 0, ["probe distributed (rows=150, threshold=0)",
+                    f"floor bounded-block (floor=9, threshold={floor_t})"]),
+        # scale regime (exact distributed sum)
+        (40, 16, 0, ["probe distributed (rows=150, threshold=0)",
+                     f"floor scale (floor=1, threshold={floor_t})"]),
     ]:
+        monkeypatch.setattr(join, "DRIVER_PROBE_ROWS", thresh)
         sigs = rd.from_arrow(t).repartition(nparts).materialize()
-        over = _probe_oversized(sigs, ["band_key"], cap,
-                                driver_rows_threshold=thresh)
+        over = _probe_oversized(sigs, ["band_key"], cap)
         assert ("hot",) in over, (nparts, cap, thresh, over)
         assert over[("hot",)] >= math.ceil(120 / cap)
         assert all(k == ("hot",) for k in over)
+        assert decisions("bucketcap") == [f"_probe_oversized: {r}" for r in records]
 
 
 # --------------------------------------------------- capped == uncapped
@@ -208,10 +216,8 @@ def test_bounded_block_probe_never_misses_property():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from crawl4ai_ray.stages.bucketcap import (
-        MIN_SAFE_FLOOR,
-        bounded_upper_bound,
-    )
+    from crawl4ai_ray.stages.bucketcap import bounded_upper_bound
+    from crawl4ai_ray.stages.join import MIN_SAFE_FLOOR
 
     @settings(max_examples=400, deadline=None)
     @given(

@@ -999,8 +999,13 @@ def _die_once_filter(marker: str):
     return _DieOnce
 
 
-@pytest.mark.parametrize("deterministic", [True, False], ids=["bfs-parity", "bfs-scale"])
-def test_worker_death_after_sink_keeps_docs_once(tmp_path, ray_session, deterministic):
+@pytest.mark.parametrize("strategy,deterministic", [
+    pytest.param("bfs", True, id="bfs-parity"),
+    pytest.param("bfs", False, id="bfs-scale"),
+    pytest.param("best_first", True, id="best_first-parity"),
+])
+def test_worker_death_after_sink_keeps_docs_once(tmp_path, ray_session, strategy,
+                                                 deterministic):
     """A worker dies once right after its task sank a docs part, and Ray
     retries the task: the retry overwrites that part, so the docs hold each
     crawled URL exactly as often as a clean run's."""
@@ -1008,8 +1013,9 @@ def test_worker_death_after_sink_keeps_docs_once(tmp_path, ray_session, determin
     marker = tmp_path / "died"
 
     def _urls(name, filter_factory):
-        cfg = CrawlConfig(max_depth=4, num_seen_shards=4, deterministic=deterministic,
-                          exact_seen=deterministic, filter_factory=filter_factory)
+        cfg = CrawlConfig(strategy=strategy, max_depth=4, num_seen_shards=4,
+                          deterministic=deterministic, exact_seen=deterministic,
+                          filter_factory=filter_factory)
         engine, _ = _run_engine(tmp_path, params, cfg, name=name)
         engine.shutdown()
         return sorted(_docs_table(engine).column("url").to_pylist())

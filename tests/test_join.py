@@ -2,7 +2,10 @@
 join type in both regimes, salted and unsalted, with and without per-key
 partial sums, plus the empty / one-sided / dirty-block edge cases."""
 
+import ast
+import fnmatch
 import logging
+from pathlib import Path
 
 import pyarrow as pa
 import pytest
@@ -58,6 +61,11 @@ def _rows(result) -> list:
     return _canon(pa.concat_tables(tables, promote_options="default")) if tables else []
 
 
+def _regimes(records: list[str]) -> list[str]:
+    """The regime of each ``"<caller>: keyed_join <how> <regime> (...)"``."""
+    return [r.split()[3] for r in records]
+
+
 def _reference(left: pa.Table, right: pa.Table, how: str) -> list:
     if how in ("semi", "anti"):
         right = right.select(["rk"])
@@ -68,7 +76,8 @@ def _reference(left: pa.Table, right: pa.Table, how: str) -> list:
 @pytest.mark.parametrize("salt", [1, 4])
 @pytest.mark.parametrize("regime", ["broadcast", "exchange"])
 @pytest.mark.parametrize("how", HOWS)
-def test_keyed_join_matches_arrow_join(ray_session, how, regime, salt, summed):
+def test_keyed_join_matches_arrow_join(ray_session, decisions, how, regime, salt,
+                                      summed):
     right = PARTIALS if summed else RIGHT
     kw = {"right_sum": ["rn"]} if summed else {}
     got = keyed_join(
@@ -77,11 +86,12 @@ def test_keyed_join_matches_arrow_join(ray_session, how, regime, salt, summed):
         right_rows=right.num_rows if regime == "broadcast" else None, **kw,
     )
     assert _rows(got) == _reference(LEFT, RIGHT, how)
+    assert _regimes(decisions("join")) == [regime]
 
 
 @pytest.mark.parametrize("regime", ["broadcast", "exchange"])
 @pytest.mark.parametrize("how", HOWS)
-def test_keyed_join_edge_cases(ray_session, how, regime):
+def test_keyed_join_edge_cases(ray_session, decisions, how, regime):
     def rows_of(tbl):
         return tbl.num_rows if regime == "broadcast" else None
 
@@ -101,11 +111,13 @@ def test_keyed_join_edge_cases(ray_session, how, regime):
             # documented: an empty right side adds no right columns here
             want = _reference(left, right, "anti")
         assert _rows(got) == want, (left.num_rows, right.num_rows)
+        assert _regimes(decisions("join")) == [regime]
 
 
 @pytest.mark.parametrize("regime", ["broadcast", "exchange"])
 @pytest.mark.parametrize("how", HOWS)
-def test_keyed_join_right_from_groupby_with_empty_blocks(ray_session, how, regime):
+def test_keyed_join_right_from_groupby_with_empty_blocks(ray_session, decisions, how,
+                                                         regime):
     """The right side descends from a groupby over more partitions than
     keys, so it carries empty blocks — the input that breaks
     ``Dataset.join``."""
@@ -118,6 +130,7 @@ def test_keyed_join_right_from_groupby_with_empty_blocks(ray_session, how, regim
                      right_sum=["rn"],
                      right_rows=PARTIALS.num_rows if regime == "broadcast" else None)
     assert _rows(got) == _reference(LEFT, RIGHT, how)
+    assert _regimes(decisions("join")) == [regime]
 
 
 def test_keyed_join_logs_one_regime_record(ray_session, caplog, monkeypatch):
@@ -150,40 +163,116 @@ def test_keyed_join_rejects_bad_arguments(ray_session):
 # SQL-oracled queries whose joins moved onto keyed_join; at test scale they
 # broadcast, so the oracle suite alone never runs their exchange regime.
 # doc_top_keywords / unigram_logprob_scores join only in their scale
-# regime (small_corpus_docs=0 forces it).
+# regime (a zero TOKEN_GROUP_MAX_ROWS forces it).
 PORTED = {
     "order_lineitem_totals": {},
     "customers_never_active": {},
     "customers_with_old_orders": {},
     "large_part_revenue_bloom": {},
     "bigram_collocations": {},
-    "doc_top_keywords": {"small_corpus_docs": 0},
-    "unigram_logprob_scores": {"small_corpus_docs": 0},
+    "doc_top_keywords": {"TOKEN_GROUP_MAX_ROWS": 0},
+    "unigram_logprob_scores": {"TOKEN_GROUP_MAX_ROWS": 0},
 }
 
 
 @pytest.mark.parametrize("regime", ["broadcast", "exchange"])
 @pytest.mark.parametrize("name", sorted(PORTED))
 def test_ported_query_matches_oracle_in_both_regimes(ray_session, monkeypatch,
-                                                     name, regime):
+                                                     decisions, name, regime):
     from crawl4ai_ray.pipelines import queries as Q
     from test_queries import SF, _canon, _duck, _to_table
 
+    for const, value in PORTED[name].items():
+        monkeypatch.setattr(join, const, value)
     if regime == "exchange":
         monkeypatch.setattr(join, "BROADCAST_MAX_ROWS", 0)
-    got = _to_table(Q.QUERIES[name](SF, **PORTED[name]))
+    got = _to_table(Q.QUERIES[name](SF))
     want = _duck(Q.ORACLE_SQL[name])
     assert got.num_rows == want.num_rows
     assert _canon(got) == _canon(want)
+    joins = _regimes(decisions("join"))
+    assert joins and set(joins) == {regime}, joins
+    if PORTED[name]:
+        n_docs = Q._parquet_num_rows(f"{SF}/documents.parquet")
+        assert decisions("queries") == [
+            f"{name}: token total salted-join (docs={n_docs}, threshold=0)"
+        ]
 
 
-def test_pagerank_edges_regimes_agree(ray_session, monkeypatch):
+def test_pagerank_edges_regimes_agree(ray_session, monkeypatch, decisions):
     from crawl4ai_ray.stages.graphrank import pagerank_edges
 
     E = [("a", "b"), ("a", "c"), ("b", "a"), ("c", "a"), ("c", "d"), ("e", "a")]
     edges = rd.from_arrow(pa.table({"src": [s for s, _ in E], "dst": [d for _, d in E]}))
     broadcast = {r["node"]: r["pr"] for r in pagerank_edges(edges, iters=3).take_all()}
+    joins = _regimes(decisions("join"))
+    assert joins and set(joins) == {"broadcast"}, joins
     monkeypatch.setattr(join, "BROADCAST_MAX_ROWS", 0)
     exchange = {r["node"]: r["pr"] for r in pagerank_edges(edges, iters=3).take_all()}
+    joins = _regimes(decisions("join"))
+    assert joins and set(joins) == {"exchange"}, joins
     assert broadcast.keys() == exchange.keys() == set("abcde")
     assert all(abs(broadcast[v] - exchange[v]) < 1e-12 for v in broadcast)
+
+
+def test_decide_takes_the_large_regime_without_a_size(caplog):
+    with caplog.at_level(logging.INFO, logger=join.__name__):
+        assert join.decide("f", "s", "rows", 3, 3, "small", "large") == "small"
+        assert join.decide("f", "s", "rows", 4, 3, "small", "large") == "large"
+        assert join.decide("f", "s", "rows", None, 3, "small", "large") == "large"
+    # called from this test module: logged on the join logger's child of that name
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        (f"{join.__name__}.test_join", msg) for msg in (
+            "f: s small (rows=3, threshold=3)",
+            "f: s large (rows=4, threshold=3)",
+            "f: s large (rows=None, threshold=3)",
+        )
+    ]
+
+
+# A size switch compares a size against a threshold of one of these names.
+SIZE_THRESHOLD_NAMES = ("*_threshold", "*_MAX_ROWS", "*_ROWS", "MIN_SAFE_FLOOR",
+                        "small_corpus_docs")
+# per-row content cutoffs of the ported page library (chunk, fit-html and
+# table scoring): they filter text and pick no regime
+CONTENT_CUTOFFS = {"chunk_token_threshold", "text_threshold", "attr_threshold",
+                   "table_score_threshold"}
+
+
+def _threshold_names(node: ast.AST) -> list[str]:
+    """Threshold names an operand reads outside a ``decide(...)`` call: bare
+    names, and module constants reached by attribute
+    (``join.BROADCAST_MAX_ROWS``).  Lower-case attributes are the fields of
+    a filter's config, not size thresholds."""
+    if isinstance(node, ast.Call) and getattr(
+        node.func, "attr", getattr(node.func, "id", None)
+    ) == "decide":
+        return []  # `decide(...) == "broadcast"` reads the regime it chose
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) and node.attr.isupper()
+            else None)
+    out = [name] if name and name not in CONTENT_CUTOFFS and any(
+        fnmatch.fnmatchcase(name, p) for p in SIZE_THRESHOLD_NAMES
+    ) else []
+    for child in ast.iter_child_nodes(node):
+        out += _threshold_names(child)
+    return out
+
+
+def test_every_size_switch_goes_through_decide():
+    """No comparison against a size threshold outside ``join.decide``: a
+    switch that compares inline picks its regime where no record shows it."""
+    package = Path(join.__file__).resolve().parent.parent
+    inline = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decide = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+                  and n.name == "decide" and path.name == "join.py"]
+        skip = {id(n) for d in decide for n in ast.walk(d)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and id(node) not in skip:
+                names = [n for op in (node.left, *node.comparators)
+                         for n in _threshold_names(op)]
+                if names:
+                    inline.append(f"{path.relative_to(package.parent)}:{node.lineno} {names}")
+    assert inline == []

@@ -87,11 +87,14 @@ def test_simhash_near_for_similar_text(ray_session):
     assert hamming64(simhash64(a), simhash64(b)) < hamming64(simhash64(a), simhash64(c))
 
 
-def test_minhash_finds_planted_dups(ray_session):
+def test_minhash_finds_planted_dups(ray_session, monkeypatch, decisions):
     """Plant near-duplicates and verify the LSH pipeline surfaces exactly
     the planted pairs at threshold 0.5."""
+    import re
+
     import ray.data
 
+    from crawl4ai_ray.stages import join
     from crawl4ai_ray.stages.dedup import minhash_dedup_pairs
 
     base = (
@@ -108,12 +111,22 @@ def test_minhash_finds_planted_dups(ray_session):
     ds = ray.data.from_items(rows)
     expected = {(0, 1), (0, 2), (1, 2)}
     # both verify regimes must agree: semi-join broadcast (default at this
-    # size) and the distributed hash-join path (forced via threshold=0)
-    for threshold_kwargs in ({}, {"broadcast_pairs_threshold": 0}):
-        pairs = _to_table(minhash_dedup_pairs(ds, threshold=0.5, **threshold_kwargs))
+    # size) and the distributed hash-join path (forced via a zero
+    # PAIRS_DRIVER_MAX_ROWS), each with its pair dedup regime
+    for dedup, verify, limit in (("driver", "broadcast", None), ("exchange", "exchange", 0)):
+        if limit is not None:
+            monkeypatch.setattr(join, "PAIRS_DRIVER_MAX_ROWS", limit)
+        pairs = _to_table(minhash_dedup_pairs(ds, threshold=0.5))
         found = {(r["id_a"], r["id_b"]) for r in pairs.to_pylist()}
-        assert expected <= found, threshold_kwargs
-        assert all(a in (0, 1, 2) and b in (0, 1, 2) for a, b in found), threshold_kwargs
+        assert expected <= found, verify
+        assert all(a in (0, 1, 2) and b in (0, 1, 2) for a, b in found), verify
+        t = join.PAIRS_DRIVER_MAX_ROWS
+        records = decisions("dedup")
+        assert len(records) == 2, records
+        assert re.fullmatch(rf"minhash_dedup_pairs: pair dedup {dedup} "
+                            rf"\(raw_pairs=\d+, threshold={t}\)", records[0]), records
+        assert re.fullmatch(rf"minhash_dedup_pairs: verify {verify} "
+                            rf"\(pairs=\d+, threshold={t}\)", records[1]), records
 
 
 def test_media_catalog_deterministic_meta(ray_session):

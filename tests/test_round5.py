@@ -97,13 +97,14 @@ def test_events_props_bigint_coercion_matches_duckdb_cast(ray_session):
     assert abs(r["avg_k"] - 1.0) < 1e-9
 
 
-def test_bucketcap_probe_marker_fallback(ray_session, monkeypatch):
+def test_bucketcap_probe_marker_fallback(ray_session, monkeypatch, decisions):
     """The bounded-block probe counts per-batch marker rows; when observed
     batches != num_blocks the bound is void and it must fall back to the
     exact scale regime rather than under-estimate."""
     import ray
 
     from crawl4ai_ray.stages import bucketcap as B
+    from crawl4ai_ray.stages import join
 
     # one hot key spread over blocks so per-block partials see it at ≥floor
     n = 4000
@@ -116,11 +117,16 @@ def test_bucketcap_probe_marker_fallback(ray_session, monkeypatch):
     sigs = ray.data.from_arrow(tbl).repartition(4).materialize()
     max_bucket = 500
     # force the bounded-block branch (skip the driver walk)
-    exact = B._probe_oversized(
-        sigs, ["band"], max_bucket, driver_rows_threshold=0
-    )
+    monkeypatch.setattr(join, "DRIVER_PROBE_ROWS", 0)
+    exact = B._probe_oversized(sigs, ["band"], max_bucket)
     assert ("hot",) in exact and exact[("hot",)] >= 8
     assert ("cold",) not in exact
+    floor_t = join.MIN_SAFE_FLOOR - 1
+    assert decisions("bucketcap") == [
+        f"_probe_oversized: probe distributed (rows={n + 50}, threshold=0)",
+        f"_probe_oversized: floor bounded-block (floor={max_bucket // 4 + 1}, "
+        f"threshold={floor_t})",
+    ]
 
     # sabotage the marker count: re-slicing simulation — num_blocks lies
     class FakeSigs:
@@ -133,11 +139,16 @@ def test_bucketcap_probe_marker_fallback(ray_session, monkeypatch):
         def __getattr__(self, name):
             return getattr(self._inner, name)
 
-    fb = B._probe_oversized(
-        FakeSigs(sigs), ["band"], max_bucket, driver_rows_threshold=0
-    )
+    fb = B._probe_oversized(FakeSigs(sigs), ["band"], max_bucket)
     # fallback path is the exact distributed sum → same oversize verdict
     assert ("hot",) in fb and fb[("hot",)] == int(np.ceil(n / max_bucket))
+    # the fallback is a correctness guard inside the bounded-block regime,
+    # not a size switch: it logs no record of its own
+    assert decisions("bucketcap") == [
+        f"_probe_oversized: probe distributed (rows={n + 50}, threshold=0)",
+        f"_probe_oversized: floor bounded-block (floor={max_bucket // 7 + 1}, "
+        f"threshold={floor_t})",
+    ]
 
 
 def test_llm_cache_flush_is_atomic(tmp_path):
@@ -177,15 +188,28 @@ def test_conditional_head_accepts_proxy_kwarg():
 
 
 @pytest.mark.parametrize("qname", ["embedding_neardup", "jaccard_neardup_exact_pairs"])
-def test_allpairs_blockwise_regime_equivalence(ray_session, qname):
+def test_allpairs_blockwise_regime_equivalence(ray_session, qname, monkeypatch,
+                                               decisions):
     """The broadcast brute-force regime and the block-pair decomposition
-    must produce identical pair tables — threshold=0 forces the blockwise
-    path on the same input."""
+    must produce identical pair tables — a zero threshold forces the
+    blockwise path on the same input."""
     from crawl4ai_ray.pipelines import queries as Q
+    from crawl4ai_ray.stages import join
 
     fn = getattr(Q, qname)
+    size_name, table = {"embedding_neardup": ("vectors", "embeddings"),
+                        "jaccard_neardup_exact_pairs": ("docs", "documents")}[qname]
+    size = f"{size_name}={Q._parquet_num_rows(f'{SF}/{table}.parquet')}"
     a = fn(SF)
-    b = fn(SF, broadcast_threshold=0)
+    assert decisions("queries") == [
+        f"{qname}: all-pairs broadcast ({size}, "
+        f"threshold={join.ALLPAIRS_BROADCAST_MAX_ROWS})"
+    ]
+    monkeypatch.setattr(join, "ALLPAIRS_BROADCAST_MAX_ROWS", 0)
+    b = fn(SF)
+    assert decisions("queries") == [
+        f"{qname}: all-pairs block-pair ({size}, threshold=0)"
+    ]
     at = a if isinstance(a, pa.Table) else pa.Table.from_pylist(a.take_all())
     bt = b if isinstance(b, pa.Table) else pa.Table.from_pylist(b.take_all())
     assert _canon(at).equals(_canon(bt))

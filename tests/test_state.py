@@ -120,6 +120,21 @@ def test_checkpoint_store(tmp_path):
     assert store.docs_dirs() == [d]
 
 
+def test_checkpoint_store_reads_epochs_in_numeric_order(tmp_path):
+    # a crawl of 10+ epochs: a name sort would put epoch=10 before epoch=2
+    import pyarrow.parquet as pq
+
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    for epoch in (10, 2):
+        d = store.docs_epoch_dir(epoch)
+        pq.write_table(pa.table({"epoch": [epoch]}), f"{d}/part-0.parquet")
+        store.write_epoch_table("metrics", epoch, pa.table({"epoch": [epoch]}))
+    assert [pq.read_table(f).column("epoch")[0].as_py()
+            for f in store.docs_files()] == [2, 10]
+    assert store.read_group("metrics").column("epoch").to_pylist() == [2, 10]
+    assert store.read_group("metrics", upto_epoch=9).column("epoch").to_pylist() == [2]
+
+
 def test_bloom_shard_within_batch_dedup():
     """Regression: bloom-only check_and_add must not report duplicate URLs
     within one call as fresh (add_batch tests before setting bits)."""
@@ -369,7 +384,7 @@ class TestProxyRotation:
         st = RoundRobinProxyStrategy(
             [ProxyConfig.from_string(f"10.9.0.{i}:80") for i in range(2)]
         )
-        stage = FetchStage(tr, enforce_delays=False, max_sessions=1, proxy_strategy=st)
+        stage = FetchStage(tr, max_sessions=1, proxy_strategy=st)
         urls = [f"http://h{i % 2}.test/p/{i}" for i in range(6)]
         batch = pa.table({"url": pa.array(urls)})
         out = stage(batch)
