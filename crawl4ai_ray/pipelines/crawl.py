@@ -14,7 +14,8 @@ SURVEY.md §3.4.  ``CrawlEngine.run`` is the one epoch driver:
         → write docs/epoch=N (+ lineage columns)  [sink]
         → flatten → canonicalize → filter/score → gate  [candidate keys]
       seen policy over the keys → next frontier
-      host-shard counters → metrics/epoch=N (one row per host shard)
+      outcome counts from docs/epoch=N + seen stats → metrics/epoch=N
+        (one row per host shard)
       manifest (commit point) → run_iter listener
 
 Three frontier policies: a BFS level (``_LevelFrontier``: one whole depth
@@ -22,15 +23,18 @@ level per epoch) and two Best-First heaps (the top ``best_first_batch``
 URLs per epoch — ``_HeapFrontier`` on the driver, ``_ShardedHeapFrontier``
 as per-host-shard heaps).
 
-All host-keyed state — URL-seen filter, rate limiter, robots cache, outcome
-counters and the sharded heap — is partitioned into ``num_seen_shards``
-logical host shards, held by ONE pool of ``HostShard`` actors
-(stages/hostshard.py) started once per engine.  Shards are not processes:
-the pool starts one actor per alive node (at most one per shard), and each
-actor hosts several logical shards.  Epoch 0 does not wait for the actors
-to boot: the driver holds the bloom generations, so under a zero
-politeness budget (no ``acquire`` RPC) its fetch → extract runs while they
-start.
+All host-keyed state — URL-seen filter, rate limiter, robots cache and
+the sharded heap — is partitioned into ``num_seen_shards`` logical host
+shards, held by ONE pool of ``HostShard`` actors (stages/hostshard.py)
+started once per engine.  Shards are not processes: the pool starts one
+actor per alive node (at most one per shard), and each actor hosts
+several logical shards.  Epoch 0 does not wait for the actors to boot.
+Under a zero politeness budget its tasks send the actors nothing; the
+pool's driver mirror answers its seen round while they start; the
+driver holds the bloom generations; and each epoch's ``fetched``,
+``skipped`` and ``failed`` are counted from its committed docs
+(``_outcome_counts``), so a retried task counts once.  Scale Best-First
+still waits, at its seed ``push_batch``.
 
 Each epoch is ONE fused Ray Data operator, ``ReadParquet->MapBatches(
 FetchStage)->…->MapBatches(_sink_and_discover)``, with one task per staged
@@ -91,6 +95,7 @@ from ..stages.extract import extract_batch, extract_page
 from ..stages.fetch import FetchStage
 from ..stages.hostshard import HostShardPool
 from ..state.checkpoint import CheckpointStore, write_parts
+from ..state.politeness import RobotsGate
 from ..urlnorm import (
     host_of,
     is_valid_frontier_url,
@@ -316,6 +321,32 @@ def _candidate_keys(
     return _first_per_url(cand) if dedup else cand
 
 
+def _outcome_counts(docs: pa.Table, robots, num_shards: int) -> list[dict]:
+    """Per logical host shard, in shard order, an epoch's ``fetched``,
+    ``skipped`` and ``failed`` rows, from its docs (columns ``shard_id``,
+    ``status_code``, ``host``, ``url``): status 200 is fetched; a 403 on a
+    URL ``robots`` denies is skipped (the fetch stage answers a robots
+    denial with a 403 and fetches nothing); every other status, a server's
+    403 on an allowed URL included, failed."""
+    status = docs.column("status_code").to_numpy()
+    shard = docs.column("shard_id").to_numpy()
+    forbidden = np.flatnonzero(status == 403)
+    rows = docs.select(["host", "url"]).take(pa.array(forbidden, type=pa.int64()))
+    skipped = np.zeros(len(status), dtype=bool)
+    skipped[forbidden] = [
+        not robots.can_fetch(h, u)
+        for h, u in zip(rows.column("host").to_pylist(), rows.column("url").to_pylist())
+    ]
+    fetched = status == 200
+    per_shard = {
+        name: np.bincount(shard[mask], minlength=num_shards)
+        for name, mask in (
+            ("fetched", fetched), ("skipped", skipped), ("failed", ~fetched & ~skipped)
+        )
+    }
+    return [{k: int(v[sid]) for k, v in per_shard.items()} for sid in range(num_shards)]
+
+
 def _task_seconds(ds) -> float:
     """Summed task time of an executed epoch Dataset, from its own Ray Data
     stats: the wall times of the blocks every operator's tasks produced,
@@ -397,7 +428,6 @@ class CrawlEngine:
         self.transport = transport
         self.config = config
         self.store = CheckpointStore(checkpoint_dir)
-        self.robots_bodies = robots_bodies
         self.seen = HostShardPool(
             config.num_seen_shards,
             robots_bodies=robots_bodies,
@@ -417,20 +447,19 @@ class CrawlEngine:
             config.filter_factory() if config.filter_factory else None
         )
         self.scorer = config.scorer_factory() if config.scorer_factory else None
+        # the robots rules the host shards hold: fetch tasks check them
+        # in-task under a zero politeness budget, and the driver tells a
+        # robots denial from a server's 403 with them (_outcome_counts)
+        self.robots = RobotsGate(robots_bodies)
         # serializable stage closures built ONCE and reused by every epoch's
         # tasks (filters/scorers compile here, not per batch; warm Ray
         # workers deserialize the already-built objects)
         zero_budget = tuple(config.base_delay) == (0.0, 0.0)
-        local_robots = None
-        if zero_budget:
-            from ..state.politeness import RobotsGate
-
-            local_robots = RobotsGate(robots_bodies)
         self._fetch_fn = FetchStage(
             transport=self.transport,
             politeness_shards=self.seen.shards,
             num_politeness_shards=config.num_seen_shards,
-            local_robots=local_robots,
+            local_robots=self.robots if zero_budget else None,
             # session overlap (FetchStage's default, the reference's 20)
             # pays only when fetches actually wait (network I/O or
             # politeness sleeps); with a zero budget and an in-process
@@ -621,6 +650,15 @@ class CrawlEngine:
         )
         return _page_budget(docs, self.pages_crawled, self.config.max_pages)
 
+    def _epoch_outcomes(self, epoch: int) -> list[dict]:
+        """``_outcome_counts`` of a crawled epoch, from four narrow columns
+        of its committed docs."""
+        docs = pq.read_table(
+            self.store.docs_epoch_dir(epoch, create=False),
+            columns=["shard_id", "status_code", "host", "url"],
+        )
+        return _outcome_counts(docs, self.robots, self.config.num_seen_shards)
+
     def _run_epoch_scale(self, input_dir: str, epoch: int):
         """Scale path: ONE streaming execution per epoch, and the driver
         never holds a row.  The chain is
@@ -711,40 +749,44 @@ class CrawlEngine:
         return len(rows)
 
     def _write_metrics(
-        self, counters: list[dict], epoch: int, wall_s: float, task_s: float
+        self, counters: list[dict], seen: list[tuple[int, float]], epoch: int,
+        wall_s: float, task_s: float, actor_wait_s: float,
     ) -> None:
-        """The epoch's metrics table, one row per logical host shard, from
-        the outcome counters its fetch tasks reported (robots denials →
-        ``skipped``, non-200 fetches → ``failed``), the shard's seen size
-        and false-positive estimate at the epoch's end, and the pool's
-        actor count and boot time (``HostShardPool.drain_counters``).
-        Every row also carries the epoch's summed task seconds ``task_s``
-        and ``busy_frac = task_s / (CPUs × wall_s)``, the share of the
-        cluster's CPU slots the epoch's tasks filled."""
+        """The epoch's metrics table, one row per logical host shard: the
+        outcome counts of its docs (``_outcome_counts``), the shard's seen
+        size and false-positive estimate at the epoch's end
+        (``HostShardPool.seen_stats``), and the pool's actor count and boot
+        time ``actor_ready_s`` (pool start to the last actor's constructor
+        end).  ``actor_ready_s`` is null on the rows of an epoch committed
+        before every actor had replied: the pool's mirror served it.
+
+        Every row also carries the epoch's summed task seconds ``task_s``,
+        ``busy_frac = task_s / (CPUs × wall_s)`` (the share of the
+        cluster's CPU slots the epoch's tasks filled) and ``actor_wait_s``,
+        the seconds the driver spent blocked on the host-shard actors
+        during the epoch."""
         bloom_gen = max(self.bloom_generations)
         n = len(counters)
         busy_frac = task_s / (ray.cluster_resources().get("CPU", 1) * wall_s)
+        ready_s = self.seen.actor_ready_s()
         tbl = pa.table(
             {
                 "epoch": pa.array([epoch] * n, type=pa.int32()),
                 "shard_id": pa.array(list(range(n)), type=pa.int32()),
                 "bloom_generation": pa.array([bloom_gen] * n, type=pa.int32()),
                 "fetched": pa.array([c["fetched"] for c in counters], type=pa.int64()),
-                "skipped": pa.array([c["denied"] for c in counters], type=pa.int64()),
+                "skipped": pa.array([c["skipped"] for c in counters], type=pa.int64()),
                 "failed": pa.array([c["failed"] for c in counters], type=pa.int64()),
-                "seen_size": pa.array([c["seen_size"] for c in counters], type=pa.int64()),
-                "seen_fp_est": pa.array(
-                    [c["seen_fp_est"] for c in counters], type=pa.float64()
-                ),
+                "seen_size": pa.array([size for size, _ in seen], type=pa.int64()),
+                "seen_fp_est": pa.array([fp for _, fp in seen], type=pa.float64()),
                 "wall_s": pa.array([wall_s] * n, type=pa.float64()),
                 "host_shard_actors": pa.array(
-                    [c["host_shard_actors"] for c in counters], type=pa.int32()
+                    [len(self.seen.shards)] * n, type=pa.int32()
                 ),
-                "actor_ready_s": pa.array(
-                    [c["actor_ready_s"] for c in counters], type=pa.float64()
-                ),
+                "actor_ready_s": pa.array([ready_s] * n, type=pa.float64()),
                 "task_s": pa.array([task_s] * n, type=pa.float64()),
                 "busy_frac": pa.array([busy_frac] * n, type=pa.float64()),
+                "actor_wait_s": pa.array([actor_wait_s] * n, type=pa.float64()),
             }
         )
         self.store.write_epoch_table("metrics", epoch, tbl)
@@ -798,21 +840,19 @@ class CrawlEngine:
             while self.pages_crawled < cfg.max_pages and (
                 cfg.max_epochs is None or epochs_run < cfg.max_epochs
             ):
-                t0 = time.time()
+                t0, wait0 = time.time(), self.seen.wait_s
                 input_dir = frontier.take(epoch)
                 if input_dir is None:
                     break
-                taken = frontier.n
                 epoch_ds = frontier.crawl(input_dir, epoch)
-                # fetch tasks report one outcome per frontier row,
-                # fire-and-forget: drain until all of them are in
-                counters = self.seen.drain_counters(taken)
+                counters = self._epoch_outcomes(epoch)
+                seen = self.seen.seen_stats()
                 fetched = sum(c["fetched"] for c in counters)
                 total_fetched += fetched
                 self.pages_crawled = min(self.pages_crawled + fetched, frontier.page_cap)
                 self._write_metrics(
-                    counters, epoch, time.time() - t0,
-                    _task_seconds(epoch_ds),
+                    counters, seen, epoch, time.time() - t0,
+                    _task_seconds(epoch_ds), self.seen.wait_s - wait0,
                 )
                 self.store.write_manifest(
                     {
@@ -1032,9 +1072,7 @@ class CrawlEngine:
         stack = [(u, None, 0) for u in reversed(_canonical_seeds(seeds))]
         visited: set[str] = set()
         transport = self.transport
-        from ..state.politeness import RobotsGate
-
-        robots = RobotsGate(self.robots_bodies)
+        robots = self.robots
         results = []
         t_start = time.time()
         while stack and self.pages_crawled < cfg.max_pages:
@@ -1099,11 +1137,10 @@ class _Frontier:
     that dir (None when exhausted); ``crawl(input_dir, epoch)`` runs fetch →
     extract → sink → discovery over it and returns the executed epoch
     Dataset (``run`` reads its task seconds); ``close()`` releases the policy's
-    state.  ``start_epoch`` is where the run begins; ``n`` is the row count
-    the last ``take`` staged; ``pages_crawled`` never exceeds ``page_cap``."""
+    state.  ``start_epoch`` is where the run begins; ``pages_crawled`` never
+    exceeds ``page_cap``."""
 
     start_epoch = 0
-    n = 0
     page_cap = INF
 
     def close(self) -> None:
@@ -1204,7 +1241,6 @@ class _HeapFrontier(_Frontier):
                 )
         if not rows:
             return None
-        self.n = len(rows)
         self.popped = _frontier_table(rows, epoch, self.engine.config.num_seen_shards)
         return self.engine._stage_frontier(self.popped, epoch)
 
@@ -1275,7 +1311,6 @@ class _ShardedHeapFrontier(_Frontier):
                 [r["url"] for r in popped], [host_of(r["url"]) for r in popped]
             )
             rows = [r for r, f in zip(popped, fresh) if f]
-        self.n = len(rows)
         return eng._stage_frontier(_frontier_table(rows, epoch, cfg.num_seen_shards), epoch)
 
     def crawl(self, input_dir: str, epoch: int):

@@ -19,9 +19,10 @@ batch.  Per batch it:
      time, so per-host politeness spacing holds while other hosts proceed —
      mirroring the reference's 20-session overlap,
      async_dispatcher.py:155,411-437);
-  5. reports status codes back to the host shards (backoff feedback and the
-     outcome counters behind the per-epoch metrics, one row per logical
-     host shard).
+  5. reports status codes back to the host shards, fire-and-forget, as
+     backoff feedback for the rate limiter — only when the schedule came
+     from ``acquire``.  The per-epoch outcome counts are not reported: the
+     engine counts them from the committed docs.
 
 Logical shards are not processes: ``num_politeness_shards`` logical shards
 live on the ``politeness_shards`` actors, shard ``sid`` on actor
@@ -55,8 +56,9 @@ class FetchStage:
         (bench/scale runs): a task blocked in ray.get makes the raylet spawn
         extra workers, and at high parallelism those spawn storms dominate
         wall time.  Robots rules are static, so shipping the gate in the
-        closure is a plain broadcast; outcome counters still flow to the
-        host shards via fire-and-forget ``report``.  ``politeness_shards``
+        closure is a plain broadcast.  Such a task sends the host shards
+        nothing: with no ``acquire``, nothing reads the rate-limiter state
+        a ``report`` would update.  ``politeness_shards``
         are ``HostShard`` actor handles hosting ``num_politeness_shards``
         logical shards (default: one per handle)."""
         self.transport = transport
@@ -82,15 +84,7 @@ class FetchStage:
     def _schedule(self, urls: list[str], hosts: list[str]):
         """(allowed, start_ts) per URL via the owning host shards."""
         if self.local_robots is not None:
-            denied = 0
-            out = []
-            for host, url in zip(hosts, urls):
-                ok = self.local_robots.can_fetch(host, url)
-                denied += not ok
-                out.append((ok, 0.0))
-            if denied and self.politeness:  # counted on shard 0
-                self.politeness[0].call.remote("report_denied", {0: [denied]})
-            return out
+            return [(self.local_robots.can_fetch(h, u), 0.0) for h, u in zip(hosts, urls)]
         if not self.politeness:
             return [(True, 0.0)] * len(urls)
         out: list[tuple[bool, float]] = [(True, 0.0)] * len(urls)
@@ -102,7 +96,7 @@ class FetchStage:
         return out
 
     def _report(self, hosts: list[str], statuses: list[int]) -> None:
-        if self.politeness:  # fire-and-forget
+        if self.politeness and self.local_robots is None:  # fire-and-forget
             submit(self.politeness, self.num_politeness, "report", hosts, hosts, statuses)
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -15,9 +15,6 @@ semantics — shared mutable state consulted and updated mid-stream):
     (allowed, start_ts) — and sleeps locally; the shard never sleeps, it
     only advances per-host next-allowed timestamps (the "shard-owner grants
     permits" design of SURVEY.md §7.4 item 3);
-  * fetch outcome counters, drained once per epoch together with the seen
-    size and its false-positive estimate (the metrics table costs no extra
-    Dataset execution);
   * a slice of the scale Best-First frontier heap (empty otherwise): a
     URL's heap entry, seen bit and rate bucket co-locate.
 
@@ -27,10 +24,18 @@ a plain Python object; a ``HostShard`` actor hosts every logical shard
 one actor per alive node (at most one per shard, Ray's SPREAD placement):
 each actor is a Ray worker process, whose start-up costs far more CPU than
 the state it serves, so the shard count sets the partition of host state,
-not the process count.  A pool's actors start without blocking (an
-engine's epoch 0 runs while they boot) and ``shutdown()`` kills them, so
-a late fire-and-forget report of an aborted run can never reach the
-counters of a later pool.
+not the process count.  ``shutdown()`` kills a pool's actors, so a late
+fire-and-forget call of an aborted run can never reach a later pool.
+
+A pool's actors start without blocking, and its seen rounds do not wait
+for them either: until every actor has replied to its ``ready`` call,
+``check_and_add``, ``add`` and ``contains`` are answered by a driver
+mirror of each logical shard (``HostShardState`` over a
+``SparseBloomFilter`` or an exact set), and each update is also sent to
+its actor fire-and-forget.  One caller's calls to an actor run in the
+order it submitted them, so the actor ends in the mirror's state; once
+the actors are up the pool drops the mirror.  Every other call waits for
+the actors, and a ready call that failed raises on the next pool call.
 
 Callers batch their RPCs through ``route``/``submit``: rows are grouped
 by logical shard locally and each (caller, actor) pair gets ONE call — no
@@ -40,21 +45,15 @@ per-URL round trips and no all-to-all shuffle.
 from __future__ import annotations
 
 import heapq
-import logging
 import time
 
 import numpy as np
 import ray
 
 from ..hashing import h64
-from ..state.bloom import BloomFilter
+from ..state.bloom import BloomFilter, SparseBloomFilter
 from ..state.cuckoo import NOMINAL_FP_RATE, CuckooFilter
 from ..state.politeness import RateLimiterState, RobotsGate
-
-logger = logging.getLogger(__name__)
-
-# drain_counters waits at most this long for an epoch's outcome reports
-DRAIN_TIMEOUT_S = 60.0
 
 
 def route(hosts: list[str], num_shards: int, num_actors: int) -> dict[int, dict[int, list[int]]]:
@@ -81,21 +80,15 @@ def submit(actors: list, num_shards: int, method: str, hosts: list[str], *cols: 
     ]
 
 
-def gather(submitted: list) -> list[tuple[int, list[int], object]]:
-    """[(shard, row indices, result)] of ``submit``'s calls."""
-    replies = ray.get([ref for _, ref in submitted])
+def gather(submitted: list, get=ray.get) -> list[tuple[int, list[int], object]]:
+    """[(shard, row indices, result)] of ``submit``'s calls, fetched with
+    ``get``."""
+    replies = get([ref for _, ref in submitted])
     return [
         (sid, idx, reply[sid])
         for (by_sid, _), reply in zip(submitted, replies)
         for sid, idx in by_sid.items()
     ]
-
-
-_OUTCOMES = ("fetched", "failed", "denied")
-
-
-def _zero_counters() -> dict:
-    return dict.fromkeys(_OUTCOMES, 0)
 
 
 class HostShardState:
@@ -114,7 +107,10 @@ class HostShardState:
         max_delay: float = 60.0,
         max_retries: int = 3,
         seed: int = 42,
+        sparse: bool = False,
     ):
+        """``sparse``: a bloom seen filter holds only its set bit positions
+        (``SparseBloomFilter``, the pool's driver mirror)."""
         self.shard_id = shard_id
         # seen: exact mode holds only the set; otherwise an approximate
         # filter (insert-only bloom, or the deletable cuckoo filter — same
@@ -131,14 +127,15 @@ class HostShardState:
                     )
                 self.filter = CuckooFilter(capacity)
             else:
-                self.filter = BloomFilter(capacity, error_rate)
+                self.filter = (SparseBloomFilter if sparse else BloomFilter)(
+                    capacity, error_rate
+                )
         self.generation = 0
         self.limiter = RateLimiterState(
             base_delay=base_delay, max_delay=max_delay,
             max_retries=max_retries, seed=seed,
         )
         self.robots = RobotsGate(robots_bodies)
-        self._counters = _zero_counters()
         self.heap_clear()
 
     # ------------------------------------------------------------- seen
@@ -182,6 +179,10 @@ class HostShardState:
     def size(self) -> int:
         return len(self.exact) if self.exact is not None else self.filter.count
 
+    def seen_stats(self) -> tuple[int, float]:
+        """(seen size, false-positive estimate: 0 for the exact set)."""
+        return self.size(), (self.filter.fp_estimate() if self.filter is not None else 0.0)
+
     def dump(self) -> list[str]:
         """Exact contents for checkpointing (parity mode only)."""
         return sorted(self.exact) if self.exact is not None else []
@@ -201,7 +202,6 @@ class HostShardState:
         out = []
         for host, url in zip(hosts, urls):
             if not self.robots.can_fetch(host, url):
-                self._counters["denied"] += 1
                 out.append((False, 0.0))
                 continue
             out.append((True, self.limiter.next_allowed(host, now)))
@@ -210,24 +210,7 @@ class HostShardState:
     def report(self, hosts: list[str], status_codes: list[int]) -> list[bool]:
         """Feed response codes back into the backoff machine; False per host
         ⇒ retries exhausted (async_dispatcher.py:65-85)."""
-        for s in status_codes:
-            self._counters["fetched" if s == 200 else "failed"] += 1
         return [self.limiter.update_delay(h, s) for h, s in zip(hosts, status_codes)]
-
-    def report_denied(self, n: int) -> None:
-        """Robots denials observed by tasks running in local-robots mode."""
-        self._counters["denied"] += n
-
-    def drain_counters(self) -> dict:
-        """Outcome counters since the last drain, plus the seen size and its
-        false-positive estimate.  Fire-and-forget reports submitted before
-        the epoch barrier are ordered before this call in practice; metrics
-        are bookkeeping, not correctness."""
-        out = self._counters
-        self._counters = _zero_counters()
-        out["seen_size"] = self.size()
-        out["seen_fp_est"] = self.filter.fp_estimate() if self.filter is not None else 0.0
-        return out
 
     # ------------------------------------------------ best-first heap
     # entries (neg_score, depth, url, parent); lazy deletion on discard
@@ -296,18 +279,18 @@ class HostShard:
         """``HostShardState.method(*args)`` on each listed shard."""
         return {sid: getattr(self.states[sid], method)(*args) for sid, args in args_by_sid.items()}
 
-    def drain_counters(self) -> dict[int, dict]:
-        return {
-            sid: {**st.drain_counters(), "ready_ts": self.ready_ts}
-            for sid, st in self.states.items()
-        }
+    def ready(self) -> float:
+        """The constructor's end (wall clock)."""
+        return self.ready_ts
 
 
 class HostShardPool:
     """Driver-side bundle of the host shards: ``num_shards`` logical shards
     on ``min(num_shards, alive nodes)`` actors (``shards``, the handles fetch
-    stages capture), the one scatter-gather by host, the Best-First k-way
-    merge, and the one kill loop."""
+    stages capture), the driver mirror that answers seen rounds while they
+    boot, the one scatter-gather by host, the Best-First k-way merge, and
+    the one kill loop.  ``wait_s`` sums the seconds the driver spent
+    blocked on the actors."""
 
     def __init__(
         self,
@@ -337,11 +320,63 @@ class HostShardPool:
             )
             for a in range(n_actors)
         ]
+        self._ready = [s.ready.remote() for s in self.shards]
+        self._ready_ts: list[float] | None = None
+        self.wait_s = 0.0
+        # cuckoo has no mirror (the engine never selects it): its seen
+        # rounds wait for the actors
+        self._mirror = None if not exact and filter_kind == "cuckoo" else [
+            HostShardState(sid, capacity=capacity_per_shard, error_rate=error_rate,
+                           exact=exact, sparse=True)
+            for sid in range(num_shards)
+        ]
+
+    def _get(self, refs: list) -> list:
+        t0 = time.perf_counter()
+        try:
+            return ray.get(refs)
+        finally:
+            self.wait_s += time.perf_counter() - t0
+
+    def _up(self, block: bool) -> bool:
+        """Whether every actor has replied to its ready call; waits for them
+        when ``block``.  Drops the mirror once they have.  A ready call that
+        failed (an actor died) raises here."""
+        if self._ready_ts is None:
+            if not block:
+                done, _ = ray.wait(self._ready, num_returns=len(self._ready), timeout=0)
+                self._get(done)
+                if len(done) < len(self._ready):
+                    return False
+            self._ready_ts = self._get(self._ready)
+            self._mirror = None
+        return True
+
+    def actor_ready_s(self) -> float | None:
+        """Seconds from pool start to the last actor's constructor end; None
+        while an actor has not replied."""
+        return max(self._ready_ts) - self._t_start if self._up(False) else None
+
+    def _mirrored(self) -> bool:
+        """Whether the mirror answers seen rounds (the actors still boot)."""
+        return self._mirror is not None and not self._up(False)
 
     def _scatter(self, method: str, hosts: list[str], *cols: list) -> list:
         """One ``method`` call per owning actor with its rows of ``cols``;
-        returns [(shard, row indices, result)]."""
-        return gather(submit(self.shards, self.num_shards, method, hosts, *cols))
+        returns [(shard, row indices, result)].  While the actors boot, a
+        seen method is answered by the mirror, and an update also goes to
+        its actor without waiting (a ``contains`` changes nothing there)."""
+        if method in ("check_and_add", "add", "contains") and self._mirrored():
+            out = []
+            for a, by_sid in route(hosts, self.num_shards, len(self.shards)).items():
+                args = {sid: [[c[i] for i in idx] for c in cols] for sid, idx in by_sid.items()}
+                if method != "contains":
+                    self.shards[a].call.remote(method, args)
+                out += [(sid, by_sid[sid], getattr(self._mirror[sid], method)(*args[sid]))
+                        for sid in by_sid]
+            return out
+        self._up(True)
+        return gather(submit(self.shards, self.num_shards, method, hosts, *cols), self._get)
 
     def _mask(self, method: str, urls: list[str], hosts: list[str]) -> np.ndarray:
         out = np.zeros(len(urls), dtype=bool)
@@ -358,8 +393,9 @@ class HostShardPool:
         return [self.shards[a].call.remote(method, g) for a, g in per_actor.items()]
 
     def _call(self, method: str, args_by_sid: dict[int, list]) -> dict[int, object]:
+        self._up(True)
         out: dict[int, object] = {}
-        for reply in ray.get(self._submit(method, args_by_sid)):
+        for reply in self._get(self._submit(method, args_by_sid)):
             out.update(reply)
         return out
 
@@ -389,42 +425,12 @@ class HostShardPool:
     def dump_all(self) -> list[list[str]]:
         return self._all("dump")
 
-    def drain_counters(self, expected: int = 0) -> list[dict]:
-        """Per logical shard, in shard order: the outcome counters since the
-        last drain, the seen size and FP estimate, ``host_shard_actors``
-        and ``actor_ready_s`` (pool start to the last actor's constructor
-        end).
-
-        Fetch tasks report fire-and-forget, and calls from different
-        callers reach an actor in no fixed order: a task's report to an
-        actor still booting can land after the driver's drain.  So this
-        drains until the counters cover ``expected`` outcomes (the epoch's
-        frontier rows) or ``DRAIN_TIMEOUT_S`` passes."""
-        total = [_zero_counters() for _ in range(self.num_shards)]
-        deadline = time.monotonic() + DRAIN_TIMEOUT_S
-        while True:
-            drained: dict[int, dict] = {}
-            for reply in ray.get([s.drain_counters.remote() for s in self.shards]):
-                drained.update(reply)
-            for sid, c in drained.items():
-                for k in _OUTCOMES:
-                    c[k] += total[sid][k]
-                total[sid] = c
-            seen = sum(c[k] for c in total for k in _OUTCOMES)
-            if seen >= expected:
-                break
-            if time.monotonic() > deadline:
-                logger.warning(
-                    "drain_counters: %d of %d outcome reports after %.0f s",
-                    seen, expected, DRAIN_TIMEOUT_S,
-                )
-                break
-            time.sleep(0.005)
-        ready_s = max(c.pop("ready_ts") for c in total) - self._t_start
-        for c in total:
-            c["host_shard_actors"] = len(self.shards)
-            c["actor_ready_s"] = ready_s
-        return total
+    def seen_stats(self) -> list[tuple[int, float]]:
+        """Per logical shard, in shard order: (seen size, false-positive
+        estimate), from the mirror while the actors boot."""
+        if self._mirrored():
+            return [st.seen_stats() for st in self._mirror]
+        return self._all("seen_stats")
 
     # ------------------------------------------------ best-first heap
     def push_batch(self, rows: list[dict]) -> int:

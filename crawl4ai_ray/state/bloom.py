@@ -28,8 +28,11 @@ class BloomFilter:
         m = max(64, int(-capacity * math.log(error_rate) / (math.log(2) ** 2)))
         self.num_bits = ((m + 63) // 64) * 64
         self.num_hashes = max(1, round((self.num_bits / capacity) * math.log(2)))
-        self._bits = np.zeros(self.num_bits // 64, dtype=np.uint64)
+        self._bits = self._empty_bits()
         self.count = 0
+
+    def _empty_bits(self):
+        return np.zeros(self.num_bits // 64, dtype=np.uint64)
 
     # -- hashing ---------------------------------------------------------
     def _positions(self, keys: list[str]) -> np.ndarray:
@@ -87,3 +90,20 @@ class BloomFilter:
         bf._bits = arr
         bf.count = count
         return bf
+
+
+class SparseBloomFilter(BloomFilter):
+    """The same filter — same m, k, ``_positions``, answers, ``count`` and
+    ``fp_estimate`` — holding the sorted bit positions set so far instead
+    of the m-bit array: 8 bytes per set bit, for a short-lived copy of a
+    nearly empty filter (the host-shard pool's driver mirror)."""
+
+    def _empty_bits(self) -> np.ndarray:
+        return np.zeros(0, dtype=np.uint64)
+
+    def _test_and_set(self, pos: np.ndarray, set_bits: bool) -> np.ndarray:
+        # every key is tested before any bit is set, as the dense filter does
+        present = np.isin(pos, self._bits).all(axis=1)
+        if set_bits:
+            self._bits = np.union1d(self._bits, pos.ravel())
+        return present

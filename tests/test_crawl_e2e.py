@@ -683,17 +683,29 @@ MODES = [
 
 
 def test_metrics_rows_carry_actor_count_and_ready_time(tiny_run):
-    """Every metrics row carries the pool's actor count and the seconds from
-    pool creation to the last actor's constructor end: present, positive
-    and the same on every row."""
+    """Every metrics row carries the pool's actor count, the seconds the
+    driver waited on the actors in its epoch (``actor_wait_s``), and
+    ``actor_ready_s``, the seconds from pool creation to the last actor's
+    constructor end.  ``actor_ready_s`` is null on every row of the epochs
+    committed before the actor replied (the pool's mirror served them, so
+    they form a prefix), and the pool's boot time, positive and the same,
+    on every later row."""
     engine = tiny_run[0]
-    metrics = engine.store.read_group("metrics")
-    assert metrics.num_rows >= 2 * engine.config.num_seen_shards
-    for col in ("host_shard_actors", "actor_ready_s"):
-        values = set(metrics.column(col).to_pylist())
-        assert len(values) == 1, (col, values)
-        assert values.pop() > 0, col
-    assert metrics.column("host_shard_actors")[0].as_py() == len(engine.seen.shards)
+    metrics = engine.store.read_group("metrics").to_pylist()
+    assert len(metrics) >= 2 * engine.config.num_seen_shards
+    assert {r["host_shard_actors"] for r in metrics} == {len(engine.seen.shards)}
+    by_epoch: dict[int, set] = {}
+    for r in metrics:
+        by_epoch.setdefault(r["epoch"], set()).add((r["actor_ready_s"], r["actor_wait_s"]))
+    ready = []
+    for e in sorted(by_epoch):
+        (ready_s, wait_s), = by_epoch[e]  # one value per epoch
+        assert wait_s >= 0, e
+        ready.append(ready_s)
+    booted = [r for r in ready if r is not None]
+    assert ready == [None] * (len(ready) - len(booted)) + booted
+    assert set(booted) <= {engine.seen.actor_ready_s()}
+    assert engine.seen.actor_ready_s() > 0
 
 
 @pytest.mark.parametrize("strategy,deterministic", MODES)
@@ -805,15 +817,17 @@ def test_run_iter_rejects_concurrent_iteration(tmp_path, ray_session):
     engine.shutdown()
 
 
-def _live_anonymous_actors() -> dict[str, str]:
-    """actor id → class name of every ALIVE unnamed actor, read from the GCS
-    actor table (Ray's own service actors are named)."""
+def _started_anonymous_actors() -> dict[str, str]:
+    """actor id → class name of every unnamed actor that was started and has
+    not died — booting or ALIVE — read from the GCS actor table (Ray's own
+    service actors are named).  A pool's actor may still be booting when
+    its engine commits an epoch."""
     import ray._private.state as gcs
 
     return {
         aid: a["ActorClassName"]
         for aid, a in gcs.actors().items()
-        if a["State"] == "ALIVE" and not a["Name"]
+        if a["State"] != "DEAD" and not a["Name"]
     }
 
 
@@ -832,7 +846,7 @@ def test_one_host_shard_actor_per_shard(tmp_path, ray_session, strategy, determi
     import ray
 
     params = CorpusParams(n_hosts=3, pages_per_host=15, seed=7)
-    before = set(_live_anonymous_actors())
+    before = set(_started_anonymous_actors())
     engine = CrawlEngine(
         SyntheticTransport(params),
         CrawlConfig(strategy=strategy, deterministic=deterministic,
@@ -842,7 +856,7 @@ def test_one_host_shard_actor_per_shard(tmp_path, ray_session, strategy, determi
     seen_per_epoch = []
     started: set[str] = set()
     for _epoch, _docs in engine.run_iter(params.seeds()):
-        new = {a: c for a, c in _live_anonymous_actors().items() if a not in before}
+        new = {a: c for a, c in _started_anonymous_actors().items() if a not in before}
         seen_per_epoch.append(sorted(new.values()))
         started |= set(new)
     assert len(seen_per_epoch) >= 2
@@ -857,9 +871,9 @@ def test_one_host_shard_actor_per_shard(tmp_path, ray_session, strategy, determi
     assert all(sorted(s) == [0, 1, 2] for s in shard_ids.values()), shard_ids
     engine.shutdown()
     deadline = _time.time() + 30
-    while started & set(_live_anonymous_actors()) and _time.time() < deadline:
+    while started & set(_started_anonymous_actors()) and _time.time() < deadline:
         _time.sleep(0.2)
-    assert not started & set(_live_anonymous_actors())
+    assert not started & set(_started_anonymous_actors())
 
 
 def _shard_killing_transport(params, victim_url: str):
@@ -1008,7 +1022,8 @@ def test_worker_death_after_sink_keeps_docs_once(tmp_path, ray_session, strategy
                                                  deterministic):
     """A worker dies once right after its task sank a docs part, and Ray
     retries the task: the retry overwrites that part, so the docs hold each
-    crawled URL exactly as often as a clean run's."""
+    crawled URL exactly as often as a clean run's, and each epoch's
+    fetched/skipped/failed counts equal the clean run's."""
     params = CorpusParams(n_hosts=4, pages_per_host=40, seed=3)
     marker = tmp_path / "died"
 
@@ -1018,13 +1033,20 @@ def test_worker_death_after_sink_keeps_docs_once(tmp_path, ray_session, strategy
                           filter_factory=filter_factory)
         engine, _ = _run_engine(tmp_path, params, cfg, name=name)
         engine.shutdown()
-        return sorted(_docs_table(engine).column("url").to_pylist())
+        counts = {
+            (r["epoch"], r["shard_id"]): (r["fetched"], r["skipped"], r["failed"])
+            for r in engine.store.read_group("metrics").to_pylist()
+        }
+        return sorted(_docs_table(engine).column("url").to_pylist()), counts
 
-    clean = _urls("clean", None)
-    killed = _urls("killed", _die_once_filter(str(marker)))
+    clean, clean_counts = _urls("clean", None)
+    killed, killed_counts = _urls("killed", _die_once_filter(str(marker)))
     assert marker.exists()  # a worker did die mid-task
     assert len(clean) > 100
     assert killed == clean
+    # outcomes are counted from the committed docs: the retried task once
+    assert killed_counts == clean_counts
+    assert sum(f for f, _, _ in clean_counts.values()) > 100
 
 
 # ------------------------------------------------------------ epoch plan
@@ -1250,7 +1272,7 @@ def test_epoch_staging_keeps_crawl_outputs(
             assert _ranked(os.path.join(new.store.root, "frontier", d)).equals(
                 _ranked(os.path.join(old.store.root, "frontier", d))), d
         assert new.store.read_group("seen").equals(old.store.read_group("seen"))
-        timing = ["wall_s", "actor_ready_s", "task_s", "busy_frac"]
+        timing = ["wall_s", "actor_ready_s", "task_s", "busy_frac", "actor_wait_s"]
         assert new.store.read_group("metrics").drop_columns(timing).equals(
             old.store.read_group("metrics").drop_columns(timing))
     else:
@@ -1270,3 +1292,199 @@ def test_epoch_staging_keeps_crawl_outputs(
             )
     new.shutdown()
     old.shutdown()
+
+
+# ------------------------------------------------- actor boot overlap
+def _outputs(engine) -> dict:
+    """Every output of a crawl but its timing: docs, each epoch's frontier
+    parts, seen deltas, the seen dump, and metrics minus timing columns."""
+    import os
+
+    root = os.path.join(engine.store.root, "frontier")
+    timing = ["wall_s", "actor_ready_s", "task_s", "busy_frac", "actor_wait_s"]
+    return {
+        "docs": _docs_table(engine),
+        "frontier": {
+            (d, f): pq.read_table(os.path.join(root, d, f))
+            for d in sorted(os.listdir(root))
+            for f in sorted(os.listdir(os.path.join(root, d)))
+        },
+        "seen": engine.store.read_group("seen"),
+        "dump": engine.seen.dump_all(),
+        "metrics": engine.store.read_group("metrics").drop_columns(timing),
+    }
+
+
+@pytest.mark.parametrize("strategy,deterministic", [
+    pytest.param("bfs", True, id="bfs-parity"),
+    pytest.param("bfs", False, id="bfs-scale"),
+    pytest.param("best_first", True, id="best_first-parity"),
+])
+def test_mirror_phase_keeps_crawl_outputs(tmp_path, ray_session, monkeypatch,
+                                          strategy, deterministic):
+    """A crawl whose host-shard actor boots 3 s late runs at least its
+    epoch 0 on the pool's driver mirror (its metrics rows carry a null
+    ``actor_ready_s``).  Its outputs are bit-identical to a crawl whose
+    actor was up before the run: docs, frontier parts, seen deltas, seen
+    dump and metrics apart from their timing columns.  Scale keys reach
+    the seen rounds in task completion order, so the scale runs fix Ray
+    Data's output order to make first-wins comparable."""
+    import ray
+
+    from slow_boot import slow_boot_robots
+
+    if not deterministic:
+        ctx = ray.data.DataContext.get_current()
+        monkeypatch.setattr(ctx.execution_options, "preserve_order", True)
+    params = CorpusParams(n_hosts=3, pages_per_host=25, seed=9, p_404=0.1,
+                          private_every=5)
+    cfg = CrawlConfig(strategy=strategy, deterministic=deterministic,
+                      exact_seen=deterministic, max_depth=3, num_seen_shards=3,
+                      best_first_batch=8)
+
+    def _run(name, robots, boot_first):
+        engine = CrawlEngine(SyntheticTransport(params), cfg, str(tmp_path / name),
+                             robots_bodies=robots)
+        if boot_first:
+            engine.seen.total_size()
+        engine.run(params.seeds())
+        ready = [r["actor_ready_s"] for r in engine.store.read_group("metrics").to_pylist()
+                 if r["epoch"] == 0]
+        out = _outputs(engine)
+        engine.shutdown()
+        return out, ready
+
+    up, up_ready = _run("up", robots_map(params), True)
+    late, late_ready = _run("late", slow_boot_robots(robots_map(params), 3.0), False)
+    assert None not in up_ready
+    assert late_ready == [None] * cfg.num_seen_shards
+    assert up["docs"].num_rows > 20
+    assert sum(s == 403 for s in up["docs"].column("status_code").to_pylist()) > 0
+    assert len(up["frontier"]) >= 3
+    for key in up:  # pa.Table's == is Table.equals
+        assert late[key] == up[key], key
+
+
+@pytest.mark.parametrize("params,base", [
+    pytest.param(
+        CorpusParams(n_hosts=2, pages_per_host=30, seed=5, p_404=0.1),
+        dict(max_depth=5, num_seen_shards=2, deterministic=True),
+        id="bfs-parity",
+    ),
+    pytest.param(
+        CorpusParams(n_hosts=2, pages_per_host=40, seed=11, branch=4),
+        dict(max_depth=8, num_seen_shards=2, deterministic=False, exact_seen=False),
+        id="bfs-scale",
+    ),
+])
+def test_host_shard_dies_while_the_mirror_serves(tmp_path, ray_session, params, base):
+    """The host-shard actor is killed from an epoch-0 fetch task while it
+    still boots, so the pool's mirror is serving the seen rounds: a later
+    pool call raises the actor's death out of run(), and a fresh engine
+    resuming from the checkpoint ends with exactly the docs and seen set of
+    a clean run."""
+    import ray
+
+    from slow_boot import slow_boot_robots
+
+    def _engine(name, transport, robots):
+        return CrawlEngine(transport, CrawlConfig(**base), str(tmp_path / name),
+                           robots_bodies=robots)
+
+    clean = _engine("clean", SyntheticTransport(params), robots_map(params))
+    clean.run(params.seeds())
+    cols = ["url", "frontier_epoch", "doc_id"]
+
+    def _state(engine):
+        docs = sorted(tuple(r.values()) for r in _docs_table(engine).select(cols).to_pylist())
+        dump = sorted(u for shard in engine.seen.dump_all() for u in shard)
+        return docs, dump, engine.seen.total_size()
+
+    want = _state(clean)
+    clean.shutdown()
+
+    seed_url = min(u for u, e, _ in want[0] if e == 0)
+    transport = _shard_killing_transport(params, seed_url)
+    failed = _engine("failed", transport, slow_boot_robots(robots_map(params), 10.0))
+    transport.victim = failed.seen.shards[0]
+    with pytest.raises(ray.exceptions.RayActorError):
+        failed.run(params.seeds())
+    failed.shutdown()
+
+    resumed = _engine("failed", SyntheticTransport(params), robots_map(params))
+    resumed.run(params.seeds(), resume=True)
+    assert _state(resumed) == want
+    resumed.shutdown()
+
+
+def _fixed_transport(statuses: dict[str, int]):
+    class _Fixed:
+        def fetch(self, url: str) -> tuple[int, str]:
+            status = statuses[url]
+            return status, "<html><body>ok</body></html>" if status == 200 else ""
+
+    return _Fixed()
+
+
+@pytest.mark.parametrize("budget", [
+    pytest.param((0.0, 0.0), id="zero-budget"),
+    pytest.param((0.01, 0.01), id="politeness-budget"),
+])
+def test_outcome_counts_tell_robots_denials_from_server_403s(monkeypatch, budget):
+    """The counting rule, without Ray, on the rows a fetch stage returns:
+    a 403 on a URL the robots rules deny is ``skipped``; a server's 403 on
+    an allowed URL, a 404 and a 429 are ``failed``; a 200 is ``fetched`` —
+    per logical shard.  Under a zero budget the task checks robots itself;
+    under a politeness budget the owning host shard's ``acquire`` does (a
+    stand-in handle runs the shard's calls in-process)."""
+    import functools
+
+    from crawl4ai_ray.hashing import h64
+    from crawl4ai_ray.pipelines.crawl import _outcome_counts
+    from crawl4ai_ray.stages import fetch as fetch_mod
+    from crawl4ai_ray.stages import hostshard
+    from crawl4ai_ray.stages.fetch import FetchStage
+    from crawl4ai_ray.stages.hostshard import HostShardState
+    from crawl4ai_ray.state.politeness import RobotsGate
+
+    robots = {"a.test": "User-agent: *\nDisallow: /private\n"}
+    statuses = {
+        "http://a.test/private/1": 200,  # never fetched: robots deny it
+        "http://a.test/forbidden": 403,  # the server's 403 on an allowed URL
+        "http://a.test/missing": 404,
+        "http://b.test/busy": 429,
+        "http://b.test/ok": 200,
+        "http://b.test/ok2": 200,
+    }
+    urls = list(statuses)
+    hosts = [host_of(u) for u in urls]
+    num_shards = 2
+    frontier = pa.table({
+        "url": urls, "host": hosts,
+        "shard_id": pa.array([h64(h) % num_shards for h in hosts], type=pa.int32()),
+    })
+    gate = RobotsGate(robots)
+    if budget == (0.0, 0.0):
+        stage = FetchStage(_fixed_transport(statuses), local_robots=gate, max_sessions=1)
+    else:
+        class _InProcessShard:  # a HostShard handle whose calls run here
+            def __init__(self, state):
+                self.call = self
+                self.state = state
+
+            def remote(self, method, args_by_sid):
+                return {sid: getattr(self.state, method)(*a) for sid, a in args_by_sid.items()}
+
+        shard = _InProcessShard(HostShardState(0, robots, base_delay=budget))
+        monkeypatch.setattr(fetch_mod, "gather",
+                            functools.partial(hostshard.gather, get=list))
+        stage = FetchStage(_fixed_transport(statuses), politeness_shards=[shard],
+                           num_politeness_shards=1, max_sessions=1)
+    docs = stage(frontier)
+    assert docs.column("status_code").to_pylist() == [403, 403, 404, 429, 200, 200]
+
+    want = [{"fetched": 0, "skipped": 0, "failed": 0} for _ in range(num_shards)]
+    for host, outcome in zip(hosts, ["skipped", "failed", "failed", "failed",
+                                     "fetched", "fetched"]):
+        want[h64(host) % num_shards][outcome] += 1
+    assert _outcome_counts(docs, gate, num_shards) == want

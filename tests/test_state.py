@@ -212,52 +212,16 @@ def test_sharded_frontier_heap_global_order(ray_session):
         heap.shutdown()
 
 
-def test_drain_counters_waits_for_reports_to_a_booting_actor(ray_session):
-    """Fetch tasks report outcomes fire-and-forget, often while the pool's
-    actor is still booting; calls from a task and from the driver then
-    reach it in no fixed order.  drain_counters(expected) must see every
-    report: sent to a freshly started pool before the drain, or landing
-    after the drain's first round (a report sent 0.3 s into the drain)."""
-    import threading
-
-    import ray
-
-    from crawl4ai_ray.stages.hostshard import HostShardPool, submit
-
-    @ray.remote
-    def _fetch_task(actors, hosts):
-        submit(actors, 3, "report", hosts, hosts, [200] * (len(hosts) - 1) + [404])
-
-    hosts = [f"site{i}.test" for i in range(12)]
-    want = [sum(1 for h in hosts[:-1] if h64(h) % 3 == sid) for sid in range(3)]
-    for late in (False, False, False, True):
-        pool = HostShardPool(3)
-        try:
-            if late:
-                pool.total_size()  # the actor is up: the first round sees nothing
-                timer = threading.Timer(0.3, _fetch_task.remote, (pool.shards, hosts))
-                timer.start()
-            else:
-                ray.get(_fetch_task.remote(pool.shards, hosts))
-            counters = pool.drain_counters(expected=len(hosts))
-            assert [c["fetched"] for c in counters] == want
-            assert sum(c["failed"] for c in counters) == 1
-            if late:
-                timer.join(timeout=10)
-                assert not timer.is_alive()
-        finally:
-            pool.shutdown()
-
-
 def test_reports_to_a_shut_down_pool_never_reach_the_next_pool(ray_session):
-    """A fetch task of an aborted run can report after its engine's
-    shutdown().  The report must fail, not land in the next pool's counters,
-    which gate ``drain_counters(expected)`` and the engine's page count."""
+    """A fetch task of an aborted run can call its pool's actors after its
+    engine's shutdown().  The call must fail, not land in the state of the
+    next pool."""
     import ray
 
     from crawl4ai_ray.stages.hostshard import HostShardPool, submit
 
     hosts = [f"site{i}.test" for i in range(12)]
+    urls = [f"http://{h}/" for h in hosts]
     first = HostShardPool(3)
     first.total_size()  # the actor is up
     stale = list(first.shards)
@@ -265,12 +229,115 @@ def test_reports_to_a_shut_down_pool_never_reach_the_next_pool(ray_session):
     second = HostShardPool(3)
     try:
         refs = [ref for _, ref in submit(stale, 3, "report", hosts, hosts, [200] * len(hosts))]
+        refs += [ref for _, ref in submit(stale, 3, "add", hosts, urls)]
         with pytest.raises(ray.exceptions.RayActorError):
             ray.get(refs)
-        counters = second.drain_counters()
-        assert [(c["fetched"], c["failed"], c["seen_size"]) for c in counters] == [(0, 0, 0)] * 3
+        second.total_size()  # the actor is up: seen_stats asks it
+        assert second.seen_stats() == [(0, 0.0)] * 3
     finally:
         second.shutdown()
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "bloom"])
+def test_sparse_mirror_answers_like_the_shard(exact):
+    """The pool's driver mirror — a ``HostShardState`` with ``sparse=True``
+    — gives the answers, new-key counts, sizes and false-positive estimates
+    of the state an actor holds, over rounds with repeats inside a call and
+    across calls; in bloom mode it holds no bit array, only the positions
+    set so far."""
+    import random
+
+    from crawl4ai_ray.stages.hostshard import HostShardState
+    from crawl4ai_ray.state.bloom import SparseBloomFilter
+
+    kw = dict(capacity=2_000, error_rate=0.01, exact=exact)
+    dense, mirror = HostShardState(0, **kw), HostShardState(0, sparse=True, **kw)
+    rng = random.Random(3)
+    for r in range(30):
+        urls = [f"http://h.test/p/{rng.randrange(400)}" for _ in range(rng.randrange(60))]
+        method = ("check_and_add", "add", "contains")[r % 3]
+        want, got = getattr(dense, method)(urls), getattr(mirror, method)(urls)
+        assert np.array_equal(want, got), (r, method)
+        assert dense.seen_stats() == mirror.seen_stats()
+    assert dense.size() > 100
+    if not exact:
+        assert isinstance(mirror.filter, SparseBloomFilter)
+        assert mirror.filter._bits.size <= mirror.filter.num_hashes * dense.size()
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "bloom"])
+def test_pool_mirror_serves_seen_rounds_while_the_actor_boots(ray_session, exact):
+    """While the actor boots, the pool answers ``check_and_add``, ``add``
+    and ``contains`` from its mirror without waiting, and sends each update
+    to the actor.  Once the actor has replied, the pool asks it, and it
+    holds the state and answers of a shard that saw every call."""
+    from crawl4ai_ray.stages.hostshard import HostShardPool, HostShardState
+
+    from slow_boot import slow_boot_robots
+
+    kw = dict(capacity_per_shard=5_000, error_rate=0.01, exact=exact)
+    pool = HostShardPool(3, robots_bodies=slow_boot_robots(None, 3.0), **kw)
+    ref = [HostShardState(sid, capacity=5_000, error_rate=0.01, exact=exact)
+           for sid in range(3)]
+
+    def _want(method, urls, hosts):
+        out = np.zeros(len(urls), dtype=bool) if method != "add" else 0
+        for sid in range(3):
+            idx = [i for i, h in enumerate(hosts) if h64(h) % 3 == sid]
+            res = getattr(ref[sid], method)([urls[i] for i in idx])
+            if method == "add":
+                out += res
+            else:
+                out[idx] = res
+        return out
+
+    def _round(r):
+        hosts = [f"site{(r * 7 + i) % 11}.test" for i in range(40)]
+        urls = [f"http://{h}/p/{(r + i) % 30}" for i, h in enumerate(hosts)]
+        for method in ("check_and_add", "contains", "add"):
+            want = _want(method, urls, hosts)
+            got = getattr(pool, method)(urls, hosts)
+            assert np.array_equal(got, want), (r, method)
+        assert pool.seen_stats() == [st.seen_stats() for st in ref]
+
+    try:
+        for r in range(4):
+            _round(r)
+        assert pool.actor_ready_s() is None  # the mirror served every round
+        assert pool.wait_s < 0.5
+        assert pool.total_size() == sum(st.size() for st in ref)
+        assert pool.actor_ready_s() > 3.0
+        assert pool._mirror is None
+        for r in range(4, 8):
+            _round(r)
+        if exact:
+            assert pool.dump_all() == [st.dump() for st in ref]
+    finally:
+        pool.shutdown()
+
+
+def test_pool_raises_when_the_booting_actor_died(ray_session):
+    """An actor killed before it replied to its ready call: a pool call that
+    the mirror could serve raises the actor's error instead."""
+    import time
+
+    import ray
+
+    from crawl4ai_ray.stages.hostshard import HostShardPool
+
+    from slow_boot import slow_boot_robots
+
+    pool = HostShardPool(2, robots_bodies=slow_boot_robots(None, 5.0))
+    try:
+        assert pool.check_and_add(["http://a.test/"], ["a.test"]).tolist() == [True]
+        ray.kill(pool.shards[0])
+        deadline = time.time() + 30
+        with pytest.raises(ray.exceptions.RayActorError):
+            while time.time() < deadline:
+                pool.check_and_add(["http://b.test/"], ["b.test"])
+                time.sleep(0.05)
+    finally:
+        pool.shutdown()
 
 
 # ------------------------------------------------------------ proxy rotation
