@@ -23,6 +23,14 @@ level per epoch) and two Best-First heaps (the top ``best_first_batch``
 URLs per epoch — ``_HeapFrontier`` on the driver, ``_ShardedHeapFrontier``
 as per-host-shard heaps).
 
+One frontier format.  Every staged part (seeds, a BFS level, a heap's
+popped batch, the scale ``max_pages`` trim, a revalidation refetch) is
+built by ``_frontier_part`` from the Arrow key columns of
+``_FRONTIER_KEYS``, which carry each URL's canonical form, host and both
+hashes from where the URL was canonicalized: ``canonicalize_batch`` for
+seeds and links, ``_url_keys`` for URLs that are already canonical.  No
+frontier row passes through a Python dict.
+
 All host-keyed state — URL-seen filter, rate limiter, robots cache and
 the sharded heap — is partitioned into ``num_seen_shards`` logical host
 shards, held by ONE pool of ``HostShard`` actors (stages/hostshard.py)
@@ -64,7 +72,9 @@ resulting candidate keys:
     deterministic.  This is the 10^10-URL path.
 
 DFS (``_run_dfs``) stays outside the driver: it is serial, runs no Ray
-pipeline and has no epochs, manifest or metrics.
+pipeline and has no epochs, manifest or metrics.  It finds each page's
+links with the same chain, ``extract_batch`` and ``_candidate_keys`` on a
+one-row table in the driver, and keeps the links it has not visited.
 
 Checkpoint/resume: see state/checkpoint.py.  Every docs/metrics row carries
 ``(frontier_epoch, shard_id, bloom_generation)`` lineage.
@@ -84,23 +94,20 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pds
 import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..hashing import h64
+from ..hashing import h64_batch
 from ..schema import SEEN_SCHEMA
 from ..stages.canonicalize import FilterScoreStage, canonicalize_batch
-from ..stages.extract import extract_batch, extract_page
+from ..stages.extract import extract_batch
 from ..stages.fetch import FetchStage
 from ..stages.hostshard import HostShardPool
 from ..state.checkpoint import CheckpointStore, write_parts
 from ..state.politeness import RobotsGate
-from ..urlnorm import (
-    host_of,
-    is_valid_frontier_url,
-    normalize_url_for_deep_crawl,
-)
+from ..urlnorm import host_of
 
 INF = math.inf
 # scale-mode seen anti-join (and revalidation refetch): driver-held keys per
@@ -180,72 +187,65 @@ def _epoch_parts(rows: int, staged: int = 0, slots: int | None = None) -> int:
     return max(1, min(rows, slots - staged))
 
 
-def _canonical_seeds(seeds: list[str]) -> list[str]:
-    """Seeds normalized as their own base, invalid ones dropped."""
-    out = []
-    for s in seeds:
-        canon = normalize_url_for_deep_crawl(s, s)
-        if canon and is_valid_frontier_url(canon):
-            out.append(canon)
-    return out
+# the columns ``_frontier_part`` reads: one frontier URL per row, its keys
+# computed once where the URL was canonicalized
+_FRONTIER_KEYS = pa.schema(
+    [
+        pa.field("url", pa.string()),
+        pa.field("url_hash", pa.uint64()),
+        pa.field("host", pa.string()),
+        pa.field("host_hash", pa.uint64()),
+        pa.field("depth", pa.int32()),
+        pa.field("parent_url", pa.string()),
+        pa.field("score", pa.float64()),
+    ]
+)
 
 
-def _frontier_table(rows: list[dict], epoch: int, num_shards: int) -> pa.Table:
-    """rows: dicts with url, depth, parent_url, score (+ optionally the
-    url_hash/host/host_hash already computed by the canonicalize stage —
-    reused instead of re-deriving on the driver)."""
-    urls = [r["url"] for r in rows]
-    if rows and "host_hash" in rows[0]:
-        hosts = [r["host"] for r in rows]
-        host_hashes = [r["host_hash"] for r in rows]
-        url_hashes = [r["url_hash"] for r in rows]
-    else:
-        hosts = [host_of(u) for u in urls]
-        host_hashes = [h64(h) for h in hosts]
-        url_hashes = [h64(u) for u in urls]
-    return pa.table(
-        {
-            "frontier_rank": pa.array(range(len(rows)), type=pa.int64()),
-            "url": pa.array(urls, type=pa.string()),
-            "url_hash": pa.array(url_hashes, type=pa.uint64()),
-            "host": pa.array(hosts, type=pa.string()),
-            "host_hash": pa.array(host_hashes, type=pa.uint64()),
-            "depth": pa.array([r["depth"] for r in rows], type=pa.int32()),
-            "parent_url": pa.array([r.get("parent_url") or "" for r in rows], type=pa.string()),
-            "score": pa.array([r.get("score", 0.0) for r in rows], type=pa.float32()),
-            "epoch": pa.array([epoch] * len(rows), type=pa.int32()),
-            "shard_id": pa.array(
-                [hh % num_shards for hh in host_hashes], type=pa.int32()
-            ),
-        }
-    )
+# the frontier keys of a parity heap entry (-score, depth, seq, url, …), in
+# entry order without its score and seq
+_HEAP_COLUMNS = ("depth", "url", "parent_url", "url_hash", "host", "host_hash")
 
 
-def _frontier_part_from_keys(
-    batch: pa.Table, rank_offset: int, epoch: int, num_shards: int
+def _frontier_part(
+    keys: pa.Table, epoch: int, num_shards: int, rank_offset: int = 0
 ) -> pa.Table:
-    """Vectorized next-frontier part built straight from candidate keys —
-    no per-row driver dicts, columns reused zero-copy."""
-    n = batch.num_rows
-    hh = np.asarray(batch.column("host_hash").to_numpy(zero_copy_only=False))
-    depth = (
-        np.asarray(batch.column("src_depth").to_numpy(zero_copy_only=False)) + 1
-    ).astype(np.int32)
+    """The one builder of a staged frontier part, from the ``_FRONTIER_KEYS``
+    columns of ``keys`` in rank order: ranks from ``rank_offset``, a null
+    ``parent_url`` becomes ``""``, ``shard_id = host_hash % num_shards``.
+    It hashes nothing; the columns are reused as they are."""
+    n = keys.num_rows
+    hh = keys.column("host_hash").to_numpy()
     return pa.table(
         {
             "frontier_rank": pa.array(
                 np.arange(rank_offset, rank_offset + n), type=pa.int64()
             ),
-            "url": batch.column("url"),
-            "url_hash": batch.column("url_hash"),
-            "host": batch.column("host"),
-            "host_hash": batch.column("host_hash"),
-            "depth": pa.array(depth, type=pa.int32()),
-            "parent_url": batch.column("src_url"),
-            "score": batch.column("score").cast(pa.float32()),
+            "url": keys.column("url"),
+            "url_hash": keys.column("url_hash"),
+            "host": keys.column("host"),
+            "host_hash": keys.column("host_hash"),
+            "depth": keys.column("depth").cast(pa.int32()),
+            "parent_url": pc.fill_null(keys.column("parent_url"), ""),
+            "score": keys.column("score").cast(pa.float32()),
             "epoch": pa.array(np.full(n, epoch, dtype=np.int32), type=pa.int32()),
             "shard_id": pa.array((hh % num_shards).astype(np.int32), type=pa.int32()),
         }
+    )
+
+
+def _url_keys(urls: list[str]) -> dict:
+    """``url``, ``url_hash``, ``host`` and ``host_hash`` of URLs that are
+    already canonical (heap pops, refetched URLs), as columns."""
+    hosts = [host_of(u) for u in urls]
+    return {"url": urls, "url_hash": h64_batch(urls), "host": hosts, "host_hash": h64_batch(hosts)}
+
+
+def _children(keys: pa.Table) -> pa.Table:
+    """Candidate keys with the ``depth`` and ``parent_url`` of the URLs they
+    discover: one level below their source, which is their parent."""
+    return keys.append_column("depth", pc.add(keys.column("src_depth"), 1)).append_column(
+        "parent_url", keys.column("src_url")
     )
 
 
@@ -443,9 +443,6 @@ class CrawlEngine:
         # driver keeps them and no epoch waits on an actor to read them
         self.bloom_generations = [0] * config.num_seen_shards
         self.pages_crawled = 0
-        self.filter_chain = (
-            config.filter_factory() if config.filter_factory else None
-        )
         self.scorer = config.scorer_factory() if config.scorer_factory else None
         # the robots rules the host shards hold: fetch tasks check them
         # in-task under a zero politeness budget, and the driver tells a
@@ -488,11 +485,16 @@ class CrawlEngine:
         return self.scorer.score(url) if self.scorer else 0.0
 
     def _seed_frontier(self, seeds: list[str], epoch: int) -> pa.Table:
-        rows = [
-            {"url": u, "depth": 0, "parent_url": None, "score": 0.0}
-            for u in _canonical_seeds(seeds)
-        ]
-        return _frontier_table(rows, epoch, self.config.num_seen_shards)
+        """The seeds as a depth-0 frontier part: ``canonicalize_batch``'s
+        seed mode normalizes each as its own base and hashes it, and
+        invalid ones are dropped."""
+        keys = canonicalize_batch(pa.table({"url": pa.array(seeds, type=pa.string())}))
+        keys = keys.filter(keys.column("valid"))
+        n = keys.num_rows
+        keys = keys.append_column("depth", pa.array(np.zeros(n, dtype=np.int32)))
+        keys = keys.append_column("parent_url", pa.nulls(n, pa.string()))
+        keys = keys.append_column("score", pa.array(np.zeros(n)))
+        return _frontier_part(keys, epoch, self.config.num_seen_shards)
 
     def _frontier_urls(self, epoch: int) -> list[str]:
         """URLs of the staged ``frontier/epoch=N/`` parts ([] if none)."""
@@ -589,7 +591,7 @@ class CrawlEngine:
             batch = batch.append_column(
                 "doc_id",
                 pa.array(
-                    [f"{h64(u):016x}" for u in batch.column("url").to_pylist()],
+                    [f"{h:016x}" for h in batch.column("url_hash").to_pylist()],
                     type=pa.string(),
                 ),
             )
@@ -708,9 +710,8 @@ class CrawlEngine:
             fresh_tbl = batch.filter(pa.array(fresh))
             if fresh_tbl.num_rows == 0:
                 continue
-            part = _frontier_part_from_keys(
-                fresh_tbl, rank_offset=next_n, epoch=next_epoch,
-                num_shards=num_shards,
+            part = _frontier_part(
+                _children(fresh_tbl), next_epoch, num_shards, rank_offset=next_n
             )
             part_seq = write_parts(
                 part, next_dir, _epoch_parts(part.num_rows, part_seq, slots), part_seq
@@ -722,31 +723,23 @@ class CrawlEngine:
         self, next_dir: str, keep_n: int, epoch: int, num_shards: int
     ) -> int:
         """max_pages cap on a staged frontier: keep the global top-``keep_n``
-        rows by (score desc, url asc) — a BOUNDED heap (heapq.nsmallest holds
-        ≤ keep_n rows) over the streamed parts, then restage.  Only runs in
-        the crawl's final epochs when the cap actually binds."""
+        rows by (score desc, url asc), then restage.  The top-k is bounded:
+        it folds the part files' batches in one at a time and never holds
+        more than ``keep_n`` rows plus one batch.  Only runs in the crawl's
+        final epochs when the cap actually binds."""
         if keep_n <= 0:
             shutil.rmtree(next_dir, ignore_errors=True)
             os.makedirs(next_dir, exist_ok=True)
             return 0
-
-        def _iter_rows():
-            ds = ray.data.read_parquet(
-                next_dir,
-                columns=[
-                    "url", "url_hash", "host", "host_hash", "depth",
-                    "parent_url", "score",
-                ],
-            )
-            for b in ds.iter_batches(batch_size=8192, batch_format="pyarrow"):
-                yield from b.to_pylist()
-
-        rows = heapq.nsmallest(
-            keep_n, _iter_rows(), key=lambda r: (-r["score"], r["url"])
-        )
-        tbl = _frontier_table(rows, epoch, num_shards)
-        self._stage_frontier(tbl, epoch)
-        return len(rows)
+        top = None
+        parts = pds.dataset(next_dir, format="parquet")
+        for b in parts.to_batches(columns=_FRONTIER_KEYS.names, batch_size=8192):
+            b = pa.Table.from_batches([b])
+            top = b if top is None else pa.concat_tables([top, b])
+            order = pc.sort_indices(top, [("score", "descending"), ("url", "ascending")])
+            top = top.take(order[:keep_n])
+        self._stage_frontier(_frontier_part(top, epoch, num_shards), epoch)
+        return top.num_rows
 
     def _write_metrics(
         self, counters: list[dict], seen: list[tuple[int, float]], epoch: int,
@@ -1027,32 +1020,31 @@ class CrawlEngine:
         )
         # stream stale URLs in bounded driver chunks (SEEN_ROUND_CHUNK
         # pattern), one refetch pipeline per chunk
-        rows: list[dict] = []
-        chunk = SEEN_ROUND_CHUNK
-        for b in stale_ds.iter_batches(batch_size=chunk, batch_format="pyarrow"):
-            rows.extend(
-                {"url": u, "depth": int(d), "parent_url": None, "score": 0.0}
-                for u, d in zip(
-                    b.column("url").to_pylist(), b.column("depth").to_pylist()
-                )
-            )
-            if len(rows) >= chunk:
-                refetched += self._refetch_epoch(rows, next_epoch)
+        for b in stale_ds.iter_batches(batch_size=SEEN_ROUND_CHUNK, batch_format="pyarrow"):
+            if b.num_rows:
+                refetched += self._refetch_epoch(b, next_epoch)
                 next_epoch += 1
-                rows = []
-        if rows:
-            refetched += self._refetch_epoch(rows, next_epoch)
         counts["refetched"] = refetched
         return counts
 
-    def _refetch_epoch(self, rows: list[dict], epoch: int) -> int:
-        """Fetch+extract+lineage the given URLs into a fresh docs epoch
-        (revalidation refresh — no frontier expansion, no seen mutation)."""
-        frontier = _frontier_table(rows, epoch, self.config.num_seen_shards)
+    def _refetch_epoch(self, stale: pa.Table, epoch: int) -> int:
+        """Fetch+extract+lineage the ``stale`` URLs (columns ``url``,
+        ``depth``) into a fresh docs epoch (revalidation refresh — no
+        frontier expansion, no seen mutation)."""
+        n = stale.num_rows
+        keys = pa.table(
+            {
+                **_url_keys(stale.column("url").to_pylist()),
+                "depth": stale.column("depth"),
+                "parent_url": pa.nulls(n, pa.string()),
+                "score": np.zeros(n),
+            },
+            schema=_FRONTIER_KEYS,
+        )
+        frontier = _frontier_part(keys, epoch, self.config.num_seen_shards)
         input_dir = self._stage_frontier(frontier, epoch, group="refetch")
         ds = self._transform_from_ds(self._epoch_source(input_dir), epoch)
         ds.write_parquet(self.store.docs_epoch_dir(epoch))
-        n = len(rows)
         manifest = self.store.read_manifest() or {}
         manifest.update({"revalidation_epoch": epoch, "revalidation_refetched": n})
         self.store.write_manifest(manifest)
@@ -1067,9 +1059,16 @@ class CrawlEngine:
 
         Deliberately outside the epoch driver in ``run``: DFS runs no Ray
         pipeline and has no epochs, manifest or metrics (``run_iter``
-        rejects it), so routing it through the loop would add code."""
+        rejects it), so routing it through the loop would add code.  Its
+        discovery is the epochs' chain: each page's links go through
+        ``_candidate_keys`` (validity, filters, score threshold, first link
+        per URL), then the URLs already visited are dropped in link order.
+        Every gate is a pure per-link function, so this keeps the links a
+        per-link ``visited`` check kept; filters and scorers also see links
+        to visited URLs."""
         cfg = self.config
-        stack = [(u, None, 0) for u in reversed(_canonical_seeds(seeds))]
+        seeds = self._seed_frontier(seeds, 0).column("url").to_pylist()
+        stack = [(u, None, 0) for u in reversed(seeds)]
         visited: set[str] = set()
         transport = self.transport
         robots = self.robots
@@ -1093,26 +1092,24 @@ class CrawlEngine:
             next_depth = depth + 1
             if next_depth > cfg.max_depth:
                 continue
-            page = extract_page(html, url)
-            links = page["internal_links"] + (
-                page["external_links"] if cfg.include_external else []
+            page = extract_batch(
+                pa.table(
+                    {
+                        "frontier_rank": pa.array([0], type=pa.int64()),
+                        "url": [url],
+                        "depth": pa.array([depth], type=pa.int32()),
+                        "success": [True],
+                        "html": [html],
+                    }
+                )
             )
-            discovered = []
-            for link in links:
-                norm = normalize_url_for_deep_crawl(link["href"], url)
-                if not norm or norm in visited:
-                    continue
-                # validity gate + filter chain on the raw href (bfs:59-79)
-                if not is_valid_frontier_url(link["href"]) or (
-                    self.filter_chain is not None and not self.filter_chain.apply(link["href"])
-                ):
-                    continue
-                if self._score(norm) < cfg.score_threshold:
-                    continue
-                visited.add(norm)
-                discovered.append((norm, url, next_depth))
-            for item in reversed(discovered):
-                stack.append(item)
+            keys = _candidate_keys(
+                page, cfg.include_external, self._filter_stage, cfg.max_depth,
+                cfg.score_threshold, dedup=True,
+            )
+            discovered = [u for u in keys.column("url").to_pylist() if u not in visited]
+            visited.update(discovered)
+            stack.extend((u, url, next_depth) for u in reversed(discovered))
         wall_total = time.time() - t_start
         self._dfs_results = results
         return {
@@ -1187,7 +1184,7 @@ class _LevelFrontier(_Frontier):
         eng._write_seen_delta(fresh, epoch)
         self.n = nxt.num_rows
         if self.n:
-            tbl = _frontier_part_from_keys(nxt, 0, epoch + 1, cfg.num_seen_shards)
+            tbl = _frontier_part(_children(nxt), epoch + 1, cfg.num_seen_shards)
             self.dir = eng._stage_frontier(tbl, epoch + 1)
         return ds
 
@@ -1212,36 +1209,31 @@ class _HeapFrontier(_Frontier):
         self.popped: pa.Table | None = None
         seed = engine._seed_frontier(seeds, 0)
         urls = seed.column("url").to_pylist()
-        self._push(
-            [engine._score(u) for u in urls], [0] * len(urls), urls, [None] * len(urls),
-            *(seed.column(c).to_pylist() for c in ("url_hash", "host", "host_hash")),
-        )
+        self._push(seed, [engine._score(u) for u in urls])
 
-    def _push(self, *cols: list) -> None:
-        """cols: score, depth, url, parent, url_hash, host, host_hash."""
-        for score, depth, url, *rest in zip(*cols):
+    def _push(self, keys: pa.Table, scores: list[float]) -> None:
+        """Push ``keys`` (``_FRONTIER_KEYS`` columns) with their ``scores``
+        in row order."""
+        cols = (keys.column(c).to_pylist() for c in _HEAP_COLUMNS)
+        for score, depth, url, *rest in zip(scores, *cols):
             if url not in self.visited:
                 heapq.heappush(self.heap, (-score, depth, next(self.seq), url, *rest))
 
     def take(self, epoch: int) -> str | None:
-        rows: list[dict] = []
-        while self.heap and not rows:
+        popped: list[tuple] = []
+        while self.heap and not popped:
             for _ in range(self.engine.config.best_first_batch):
                 if not self.heap:
                     break
-                neg_score, depth, _, url, parent, url_hash, host, host_hash = (
-                    heapq.heappop(self.heap)
-                )
+                neg_score, depth, _, url, *rest = heapq.heappop(self.heap)
                 if url in self.visited:
                     continue
                 self.visited.add(url)
-                rows.append(
-                    {"url": url, "depth": depth, "parent_url": parent, "score": -neg_score,
-                     "url_hash": url_hash, "host": host, "host_hash": host_hash}
-                )
-        if not rows:
+                popped.append((-neg_score, depth, url, *rest))
+        if not popped:
             return None
-        self.popped = _frontier_table(rows, epoch, self.engine.config.num_seen_shards)
+        keys = pa.table(dict(zip(("score", *_HEAP_COLUMNS), zip(*popped))), schema=_FRONTIER_KEYS)
+        self.popped = _frontier_part(keys, epoch, self.engine.config.num_seen_shards)
         return self.engine._stage_frontier(self.popped, epoch)
 
     def crawl(self, input_dir: str, epoch: int):
@@ -1252,12 +1244,7 @@ class _HeapFrontier(_Frontier):
         keys = keys.filter(
             pa.array(budget[keys.column("src_rank").to_numpy()] > 0, type=pa.bool_())
         ).sort_by([("src_rank", "ascending"), ("link_idx", "ascending")])
-        self._push(
-            keys.column("score").to_pylist(),
-            pc.add(keys.column("src_depth"), 1).to_pylist(),
-            *(keys.column(c).to_pylist()
-              for c in ("url", "src_url", "url_hash", "host", "host_hash")),
-        )
+        self._push(_children(keys), keys.column("score").to_pylist())
         popped = self.popped
         eng.seen.add(popped.column("url").to_pylist(), popped.column("host").to_pylist())
         eng._write_seen_delta(popped, epoch)
@@ -1285,18 +1272,22 @@ class _ShardedHeapFrontier(_Frontier):
 
     def __init__(self, engine: CrawlEngine, seeds: list[str]):
         self.engine = engine
-        rows = [
-            {"url": u, "host": host_of(u), "score": engine._score(u),
-             "depth": 0, "parent_url": None}
-            for u in _canonical_seeds(seeds)
-        ]
-        if rows:
-            engine.seen.push_batch(rows)
+        seed = engine._seed_frontier(seeds, 0)
+        if seed.num_rows:
+            urls = seed.column("url").to_pylist()
+            self._push(seed, [engine._score(u) for u in urls])
+
+    def _push(self, keys: pa.Table, scores: list[float]) -> None:
+        """Queue ``keys`` (``_FRONTIER_KEYS`` columns) with their ``scores``
+        on their hosts' shard heaps."""
+        url, host, depth, parent = (
+            keys.column(c).to_pylist() for c in ("url", "host", "depth", "parent_url")
+        )
+        self.engine.seen.push_batch(url, host, scores, depth, parent)
 
     def take(self, epoch: int) -> str | None:
         eng, cfg = self.engine, self.engine.config
-        rows: list[dict] = []
-        while not rows:
+        while True:
             pass_size = max(
                 cfg.best_first_batch,
                 min(
@@ -1305,32 +1296,22 @@ class _ShardedHeapFrontier(_Frontier):
                 ),
             )
             popped = eng.seen.pop_global_batch(pass_size)
-            if not popped:
+            if not popped["url"]:
                 return None
-            fresh = eng.seen.check_and_add(
-                [r["url"] for r in popped], [host_of(r["url"]) for r in popped]
-            )
-            rows = [r for r, f in zip(popped, fresh) if f]
-        return eng._stage_frontier(_frontier_table(rows, epoch, cfg.num_seen_shards), epoch)
+            popped.update(_url_keys(popped["url"]))
+            fresh = eng.seen.check_and_add(popped["url"], popped["host"])
+            if fresh.any():
+                keys = pa.table(popped, schema=_FRONTIER_KEYS).filter(pa.array(fresh))
+                return eng._stage_frontier(
+                    _frontier_part(keys, epoch, cfg.num_seen_shards), epoch
+                )
 
     def crawl(self, input_dir: str, epoch: int):
         eng = self.engine
         keys = eng._epoch_candidate_ds(input_dir, epoch, eng.config.score_threshold)
         for b in keys.iter_batches(batch_size=SEEN_ROUND_CHUNK, batch_format="pyarrow"):
-            if b.num_rows == 0:
-                continue
-            eng.seen.push_batch(
-                [
-                    {"url": u, "host": h, "score": sc, "depth": d + 1, "parent_url": p}
-                    for u, h, sc, d, p in zip(
-                        b.column("url").to_pylist(),
-                        b.column("host").to_pylist(),
-                        b.column("score").to_pylist(),
-                        b.column("src_depth").to_pylist(),
-                        b.column("src_url").to_pylist(),
-                    )
-                ]
-            )
+            if b.num_rows:
+                self._push(_children(b), b.column("score").to_pylist())
         return keys
 
     def close(self) -> None:

@@ -15,7 +15,6 @@ import pyarrow.compute as pc
 
 from ..hashing import h64
 from ..urlnorm import (
-    get_base_domain,
     host_of_cached as host_of,
     is_valid_frontier_url,
     normalize_url_for_deep_crawl_cached as normalize_url_for_deep_crawl,
@@ -107,13 +106,3 @@ class FilterScoreStage:
         out = out.append_column("passed", pa.array(keep, type=pa.bool_()))
         return out
 
-
-def validity_mask(urls: list[str]) -> np.ndarray:
-    return np.fromiter((is_valid_frontier_url(u) for u in urls), dtype=bool, count=len(urls))
-
-
-def add_base_domain(batch: pa.Table, url_col: str = "url") -> pa.Table:
-    urls = batch.column(url_col).to_pylist()
-    return batch.append_column(
-        "base_domain", pa.array([get_base_domain(u) for u in urls], type=pa.string())
-    )

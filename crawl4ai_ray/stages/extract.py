@@ -2,8 +2,7 @@
 
 Behavioral parity with the reference's LXML scraping pipeline
 (/root/reference/crawl4ai/content_scraping_strategy.py:607-909), re-built on
-the stdlib ``html.parser`` (lxml is not in this container; the parser is
-abstracted so an lxml backend can slot in on a real image):
+the stdlib ``html.parser``:
 
   * link records — href normalized by the generic ``normalize_url``, text,
     title, base_domain, internal/external split, first-wins per-page dedup by
@@ -123,78 +122,13 @@ class _DomBuilder(HTMLParser):
             self._cur.children.append(data)
 
 
-# --------------------------------------------------------------- backends
-# Availability-selected parser backend:
-# the reference parses with lxml's C parser
-# (content_scraping_strategy.py:607-909) and at crawl scale HTML parsing is
-# the dominant CPU, so when lxml is importable we build the same Node tree
-# from its parse; this container ships without lxml, so CI exercises the
-# stdlib path (and GRAFT_PARSER_BACKEND=stdlib forces it anywhere).
-try:  # pragma: no cover - lxml absent in the CI container
-    import lxml.html as _lxml_html  # type: ignore
-
-    HAVE_LXML = True
-except ImportError:
-    _lxml_html = None
-    HAVE_LXML = False
+def parse_dom(html: str) -> Node:
+    return parse_dom_indexed(html)[0]
 
 
-def _parser_backend() -> str:
-    import os
-
-    forced = os.environ.get("GRAFT_PARSER_BACKEND")
-    if forced in ("stdlib", "lxml"):
-        return forced
-    return "lxml" if HAVE_LXML else "stdlib"
-
-
-def _convert_lxml_tree(el, parent, index):  # pragma: no cover - lxml only
-    """lxml element → Node subtree; same shape as the stdlib builder
-    (strings interleaved with element Nodes, lowercase tags, entity-decoded
-    text), so every consumer is backend-agnostic.  lxml wraps fragments in
-    html/body — both are plain block containers for all downstream walks,
-    so spans/links/metadata come out identical."""
-    tag = el.tag
-    if not isinstance(tag, str):
-        return None
-    node = Node(tag.lower(), dict(el.attrib), parent)
-    if node.tag in _INDEXED_TAGS:
-        index[node.tag].append(node)
-    if el.text:
-        node.children.append(el.text)
-    for ch in el:
-        sub = _convert_lxml_tree(ch, node, index)
-        if sub is not None:
-            node.children.append(sub)
-        if ch.tail:
-            node.children.append(ch.tail)
-    return node
-
-
-def _parse_lxml(html: str):  # pragma: no cover - exercised only with lxml
-    import sys
-
-    root = Node("#root", {}, None)
-    index: dict = {t: [] for t in _INDEXED_TAGS}
-    if not (html or "").strip():
-        return root, index
-    try:
-        doc = _lxml_html.document_fromstring(html)
-    except Exception:
-        return root, index
-    # real pages nest well under the default limit; headroom for pathology
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 20000))
-    try:
-        sub = _convert_lxml_tree(doc, root, index)
-    finally:
-        sys.setrecursionlimit(old)
-    if sub is not None:
-        root.children.append(sub)
-    return root, index
-
-
-def _parse_stdlib(html: str):
+def parse_dom_indexed(html: str):
+    """(root, index) — index maps tag → nodes in document order for the
+    extraction hot path (no whole-tree re-traversals)."""
     builder = _DomBuilder()
     try:
         builder.feed(html)
@@ -202,20 +136,6 @@ def _parse_stdlib(html: str):
     except Exception:
         pass
     return builder.root, builder.index
-
-
-def parse_dom(html: str) -> Node:
-    return parse_dom_indexed(html)[0]
-
-
-def parse_dom_indexed(html: str):
-    """(root, index) — index maps tag → nodes in document order for the
-    extraction hot path (no whole-tree re-traversals).  Backend selected by
-    availability: lxml when importable (the reference's parser class),
-    stdlib html.parser otherwise; GRAFT_PARSER_BACKEND overrides."""
-    if _parser_backend() == "lxml":  # pragma: no cover - lxml absent in CI
-        return _parse_lxml(html)
-    return _parse_stdlib(html)
 
 
 def parse_srcset(srcset: str) -> list[dict]:

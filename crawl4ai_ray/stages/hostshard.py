@@ -45,6 +45,7 @@ per-URL round trips and no all-to-all shuffle.
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 
 import numpy as np
@@ -226,11 +227,14 @@ class HostShardState:
         # only — the seen filter is the correctness gate).
         self.queued: set[str] = set()
 
-    def push(self, rows: list[tuple[float, int, str, str | None]]) -> int:
-        """rows: (score, depth, url, parent); a url enqueues at most once
-        (first push wins — reference first-wins discovery semantics)."""
+    def push(
+        self, scores: list[float], depths: list[int], urls: list[str],
+        parents: list[str | None],
+    ) -> int:
+        """Parallel columns; a url enqueues at most once (first push wins —
+        reference first-wins discovery semantics)."""
         n = 0
-        for score, depth, url, parent in rows:
+        for score, depth, url, parent in zip(scores, depths, urls, parents):
             if url in self.queued:
                 continue
             heapq.heappush(self.heap, (-score, depth, url, parent))
@@ -433,21 +437,25 @@ class HostShardPool:
         return self._all("seen_stats")
 
     # ------------------------------------------------ best-first heap
-    def push_batch(self, rows: list[dict]) -> int:
-        """rows: dicts with url, host, score, depth, parent_url."""
-        entries = [
-            (r.get("score", 0.0), r["depth"], r["url"], r.get("parent_url")) for r in rows
-        ]
-        return sum(n for _, _, n in self._scatter("push", [r["host"] for r in rows], entries))
+    def push_batch(
+        self, urls: list[str], hosts: list[str], scores: list[float],
+        depths: list[int], parents: list[str | None],
+    ) -> int:
+        """Queue each URL on its host's shard heap (parallel columns);
+        returns how many were newly queued."""
+        return sum(
+            n for _, _, n in self._scatter("push", hosts, scores, depths, urls, parents)
+        )
 
     def heap_sizes(self) -> list[int]:
         """Live entries per logical shard's heap, in shard order."""
         return self._all("heap_size")
 
-    def pop_global_batch(self, k: int) -> list[dict]:
+    def pop_global_batch(self, k: int) -> dict[str, list]:
         """K-way merge: top(k) per shard → global (score desc, depth, url)
-        order → take k → discard the taken entries on their shards.  Peak
-        driver memory per pop = O(num_shards × k)."""
+        order → take k → discard the taken entries on their shards.  Returns
+        the taken entries as columns ``url``, ``depth``, ``score`` and
+        ``parent_url``.  Peak driver memory per pop = O(num_shards × k)."""
         merged = heapq.merge(
             *[
                 [((-score, depth, url), (score, depth, url, parent, sid))
@@ -456,12 +464,11 @@ class HostShardPool:
             ],
             key=lambda kv: kv[0],
         )
-        taken: list[dict] = []
+        taken = {"url": [], "depth": [], "score": [], "parent_url": []}
         to_discard: dict[int, list[str]] = {}
-        for _key, (score, depth, url, parent, sid) in merged:
-            if len(taken) == k:
-                break
-            taken.append({"url": url, "depth": depth, "score": score, "parent_url": parent})
+        for _key, (score, depth, url, parent, sid) in itertools.islice(merged, k):
+            for col, v in zip(taken.values(), (url, depth, score, parent)):
+                col.append(v)
             to_discard.setdefault(sid, []).append(url)
         if to_discard:
             self._call("discard", {sid: [us] for sid, us in to_discard.items()})

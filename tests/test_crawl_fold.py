@@ -13,7 +13,8 @@ from crawl4ai_ray.functions.filters import FilterChain, URLFilter
 from crawl4ai_ray.functions.scorers import KeywordRelevanceScorer
 from crawl4ai_ray.pipelines.crawl import (
     _candidate_keys,
-    _frontier_part_from_keys,
+    _children,
+    _frontier_part,
     _level_fold,
     _page_budget,
 )
@@ -115,7 +116,7 @@ def _array_fold(sources, prior, pages_before, cfg, cuts):
 
     budget = _page_budget(docs.select(["frontier_rank", "success"]), pages_before, cfg["max_pages"])
     nxt, fresh = _level_fold(keys, budget, cfg["scorer_factory"] is not None, check_and_add)
-    part = _frontier_part_from_keys(nxt, 0, 1, 4).sort_by("frontier_rank")
+    part = _frontier_part(_children(nxt), 1, 4).sort_by("frontier_rank")
     rows = list(zip(*(part.column(c).to_pylist() for c in ("url", "depth", "parent_url"))))
     assert part.column("frontier_rank").to_pylist() == list(range(part.num_rows))
     pages = pages_before + sum(s["success"] for s in sources)

@@ -129,72 +129,6 @@ def test_extract_batch_arrow():
     assert out.column("title").to_pylist() == ["My Page", ""]
 
 
-# ------------------------------------------------------- parser backends
-def test_parser_backend_selection(monkeypatch):
-    """Availability-selected backend: stdlib in this container (lxml absent),
-    lxml when importable, env override always wins."""
-    from crawl4ai_ray.stages import extract as ex
-
-    monkeypatch.delenv("GRAFT_PARSER_BACKEND", raising=False)
-    assert ex._parser_backend() == ("lxml" if ex.HAVE_LXML else "stdlib")
-    monkeypatch.setenv("GRAFT_PARSER_BACKEND", "stdlib")
-    assert ex._parser_backend() == "stdlib"
-
-
-def test_parser_backends_agree():
-    """When lxml is present, both backends must produce identical extraction
-    results over a representative page (spans, links, media, metadata)."""
-    from crawl4ai_ray.stages import extract as ex
-
-    if not ex.HAVE_LXML:
-        import pytest
-
-        pytest.skip("lxml not installed — stdlib backend is the CI path")
-    import os
-
-    from crawl4ai_ray.sources.corpus import CorpusParams, synthesize_html
-
-    page = synthesize_html(CorpusParams(n_hosts=1, pages_per_host=30, seed=9), 0, 4)
-    results = {}
-    for backend in ("stdlib", "lxml"):
-        os.environ["GRAFT_PARSER_BACKEND"] = backend
-        try:
-            results[backend] = ex.extract_page(page, "http://site0.test/p/4")
-        finally:
-            del os.environ["GRAFT_PARSER_BACKEND"]
-    assert results["stdlib"] == results["lxml"]
-
-
-def test_lxml_tree_conversion_shape():
-    """_convert_lxml_tree is exercised with ElementTree (same .text/.tail/
-    .attrib API as lxml) so the conversion logic has real CI coverage even
-    though lxml itself is absent: interleaved string children, lowercase
-    tags, index registration, comment skipping with tail preservation."""
-    import xml.etree.ElementTree as ET
-
-    from crawl4ai_ray.stages import extract as ex
-
-    xhtml = (
-        '<html><body><p>a<b>bold</b>tail<!--c-->after</p>'
-        '<a href="http://x/">L</a><img src="http://x/i.png"/></body></html>'
-    )
-    # insert_comments=True mirrors lxml: comments appear as children with a
-    # non-str tag and carry the following text in .tail
-    parser = ET.XMLParser(target=ET.TreeBuilder(insert_comments=True))
-    index = {t: [] for t in ex._INDEXED_TAGS}
-    root = ex.Node("#root", {}, None)
-    sub = ex._convert_lxml_tree(ET.fromstring(xhtml, parser=parser), root, index)
-    root.children.append(sub)
-    body = sub.children[0]
-    p = body.children[0]
-    assert [c if isinstance(c, str) else c.tag for c in p.children] == [
-        "a", "b", "tail", "after"
-    ]
-    assert [n.get("href") for n in index["a"]] == ["http://x/"]
-    assert [n.get("src") for n in index["img"]] == ["http://x/i.png"]
-    assert p.text_content() == "aboldtailafter"
-
-
 # ------------------------------------------------ one parse per page
 # ``extract_batch`` takes each page's head fingerprint from the DOM that
 # ``extract_page`` parses.  The in-file copies below are the stage as it

@@ -7,6 +7,10 @@ inside a function) into ``crawl4ai_ray/``.  A module that nothing reaches
 keeps its tests and docs alive while no crawl, query or benchmark runs it;
 such a module is deleted, or given a reader, or listed in ``EXTENSIONS``
 with the reason a user passes it in by hand.
+
+No module reads an environment variable other than those in
+``ENV_READS``: a behaviour an environment variable selects is a code path
+no test or benchmark runs unless it sets that variable.
 """
 
 import ast
@@ -88,3 +92,42 @@ def test_every_package_module_is_reached_from_an_entry_point():
     reached = {str(p.relative_to(REPO)) for p in _reached()}
     modules = {str(p.relative_to(REPO)) for p in (REPO / PACKAGE).rglob("*.py")}
     assert sorted(modules - reached) == sorted(EXTENSIONS)
+
+
+# the environment variables the package may read: a data path and a
+# deployment setting, never a switch between two behaviours
+ENV_READS = {
+    ("crawl4ai_ray/pipelines/queries.py", "'GRAFT_ORACLE_SF_DIR'"): "the oracle's data path",
+    ("crawl4ai_ray/state/proxy.py", "env_var"): "the proxy list, ProxyConfig.from_env",
+}
+
+
+def _env_reads(path: Path) -> set[tuple[str, str]]:
+    """(module, source of the variable name) for each read of ``os.environ``
+    or ``os.getenv`` in ``path``; ``"*"`` where the whole environment is
+    used."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    module = str(path.relative_to(REPO))
+    reads = set()
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name not in ("environ", "getenv"):
+            continue
+        up = parent.get(node)
+        if isinstance(up, ast.Attribute) and up.attr == "get":
+            up = parent.get(up)
+        if isinstance(up, ast.Call) and up.args:  # getenv(name), environ.get(name)
+            reads.add((module, ast.unparse(up.args[0])))
+        elif isinstance(up, ast.Subscript):  # environ[name]
+            reads.add((module, ast.unparse(up.slice)))
+        else:
+            reads.add((module, "*"))
+    return reads
+
+
+def test_no_module_reads_an_environment_knob():
+    """Engine behaviour is chosen by ``CrawlConfig`` or call arguments,
+    never by the environment."""
+    reads = set().union(*(_env_reads(p) for p in (REPO / PACKAGE).rglob("*.py")))
+    assert sorted(reads) == sorted(ENV_READS)

@@ -192,21 +192,22 @@ def test_sharded_frontier_heap_global_order(ray_session):
         }
         for i in range(200)
     ]
+    cols = [[r[c] for r in rows] for c in ("url", "host", "score", "depth", "parent_url")]
     heap = HostShardPool(3)
     try:
-        assert heap.push_batch(rows) == 200
+        assert heap.push_batch(*cols) == 200
         # duplicate pushes are ignored while queued
-        assert heap.push_batch(rows[:10]) == 0
+        assert heap.push_batch(*(c[:10] for c in cols)) == 0
         assert sum(heap.heap_sizes()) == 200
 
         got = []
         while True:
             batch = heap.pop_global_batch(16)
-            if not batch:
+            if not batch["url"]:
                 break
-            got.extend(batch)
+            got.extend(batch["url"])
         want = sorted(rows, key=lambda r: (-r["score"], r["depth"], r["url"]))
-        assert [r["url"] for r in got] == [r["url"] for r in want]
+        assert got == [r["url"] for r in want]
         assert heap.heap_sizes() == [0, 0, 0]  # every logical shard's heap
     finally:
         heap.shutdown()
