@@ -13,12 +13,59 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..hashing import h64
+from ..hashing import h64_batch
 from ..urlnorm import (
     host_of_cached as host_of,
+    is_absolute_http,
     is_valid_frontier_url,
     normalize_url_for_deep_crawl_cached as normalize_url_for_deep_crawl,
 )
+
+
+def _url_columns(canon: list, raw: list) -> dict:
+    """``url``, ``url_hash``, ``host``, ``host_hash`` and ``valid`` of
+    canonical forms (``None`` when normalization failed) and the raw URLs
+    the validity gate reads."""
+    valid = np.fromiter(
+        (c is not None and is_valid_frontier_url(r) for c, r in zip(canon, raw)),
+        dtype=bool, count=len(canon),
+    )
+    canon_str = [c or "" for c in canon]
+    hosts = [host_of(c) if v else "" for c, v in zip(canon_str, valid)]
+    return {
+        "url": pa.array(canon_str, type=pa.string()),
+        "url_hash": pa.array(h64_batch(canon_str), type=pa.uint64()),
+        "host": pa.array(hosts, type=pa.string()),
+        "host_hash": pa.array(h64_batch(hosts), type=pa.uint64()),
+        "valid": pa.array(valid, type=pa.bool_()),
+    }
+
+
+def _link_url_columns(hrefs: pa.ChunkedArray, bases: pa.ChunkedArray) -> dict:
+    """``_url_columns`` of links, with the URL work done once per distinct
+    absolute http(s) href (``is_absolute_http``: its canonical form does not
+    depend on the base) and then taken back to its rows.  Every other row
+    keeps its own ``(href, base)`` call."""
+    enc = pc.dictionary_encode(hrefs.combine_chunks())
+    distinct = enc.dictionary.to_pylist()
+    absolute = np.fromiter(
+        (is_absolute_http(h) for h in distinct), dtype=bool, count=len(distinct)
+    )
+    # the values are the absolute distinct hrefs, then the other rows in
+    # order; -1 marks a per-row slot (a null href has no dictionary entry)
+    abs_hrefs = [h for h, a in zip(distinct, absolute) if a]
+    slot = np.append(np.where(absolute, np.cumsum(absolute) - 1, -1), -1)
+    idx = slot[pc.fill_null(enc.indices, len(distinct)).to_numpy()]
+    rest = np.flatnonzero(idx < 0)
+    idx[rest] = len(abs_hrefs) + np.arange(len(rest))
+    rest_hrefs = hrefs.take(rest).to_pylist()
+    rest_bases = bases.take(rest).to_pylist()
+    canon = [normalize_url_for_deep_crawl(h, h) for h in abs_hrefs] + [
+        normalize_url_for_deep_crawl(h, b) for h, b in zip(rest_hrefs, rest_bases)
+    ]
+    cols = _url_columns(canon, abs_hrefs + rest_hrefs)
+    take = pa.array(idx)
+    return {name: col.take(take) for name, col in cols.items()}
 
 
 def canonicalize_batch(batch: pa.Table, base_url_col: str | None = None) -> pa.Table:
@@ -34,34 +81,16 @@ def canonicalize_batch(batch: pa.Table, base_url_col: str | None = None) -> pa.T
     passes.
     """
     if base_url_col is not None:
-        raw = batch.column("href").to_pylist()
-        bases = batch.column(base_url_col).to_pylist()
-        canon = [normalize_url_for_deep_crawl(h, b) for h, b in zip(raw, bases)]
+        cols = _link_url_columns(batch.column("href"), batch.column(base_url_col))
     else:
         canon = [normalize_url_for_deep_crawl(u, u) for u in batch.column("url").to_pylist()]
-        raw = canon
-
-    valid = np.fromiter(
-        (c is not None and is_valid_frontier_url(r) for c, r in zip(canon, raw)),
-        dtype=bool, count=len(canon),
-    )
-    canon_str = [c or "" for c in canon]
-    hosts = [host_of(c) if v else "" for c, v in zip(canon_str, valid)]
+        cols = _url_columns(canon, canon)
 
     out = batch
     if "url" in out.column_names:
         out = out.drop_columns(["url"])
-    out = out.append_column("url", pa.array(canon_str, type=pa.string()))
-    out = out.append_column(
-        "url_hash",
-        pa.array(np.fromiter((h64(c) for c in canon_str), dtype=np.uint64), type=pa.uint64()),
-    )
-    out = out.append_column("host", pa.array(hosts, type=pa.string()))
-    out = out.append_column(
-        "host_hash",
-        pa.array(np.fromiter((h64(h) for h in hosts), dtype=np.uint64), type=pa.uint64()),
-    )
-    out = out.append_column("valid", pa.array(valid, type=pa.bool_()))
+    for name, col in cols.items():
+        out = out.append_column(name, col)
     return out
 
 

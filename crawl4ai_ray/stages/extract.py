@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import re
 from html.parser import HTMLParser
+from urllib.parse import urlsplit
 
 import pyarrow as pa
 
 from ..hashing import h64
-from ..urlnorm import get_base_domain, is_external_url, normalize_url, normalize_url_cached
+from ..urlnorm import get_base_domain, is_absolute_http, is_external_url, normalize_url
 
 IMAGE_SCORE_THRESHOLD = 2  # config.py:94
 IMAGE_DESCRIPTION_MIN_WORD_THRESHOLD = 1  # config.py:48
@@ -341,42 +342,87 @@ def extract_spans(root: Node) -> list[dict]:
     return spans
 
 
-def extract_links(root: Node, url: str, base_domain: str, index=None) -> tuple[list[dict], list[dict]]:
+class LinkMemo:
+    """The pure per-link work of ``extract_links``, done once per distinct
+    input for every page of a batch (input dedup, *Accelerating Python UDFs
+    in Vectorized Query Execution*, CIDR 2022).
+
+    ``normalized`` holds ``normalize_url(href, page_url)`` (``None`` when it
+    fails), keyed on what the result depends on: the href alone when it is
+    an absolute http(s) URL, ``(scheme, netloc, href)`` of the page when the
+    href is root-relative, else the ``(href, page_url)`` pair.  ``external``
+    maps ``(normalized, base_domain)`` to ``None`` for an internal link and
+    to the link's own ``get_base_domain`` for an external one."""
+
+    __slots__ = ("normalized", "external")
+
+    def __init__(self) -> None:
+        self.normalized: dict = {}
+        self.external: dict = {}
+
+
+def extract_links(
+    root: Node, url: str, base_domain: str, index=None, memo: LinkMemo | None = None
+) -> tuple[list[dict], list[dict]]:
     """Link records with first-wins dedup per page
     (content_scraping_strategy.py:255-311).  ``link_pos`` is the document
     order index of the <a> element.  The frontier orders a page's links by
     their position in internal + external, the order the reference visits
-    them (SURVEY.md §7.4 item 1)."""
+    them (SURVEY.md §7.4 item 1).  A record is built only for the first
+    occurrence of its normalized href; ``memo`` carries the URL work across
+    the pages of a batch."""
+    if memo is None:
+        memo = LinkMemo()
+    normalized_of, external_of = memo.normalized, memo.external
+    try:
+        page = urlsplit(url)
+        origin = (page.scheme, page.netloc)
+    except ValueError:  # urljoin fails on this base too: key on the pair
+        origin = None
     internal: dict[str, dict] = {}
     external: dict[str, dict] = {}
-    pos = 0
     anchors = index["a"] if index is not None else [n for n in root.iter() if n.tag == "a"]
-    for node in anchors:
+    for pos, node in enumerate(anchors):
         href = (node.get("href") or "").strip()
-        pos += 1
         if not href:
             continue
+        if origin is None:
+            key = (href, url)
+        elif is_absolute_http(href):
+            key = href
+        elif href[0] == "/" and href[1:2] != "/":
+            key = (*origin, href)
+        else:
+            key = (href, url)
         try:
-            normalized = normalize_url_cached(href, url)
-        except Exception:
-            continue
+            normalized = normalized_of[key]
+        except KeyError:
+            try:
+                normalized = normalize_url(href, url)
+            except Exception:
+                normalized = None
+            normalized_of[key] = normalized
         if normalized is None:
             continue
-        record = {
+        try:
+            link_domain = external_of[normalized, base_domain]
+        except KeyError:
+            link_domain = external_of[normalized, base_domain] = (
+                get_base_domain(normalized)
+                if is_external_url(normalized, base_domain)
+                else None
+            )
+        bucket = internal if link_domain is None else external
+        if normalized in bucket:
+            continue
+        bucket[normalized] = {
             "href": normalized,
             "text": _WS_RE.sub(" ", node.text_content()).strip(),
             "title": (node.get("title") or "").strip(),
-            "base_domain": base_domain,
+            "base_domain": base_domain if link_domain is None else link_domain,
             "intrinsic_score": 0.0,
-            "link_pos": pos - 1,
+            "link_pos": pos,
         }
-        if is_external_url(normalized, base_domain):
-            record["base_domain"] = get_base_domain(normalized)
-            if normalized not in external:
-                external[normalized] = record
-        else:
-            if normalized not in internal:
-                internal[normalized] = record
     return list(internal.values()), list(external.values())
 
 
@@ -464,15 +510,15 @@ def head_fingerprint_of(root: Node) -> str:
     return f"{h64(''):016x}"
 
 
-def extract_page(html: str, url: str) -> dict:
+def extract_page(html: str, url: str, memo: LinkMemo | None = None) -> dict:
     """Full per-page extraction → plain dict (used inside extract_batch).
     The page is parsed once; its head fingerprint is taken before any
-    extraction walk."""
+    extraction walk.  ``memo`` goes to ``extract_links``."""
     root, index = parse_dom_indexed(html)
     fingerprint = head_fingerprint_of(root)
     base_domain = get_base_domain(url)
     meta = extract_metadata(root, index)
-    internal, external = extract_links(root, url, base_domain, index)
+    internal, external = extract_links(root, url, base_domain, index, memo)
     spans = extract_spans(root)
     media = extract_media(root, index)
     return {
@@ -495,7 +541,8 @@ def extract_batch(batch: pa.Table) -> pa.Table:
     ``spans`` (list<struct>), ``links`` (list<struct>: href/text/title/
     internal/link_pos), ``title``, ``description``, ``markdown``,
     ``head_fingerprint`` and drops ``html`` (wide rows must not survive the
-    stage — SURVEY.md §7.4 item 6).  Each page is parsed once.
+    stage — SURVEY.md §7.4 item 6).  Each page is parsed once, and each
+    distinct link's URL work is done once per batch (``LinkMemo``).
     """
     from ..schema import SPAN_STRUCT
 
@@ -513,6 +560,7 @@ def extract_batch(batch: pa.Table) -> pa.Table:
     descriptions: list[str] = []
     markdowns: list[str] = []
     fingerprints: list[str] = []
+    memo = LinkMemo()
     for url, html, ok in zip(urls, htmls, successes):
         if not ok or not html:
             spans_col.append([])
@@ -522,7 +570,7 @@ def extract_batch(batch: pa.Table) -> pa.Table:
             markdowns.append("")
             fingerprints.append("")
             continue
-        page = extract_page(html, url)
+        page = extract_page(html, url, memo)
         fingerprints.append(page["head_fingerprint"])
         spans_col.append(page["spans"])
         links = [

@@ -50,6 +50,11 @@ _GENERIC_TRACKING = frozenset(
 
 _WWW_RE = re.compile(r"^www\.")
 
+# a lower-case http(s) scheme and the first character of a host: urljoin
+# returns such a URL whatever the base, so its normalized forms are
+# functions of the URL alone
+_ABSOLUTE_HTTP_RE = re.compile(r"https?://[0-9A-Za-z]")
+
 # second-level labels treated as "public suffix"-ish (utils.py:2541-2556)
 _SECOND_LEVEL = {
     "co", "com", "org", "gov", "edu", "net", "mil", "int",
@@ -202,6 +207,16 @@ def is_valid_frontier_url(url: str) -> bool:
     return True
 
 
+def is_absolute_http(href: str) -> bool:
+    """True when ``href`` starts with ``http://`` or ``https://`` and a host,
+    so that ``normalize_url(href, base)`` and
+    ``normalize_url_for_deep_crawl(href, base)`` (without ``preserve_https``)
+    do not depend on ``base``.
+    Conservative: an upper-case scheme, leading whitespace or an IPv6 host
+    answer False, and such hrefs are normalized against their base."""
+    return _ABSOLUTE_HTTP_RE.match(href) is not None
+
+
 def host_of(url: str) -> str:
     """netloc (with port), lower-cased — the politeness key used by the
     reference's RateLimiter (async_dispatcher.py:43-44 uses bare netloc)."""
@@ -214,7 +229,6 @@ def host_of(url: str) -> str:
 # cached entry points for the hot paths (per-process caches, same pattern as
 # the reference's lru_cache(10000) on its normalizers/filters — nav links
 # repeat across every page of a site)
-normalize_url_cached = lru_cache(maxsize=100_000)(normalize_url)
 normalize_url_for_deep_crawl_cached = lru_cache(maxsize=100_000)(
     normalize_url_for_deep_crawl
 )
