@@ -16,16 +16,15 @@
     No stemming in this container (use_stemming parity slot; the reference's
     snowballstemmer is optional there too).
 
-Built on the stdlib DOM; stage form = ``fit_markdown_batch`` producing the
-reference's ``fit_markdown``-style filtered text column.
+Built on the stdlib DOM.  ``filter_content(html)`` returns the kept blocks;
+``pipelines/queries.py::fit_markdown_demo`` joins them into the reference's
+``fit_markdown``-style text column inside ``map_batches``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-
-import pyarrow as pa
 
 from ..stages.extract import Node, parse_dom
 from .bm25 import BM25Okapi
@@ -261,15 +260,3 @@ class BM25ContentFilter:
                 selected.append((index, chunk))
         selected.sort(key=lambda x: x[0])  # document order
         return [chunk for _, chunk in selected]
-
-
-def fit_markdown_batch(batch: pa.Table, filter_factory, html_col: str = "html") -> pa.Table:
-    """map_batches stage: html → fit_markdown column (joined kept blocks)."""
-    f = filter_factory()
-    htmls = batch.column(html_col).to_pylist()
-    return batch.append_column(
-        "fit_markdown",
-        pa.array(
-            ["\n\n".join(f.filter_content(h or "")) for h in htmls], type=pa.string()
-        ),
-    )

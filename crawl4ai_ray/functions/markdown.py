@@ -57,19 +57,6 @@ def convert_links_to_citations(markdown: str, base_url: str = "") -> tuple[str, 
     return converted, "".join(references)
 
 
-def citations_batch(batch: pa.Table, markdown_col: str = "markdown", url_col: str = "url") -> pa.Table:
-    mds = batch.column(markdown_col).to_pylist()
-    urls = batch.column(url_col).to_pylist()
-    cited, refs = [], []
-    for md, url in zip(mds, urls):
-        c, r = convert_links_to_citations(md or "", url or "")
-        cited.append(c)
-        refs.append(r)
-    return batch.append_column(
-        "markdown_with_citations", pa.array(cited, type=pa.string())
-    ).append_column("references_markdown", pa.array(refs, type=pa.string()))
-
-
 def generate_markdown(html: str, base_url: str = "", content_filter=None,
                       citations: bool = True) -> dict:
     """DefaultMarkdownGenerator.generate_markdown parity

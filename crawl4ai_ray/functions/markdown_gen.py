@@ -87,11 +87,6 @@ def _escape_md_section(text: str) -> str:
     return _RE_MD_BACKSLASH.sub(r"\\\1", text)
 
 
-def _escape_url(url: str) -> str:
-    """Parens inside the (url) part of inline links (escape_md on urls)."""
-    return _escape_md(url)
-
-
 class _ListEntry:
     __slots__ = ("name", "num")
 

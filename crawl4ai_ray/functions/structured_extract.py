@@ -13,17 +13,14 @@ child combinators, comma groups) — the subset real extraction schemas use.
 ``computed`` fields evaluate the expression against the extracted item like
 the reference (eval with the item as namespace, extraction_strategy.py:1229).
 
-Ray Data mapping: ``StructuredExtractStage`` — the schema is captured in the
-stage object; output is a JSON-encoded column (the reference also emits a
-JSON string, async_webcrawler.py:725-727).
+Ray Data mapping: a ``map_batches`` function builds one ``JsonCssExtractor``
+per batch and calls ``extract(html)``, which returns the list of item dicts
+(``pipelines/queries.py::structured_roundtrip``).
 """
 
 from __future__ import annotations
 
-import json
 import re
-
-import pyarrow as pa
 
 from ..stages.extract import Node, parse_dom
 
@@ -247,23 +244,3 @@ class JsonCssExtractor:
             if item:
                 results.append(item)
         return results
-
-
-class StructuredExtractStage:
-    """map_batches stage: html column → JSON-encoded extracted_content
-    column (one JSON array per page, reference output shape)."""
-
-    def __init__(self, schema: dict, html_col: str = "html", id_col: str = "url"):
-        self.extractor = JsonCssExtractor(schema)
-        self.html_col = html_col
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        htmls = batch.column(self.html_col).to_pylist()
-        extracted = [
-            json.dumps(self.extractor.extract(h or ""), ensure_ascii=False)
-            for h in htmls
-        ]
-        return batch.append_column(
-            "extracted_content", pa.array(extracted, type=pa.string())
-        )

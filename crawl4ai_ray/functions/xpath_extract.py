@@ -162,27 +162,3 @@ class JsonXPathExtractor(JsonCssExtractor):
 
     def _text_of(self, node: Node) -> str:
         return node.text_content().strip()
-
-
-class XPathExtractStage:
-    """map_batches stage: html column → JSON-encoded extracted_content
-    (same output contract as StructuredExtractStage)."""
-
-    def __init__(self, schema: dict, html_col: str = "html", id_col: str = "url"):
-        self.extractor = JsonXPathExtractor(schema)
-        self.html_col = html_col
-        self.id_col = id_col
-
-    def __call__(self, batch):
-        import json
-
-        import pyarrow as pa
-
-        htmls = batch.column(self.html_col).to_pylist()
-        extracted = [
-            json.dumps(self.extractor.extract(h or ""), ensure_ascii=False)
-            for h in htmls
-        ]
-        return batch.append_column(
-            "extracted_content", pa.array(extracted, type=pa.string())
-        )

@@ -84,7 +84,3 @@ def h64_with_seed(s: str | bytes, seed: int) -> int:
 def h64_batch(strings: Iterable[str]) -> np.ndarray:
     """Hash a batch of strings → uint64 array (hot path inside map_batches)."""
     return np.fromiter((h64(s) for s in strings), dtype=np.uint64)
-
-
-def shard_of(host_hash: int, num_shards: int) -> int:
-    return int(host_hash % num_shards)

@@ -21,7 +21,7 @@ rendered from), status code, out-link targets — used by the golden BFS oracle
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 _WORDS = (
     "data stream crawl frontier spark batch merge shard host link page "
@@ -363,8 +363,3 @@ class SyntheticTransport:
         )
         end = html.find("</head>")
         return (200, html[: end + 7] if end >= 0 else html)
-
-
-def total_reachable_estimate(params: CorpusParams) -> int:
-    """Upper bound on crawlable pages (for sizing tests)."""
-    return sum(params.n_pages(i) for i in range(params.n_hosts))

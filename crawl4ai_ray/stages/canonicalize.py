@@ -22,6 +22,15 @@ from ..urlnorm import (
 )
 
 
+def _canonical(href: str, base: str) -> str | None:
+    """``normalize_url_for_deep_crawl``, or None where ``urlsplit`` rejects
+    the URL (a bad IPv6 host raises ``ValueError``): the row stays, invalid."""
+    try:
+        return normalize_url_for_deep_crawl(href, base)
+    except ValueError:
+        return None
+
+
 def _url_columns(canon: list, raw: list) -> dict:
     """``url``, ``url_hash``, ``host``, ``host_hash`` and ``valid`` of
     canonical forms (``None`` when normalization failed) and the raw URLs
@@ -60,8 +69,8 @@ def _link_url_columns(hrefs: pa.ChunkedArray, bases: pa.ChunkedArray) -> dict:
     idx[rest] = len(abs_hrefs) + np.arange(len(rest))
     rest_hrefs = hrefs.take(rest).to_pylist()
     rest_bases = bases.take(rest).to_pylist()
-    canon = [normalize_url_for_deep_crawl(h, h) for h in abs_hrefs] + [
-        normalize_url_for_deep_crawl(h, b) for h, b in zip(rest_hrefs, rest_bases)
+    canon = [_canonical(h, h) for h in abs_hrefs] + [
+        _canonical(h, b) for h, b in zip(rest_hrefs, rest_bases)
     ]
     cols = _url_columns(canon, abs_hrefs + rest_hrefs)
     take = pa.array(idx)
@@ -83,7 +92,7 @@ def canonicalize_batch(batch: pa.Table, base_url_col: str | None = None) -> pa.T
     if base_url_col is not None:
         cols = _link_url_columns(batch.column("href"), batch.column(base_url_col))
     else:
-        canon = [normalize_url_for_deep_crawl(u, u) for u in batch.column("url").to_pylist()]
+        canon = [_canonical(u, u) for u in batch.column("url").to_pylist()]
         cols = _url_columns(canon, canon)
 
     out = batch

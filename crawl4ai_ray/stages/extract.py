@@ -1,4 +1,4 @@
-"""HTML extract stage: html → links + media + metadata + interleaved spans.
+"""HTML extract stage: html → links + metadata + interleaved spans.
 
 Behavioral parity with the reference's LXML scraping pipeline
 (/root/reference/crawl4ai/content_scraping_strategy.py:607-909), re-built on
@@ -7,10 +7,11 @@ the stdlib ``html.parser``:
   * link records — href normalized by the generic ``normalize_url``, text,
     title, base_domain, internal/external split, first-wins per-page dedup by
     normalized href (content_scraping_strategy.py:255-311, 303-307).
-  * image scoring — icon/button/logo rejection; +1 for width>150, height>150,
-    alt, early position (idx/total<0.5), known format, srcset; keep if
-    score > IMAGE_SCORE_THRESHOLD=2 (content_scraping_strategy.py:410-515,
-    config.py:94).
+  * image scoring (``extract_media``, not part of the per-page stage: the
+    spans carry every media ref) — icon/button/logo rejection; +1 for
+    width>150, height>150, alt, early position (idx/total<0.5), known
+    format, srcset; keep if score > IMAGE_SCORE_THRESHOLD=2
+    (content_scraping_strategy.py:410-515, config.py:94).
   * metadata — title/description/keywords/author + og:/twitter:/article:
     fallbacks (utils.py:1497-1580).
   * the **interleaved spans column** (our data model, SURVEY.md §1.2): a
@@ -520,13 +521,11 @@ def extract_page(html: str, url: str, memo: LinkMemo | None = None) -> dict:
     meta = extract_metadata(root, index)
     internal, external = extract_links(root, url, base_domain, index, memo)
     spans = extract_spans(root)
-    media = extract_media(root, index)
     return {
         "metadata": meta,
         "internal_links": internal,
         "external_links": external,
         "spans": spans,
-        "media": media,
         "markdown": spans_to_markdown(spans),
         "head_fingerprint": fingerprint,
     }

@@ -6,9 +6,10 @@ The host hash localizes URL-seen, politeness and robots state (SURVEY.md
 semantics — shared mutable state consulted and updated mid-stream):
 
   * the URL-seen filter: an exact ``set`` (parity mode and the resume
-    ground truth) or an approximate bloom / cuckoo filter (scale mode, FP
-    budget ``error_rate`` — p=0.01 like the reference prototype,
-    deep_crawling/crazy.py:53);
+    ground truth) or an approximate bloom filter (scale mode, FP budget
+    ``error_rate`` — p=0.01 like the reference prototype,
+    deep_crawling/crazy.py:53); the seen set only grows, so the filter
+    needs no deletes;
   * politeness: the ``RateLimiterState`` machine and the ``RobotsGate``
     cache (async_dispatcher.py:28-85, utils.py:252-377).  A fetch task asks
     the owning shard for a schedule — ``acquire`` returns per-URL
@@ -53,7 +54,6 @@ import ray
 
 from ..hashing import h64
 from ..state.bloom import BloomFilter, SparseBloomFilter
-from ..state.cuckoo import NOMINAL_FP_RATE, CuckooFilter
 from ..state.politeness import RateLimiterState, RobotsGate
 
 
@@ -94,7 +94,9 @@ def gather(submitted: list, get=ray.get) -> list[tuple[int, list[int], object]]:
 
 class HostShardState:
     """All crawl state of one logical host shard (no Ray: a ``HostShard``
-    actor holds one per shard it hosts)."""
+    actor holds one per shard it hosts).  The seen filter is an exact set
+    when ``exact``, else a bloom filter of ``capacity`` keys at
+    ``error_rate``."""
 
     def __init__(
         self,
@@ -103,7 +105,6 @@ class HostShardState:
         capacity: int = 1_000_000,
         error_rate: float = 0.01,
         exact: bool = True,
-        filter_kind: str = "bloom",
         base_delay: tuple[float, float] = (0.0, 0.0),
         max_delay: float = 60.0,
         max_retries: int = 3,
@@ -113,24 +114,11 @@ class HostShardState:
         """``sparse``: a bloom seen filter holds only its set bit positions
         (``SparseBloomFilter``, the pool's driver mirror)."""
         self.shard_id = shard_id
-        # seen: exact mode holds only the set; otherwise an approximate
-        # filter (insert-only bloom, or the deletable cuckoo filter — same
-        # batch API, state/bloom.py and state/cuckoo.py)
+        # seen: exact mode holds only the set; otherwise a bloom filter
         self.exact: set[str] | None = set() if exact else None
-        self.filter = None
-        if not exact:
-            if filter_kind == "cuckoo":
-                if error_rate < NOMINAL_FP_RATE:
-                    raise ValueError(
-                        f"cuckoo backend FP rate is ~{NOMINAL_FP_RATE:.1e} (16-bit "
-                        f"fingerprints); requested error_rate={error_rate} is "
-                        "unsatisfiable — use the bloom backend"
-                    )
-                self.filter = CuckooFilter(capacity)
-            else:
-                self.filter = (SparseBloomFilter if sparse else BloomFilter)(
-                    capacity, error_rate
-                )
+        self.filter = None if exact else (SparseBloomFilter if sparse else BloomFilter)(
+            capacity, error_rate
+        )
         self.generation = 0
         self.limiter = RateLimiterState(
             base_delay=base_delay, max_delay=max_delay,
@@ -304,7 +292,6 @@ class HostShardPool:
         capacity_per_shard: int = 1_000_000,
         error_rate: float = 0.01,
         exact: bool = True,
-        filter_kind: str = "bloom",
         base_delay: tuple[float, float] = (0.0, 0.0),
         max_delay: float = 60.0,
         max_retries: int = 3,
@@ -312,13 +299,19 @@ class HostShardPool:
     ):
         self.num_shards = num_shards
         self._t_start = time.time()
+        # built before the actors, so a bad argument raises here first
+        self._mirror = [
+            HostShardState(sid, capacity=capacity_per_shard, error_rate=error_rate,
+                           exact=exact, sparse=True)
+            for sid in range(num_shards)
+        ]
         nodes = sum(1 for n in ray.nodes() if n["Alive"])
         n_actors = max(1, min(num_shards, nodes))
         self.shards = [
             HostShard.options(scheduling_strategy="SPREAD").remote(
                 list(range(a, num_shards, n_actors)),
                 robots_bodies=robots_bodies, capacity=capacity_per_shard,
-                error_rate=error_rate, exact=exact, filter_kind=filter_kind,
+                error_rate=error_rate, exact=exact,
                 base_delay=base_delay, max_delay=max_delay,
                 max_retries=max_retries, seed=seed,
             )
@@ -327,13 +320,6 @@ class HostShardPool:
         self._ready = [s.ready.remote() for s in self.shards]
         self._ready_ts: list[float] | None = None
         self.wait_s = 0.0
-        # cuckoo has no mirror (the engine never selects it): its seen
-        # rounds wait for the actors
-        self._mirror = None if not exact and filter_kind == "cuckoo" else [
-            HostShardState(sid, capacity=capacity_per_shard, error_rate=error_rate,
-                           exact=exact, sparse=True)
-            for sid in range(num_shards)
-        ]
 
     def _get(self, refs: list) -> list:
         t0 = time.perf_counter()

@@ -255,17 +255,6 @@ class MediaDecodeStage:
         return out
 
 
-class RealResizer:
-    """Placeholder for a PIL-backed resizer — NOT available in this
-    container (same stub contract as RealDecoder)."""
-
-    def resize(self, payload: bytes, meta: dict, max_side: int) -> tuple[bytes, dict]:
-        raise NotImplementedError(
-            "image libs are not installed in this sandbox; "
-            "use DeterministicFakeResizer for tests"
-        )
-
-
 class DeterministicFakeResizer:
     """Aspect-preserving metadata resize; payload re-keyed by the target
     size so downstream dedup sees the variant as a distinct object."""

@@ -774,7 +774,7 @@ def test_no_valid_seed_runs_no_epoch(tmp_path, ray_session, strategy, determinis
         tmp_path, params,
         CrawlConfig(strategy=strategy, deterministic=deterministic,
                     exact_seen=deterministic),
-        seeds=["not a url"],
+        seeds=["not a url", "http://[bad"],
     )
     assert summary["epochs"] == 0 and summary["fetched"] == 0
     assert engine.store.read_manifest() is None

@@ -13,8 +13,10 @@ from crawl4ai_ray.sources.corpus import CorpusParams, SyntheticTransport, page_u
 from crawl4ai_ray.stages.extract import (
     IMAGE_SCORE_THRESHOLD,
     extract_batch,
+    extract_media,
     extract_page,
     parse_dom,
+    parse_dom_indexed,
     parse_srcset,
     score_image,
 )
@@ -65,11 +67,11 @@ def test_links_first_wins_and_split():
 
 
 def test_image_scoring():
-    page = extract_page(PAGE, "http://x.com/page")
-    srcs = [i["src"] for i in page["media"]["images"]]
+    media = extract_media(*parse_dom_indexed(PAGE))
+    srcs = [i["src"] for i in media["images"]]
     assert "http://x.com/img/big.jpg" in srcs  # width+height+alt+format+early
     assert all("icon" not in s for s in srcs)  # icon rejected
-    big = next(i for i in page["media"]["images"] if i["src"].endswith("big.jpg"))
+    big = next(i for i in media["images"] if i["src"].endswith("big.jpg"))
     assert big["score"] > IMAGE_SCORE_THRESHOLD
     assert big["format"] == "jpg"
 

@@ -68,36 +68,6 @@ def test_bloom_never_false_negative(keys):
     assert bf.contains_batch(keys).all()
 
 
-# ------------------------------------------------------------ cuckoo filter
-@settings(max_examples=80, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(st.booleans(), st.integers(min_value=0, max_value=200)),
-        max_size=120,
-    )
-)
-def test_cuckoo_never_false_negative_under_add_delete(ops):
-    """Invariant: a key in the reference SET is always reported present.
-    The filter has set semantics (add_batch dedups, delete removes the
-    key entirely — see the CuckooFilter docstring), so the model is a
-    set, not a multiset."""
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(capacity=512)
-    live: set[str] = set()
-    for is_add, kid in ops:
-        key = f"key-{kid}"
-        if is_add:
-            cf.add_batch([key])
-            live.add(key)
-        elif key in live:
-            removed = cf.delete_batch([key])
-            assert removed[0]  # present keys always delete successfully
-            live.discard(key)
-    if live:
-        assert cf.contains_batch(sorted(live)).all()
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     text=st.text(

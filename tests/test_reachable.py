@@ -8,12 +8,17 @@ keeps its tests and docs alive while no crawl, query or benchmark runs it;
 such a module is deleted, or given a reader, or listed in ``EXTENSIONS``
 with the reason a user passes it in by hand.
 
+Every top-level ``def`` and ``class`` of the package is named somewhere
+outside its own body: by the package, ``perfbench/``, ``jobs/``,
+``__ray_entry__.py``, ``bench.py`` or ``tests/``.
+
 No module reads an environment variable other than those in
 ``ENV_READS``: a behaviour an environment variable selects is a code path
 no test or benchmark runs unless it sets that variable.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -92,6 +97,47 @@ def test_every_package_module_is_reached_from_an_entry_point():
     reached = {str(p.relative_to(REPO)) for p in _reached()}
     modules = {str(p.relative_to(REPO)) for p in (REPO / PACKAGE).rglob("*.py")}
     assert sorted(modules - reached) == sorted(EXTENSIONS)
+
+
+READERS = [
+    *sorted((REPO / PACKAGE).rglob("*.py")),
+    *sorted((REPO / "perfbench").rglob("*.py")),
+    *sorted((REPO / "jobs").rglob("*.py")),
+    REPO / "__ray_entry__.py",
+    REPO / "bench.py",
+    *sorted((REPO / "tests").rglob("*.py")),
+]
+
+
+def _names(node: ast.AST) -> Counter:
+    """Each Name, Attribute, import alias and string constant under
+    ``node`` (an imported dotted path counts each of its parts)."""
+    out: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out.update(n.name.split("."))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[n.value] += 1
+    return out
+
+
+def test_every_package_definition_is_named_outside_its_body():
+    """A top-level function or class nothing names is code nothing runs."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in READERS}
+    named = sum((_names(t) for t in trees.values()), Counter())
+    unnamed = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(REPO / PACKAGE):
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if named[node.name] - _names(node)[node.name] <= 0:
+                    unnamed.append(f"{path.relative_to(REPO)}::{node.name}")
+    assert not unnamed, "named nowhere: " + ", ".join(unnamed)
 
 
 # the environment variables the package may read: a data path and a

@@ -341,6 +341,19 @@ def test_pool_raises_when_the_booting_actor_died(ray_session):
         pool.shutdown()
 
 
+def test_pool_rejects_a_bad_filter_argument_before_starting_actors(monkeypatch):
+    """The driver mirror is built first, so an unsatisfiable bloom argument
+    raises in the constructor and no actor starts."""
+    from crawl4ai_ray.stages import hostshard
+
+    def no_actor(*args, **kwargs):
+        raise AssertionError("an actor was started")
+
+    monkeypatch.setattr(hostshard.HostShard, "options", no_actor)
+    with pytest.raises(ValueError):
+        hostshard.HostShardPool(2, error_rate=0.0, exact=False)
+
+
 # ------------------------------------------------------------ proxy rotation
 class TestProxyRotation:
     def test_proxy_config_parsing(self):
@@ -464,121 +477,6 @@ class TestProxyRotation:
         # sticky per host: each host always rode the same proxy
         assert all(len(v) == 1 for v in by_host.values())
         assert by_host["h0.test"] != by_host["h1.test"]
-
-
-# ------------------------------------------------------------ cuckoo filter
-def test_cuckoo_no_false_negatives():
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(capacity=10_000)
-    keys = [f"https://h{i}.example/p{i}" for i in range(9_000)]
-    cf.add_batch(keys)
-    assert cf.contains_batch(keys).all()  # cuckoo guarantee: no FN
-
-
-def test_cuckoo_false_positive_budget():
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(capacity=10_000)
-    cf.add_batch([f"in{i}" for i in range(9_000)])
-    fp = cf.contains_batch([f"out{i}" for i in range(10_000)]).mean()
-    # 16-bit fingerprints in 4-slot buckets: FP ~ 8/2^16 ≈ 0.01%
-    assert fp < 0.01, fp
-
-
-def test_cuckoo_add_batch_reports_dups_and_counts():
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(capacity=1000)
-    first = cf.add_batch(["a", "b", "a"])  # in-batch dup: first wins
-    assert first.tolist() == [False, False, True]
-    assert cf.count == 2
-    again = cf.add_batch(["a", "b", "c"])
-    assert again.tolist() == [True, True, False]
-    assert cf.count == 3
-
-
-def test_cuckoo_delete_restores_absence():
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(capacity=1000)
-    keys = [f"k{i}" for i in range(500)]
-    cf.add_batch(keys)
-    removed = cf.delete_batch(keys[:100])
-    assert removed.all()
-    assert cf.count == 400
-    # deleted keys gone (modulo fp collisions with the 400 remaining:
-    # 16-bit fps make that ~0 at this size), rest intact
-    assert not cf.contains_batch(keys[:100]).any()
-    assert cf.contains_batch(keys[100:]).all()
-    assert not cf.delete_batch(["never-added-xyz"]).any()
-
-
-def test_cuckoo_serialization_roundtrip():
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(capacity=1000)
-    cf.add_batch([f"u{i}" for i in range(800)])
-    cf2 = CuckooFilter.from_bytes(cf.to_bytes())
-    assert cf2.count == cf.count
-    assert cf2.contains_batch([f"u{i}" for i in range(800)]).all()
-
-
-def test_cuckoo_overflow_stash_keeps_no_fn():
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    # force overload: tiny filter, 2x its sized load → kicks exhaust and
-    # spill to the stash; membership must still never false-negative
-    cf = CuckooFilter(capacity=64)
-    keys = [f"load{i}" for i in range(min(2 * cf.num_buckets * 4, 2000))]
-    cf.add_batch(keys)
-    assert cf.contains_batch(keys).all()
-    # deletes keep working through the stash
-    assert cf.delete_batch(keys[:10]).all()
-
-
-def test_seen_shard_cuckoo_backend():
-    from crawl4ai_ray.stages.hostshard import HostShardState
-
-    shard = HostShardState(
-        0, capacity=10_000, error_rate=0.01, exact=False, filter_kind="cuckoo"
-    )
-    fresh = shard.check_and_add(["u1", "u2", "u1"])
-    assert fresh.tolist() == [True, True, False]
-    again = shard.check_and_add(["u2", "u3"])
-    assert again.tolist() == [False, True]
-    assert shard.size() == 3
-
-
-def test_seen_shard_cuckoo_rejects_unsatisfiable_error_rate(ray_session):
-    """The state's ValueError surfaces from the pool's actor construction."""
-    import ray
-
-    from crawl4ai_ray.stages.hostshard import HostShardPool
-
-    pool = HostShardPool(2, capacity_per_shard=10_000, error_rate=1e-6, exact=False,
-                         filter_kind="cuckoo")
-    try:
-        pool.total_size()
-        raise AssertionError("expected constructor ValueError")
-    except ray.exceptions.RayActorError as e:
-        assert "unsatisfiable" in str(e)
-    finally:
-        pool.shutdown()
-
-
-def test_cuckoo_set_semantics_delete_removes_entirely():
-    """Docstring contract: add the same key N times (deduped), delete
-    once → key absent.  Single key, so no FP collision can mask it."""
-    from crawl4ai_ray.state.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(capacity=64)
-    cf.add_batch(["the-key", "the-key"])
-    cf.add_batch(["the-key"])
-    assert cf.count == 1
-    assert cf.delete_batch(["the-key"])[0]
-    assert not cf.contains_batch(["the-key"])[0]
-    assert cf.count == 0
 
 
 def test_proxy_rotation_thread_safety_no_deadlock():
