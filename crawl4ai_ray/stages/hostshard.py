@@ -114,7 +114,6 @@ class HostShardState:
         """``sparse``: a bloom seen filter holds only its set bit positions
         (``SparseBloomFilter``, the pool's driver mirror)."""
         self.shard_id = shard_id
-        # seen: exact mode holds only the set; otherwise a bloom filter
         self.exact: set[str] | None = set() if exact else None
         self.filter = None if exact else (SparseBloomFilter if sparse else BloomFilter)(
             capacity, error_rate
