@@ -155,68 +155,6 @@ class ChunkStage:
         )
 
 
-def chunk_documents(documents, chunk_token_threshold, overlap,
-                    word_token_rate: float = 0.75, tokenizer=None):
-    """Corpus-level streaming chunker — parity with reference
-    utils.py::chunk_documents (:76-160): documents feed one token queue;
-    chunks emit at the token-budget threshold (fractional word→token
-    contributions without a tokenizer), each chunk's overlap tail is pushed
-    back for the next chunk; the final partial chunk flushes.  A generator:
-    O(threshold) memory regardless of corpus size (the map_batches form
-    feeds one batch's documents in)."""
-    from collections import deque
-
-    token_queue: deque = deque()
-    contribution_queue: deque = deque()
-    current_token_count = 0.0
-
-    for doc in documents:
-        if tokenizer:
-            tokens = tokenizer(doc)
-            contributions = [1.0] * len(tokens)
-        else:
-            tokens = doc.split()
-            contributions = [word_token_rate] * len(tokens)
-        token_queue.extend(tokens)
-        contribution_queue.extend(contributions)
-        current_token_count += sum(contributions)
-
-        while current_token_count >= chunk_token_threshold:
-            chunk_tokens: list = []
-            chunk_contrib: list = []
-            chunk_total = 0.0
-            while contribution_queue:
-                nxt = contribution_queue[0]
-                if chunk_total + nxt > chunk_token_threshold:
-                    break
-                chunk_total += nxt
-                chunk_contrib.append(contribution_queue.popleft())
-                chunk_tokens.append(token_queue.popleft())
-            if not chunk_contrib:  # single token exceeds the threshold
-                chunk_contrib.append(contribution_queue.popleft())
-                chunk_tokens.append(token_queue.popleft())
-
-            overlap_total = 0.0
-            overlap_idx = 0
-            for contrib in reversed(chunk_contrib):
-                if overlap_total + contrib > overlap:
-                    break
-                overlap_total += contrib
-                overlap_idx += 1
-            if overlap_idx > 0:
-                token_queue.extendleft(reversed(chunk_tokens[-overlap_idx:]))
-                contribution_queue.extendleft(reversed(chunk_contrib[-overlap_idx:]))
-                current_token_count += overlap_total
-            current_token_count -= sum(chunk_contrib)
-            yield " ".join(
-                chunk_tokens[: len(chunk_tokens) - overlap_idx]
-                if overlap_idx else chunk_tokens
-            )
-
-    if token_queue:
-        yield " ".join(token_queue)
-
-
 def merge_chunks(docs, target_size, overlap: int = 0,
                  word_token_ratio: float = 1.0, splitter=None):
     """Small-docs → target-token chunks — parity with reference

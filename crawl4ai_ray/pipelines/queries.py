@@ -546,29 +546,6 @@ def dedup_exact(sf_dir: str):
     return pa.Table.from_pylist(exact_dedup(ds, "text", "doc_id").take_all())
 
 
-def llm_extract_demo(sf_dir: str):
-    """LLM block-extraction stage over documents (rows-only: the
-    deterministic FakeLLMClient stands in for the absent model — the chunk
-    merge, prompt templating, <blocks> parsing, error-block contract and
-    token accounting are the real reference semantics,
-    extraction_strategy.py:493-743).  The stage instance (client built
-    once on the driver) runs as a task."""
-    from ..functions.llm_extract import LLMExtractionStage
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return ds.map_batches(
-        # cache off HERE for row-wise determinism: with a cache, a
-        # duplicate doc's token columns depend on which task its batch
-        # landed in (first task pays, the rest hit) — the driver's
-        # repeated-run compare needs identical rows
-        LLMExtractionStage(
-            instruction="summarize the key facts", response_cache=False
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
 def token_counts(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -2353,59 +2330,6 @@ def seeder_sitemap_demo(sf_dir: str):
     )
 
 
-def adaptive_digest_demo(sf_dir: str):
-    """Adaptive crawl digest (statistical strategy port) on the synthetic
-    corpus → per-round metrics table (rows-only)."""
-    from ..sources.corpus import CorpusParams, SyntheticTransport
-    from .adaptive import AdaptiveCrawler, AdaptiveConfig
-
-    params = CorpusParams(n_hosts=2, pages_per_host=50, seed=42)
-    crawler = AdaptiveCrawler(
-        SyntheticTransport(params),
-        query="crawl frontier data stream",
-        config=AdaptiveConfig(max_pages=12, top_k_links=3, confidence_threshold=0.9),
-    )
-    out = crawler.digest("http://site0.test/")
-    return pa.table(
-        {
-            "rank": pa.array(range(len(out["crawl_order"])), type=pa.int32()),
-            "url": pa.array(out["crawl_order"], type=pa.string()),
-            "confidence": pa.array(
-                [round(out["confidence"], 4)] * len(out["crawl_order"]), type=pa.float64()
-            ),
-        }
-    )
-
-
-def cosine_cluster_demo(sf_dir: str):
-    """CosineStrategy pipeline over documents: 20-token chunks →
-    agglomerative cosine clustering (ward cut at max_dist) → word-count
-    filter → tagged clusters (reference extraction_strategy.py:135-475;
-    rows-only — hashing embedder stands in for the absent HF model)."""
-    from ..functions.cosine_cluster import CosineClusterStage
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def _chunked(b: pa.Table) -> pa.Table:
-        texts = []
-        for t in b.column("text").to_pylist():
-            toks = (t or "").split()
-            texts.append(
-                "\n".join(
-                    " ".join(toks[i : i + 20]) for i in range(0, len(toks), 20)
-                )
-            )
-        return pa.table({"doc_id": b.column("doc_id"), "text": pa.array(texts)})
-
-    return ds.map_batches(
-        _chunked, batch_format="pyarrow", zero_copy_batch=True
-    ).map_batches(
-        CosineClusterStage(word_count_threshold=15, max_dist=0.7),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
 def raw_markdown_demo(sf_dir: str):
     """DefaultMarkdownGenerator pipeline over synthetic pages — the full
     MarkdownGenerationResult surface (markdown_generation_strategy.py:
@@ -2430,25 +2354,6 @@ def raw_markdown_demo(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-
-
-def seeder_cc_demo(sf_dir: str):
-    """Common-Crawl-seeder pipeline over the synthetic CC index transport
-    (reference _from_cc, async_url_seeder.py:810-863): retry/cache/glob and
-    match semantics unit-parity-tested; rows-only here (no SQL surface)."""
-    import tempfile
-
-    from ..sources.cc import SyntheticCCClient, cc_seed_urls
-
-    out = cc_seed_urls(
-        ["site0.test", "site1.test", "site2.test"],
-        client_factory=lambda: SyntheticCCClient(pages_per_domain=40),
-        cache_dir=tempfile.mkdtemp(prefix="cc_cache_"),
-        index_id="CC-TEST",
-        pattern="*/p/*",
-        max_urls=100,
-    )
-    return pa.Table.from_pylist(out.take_all())
 
 
 def head_filter_crawl_demo(sf_dir: str):
@@ -2500,34 +2405,6 @@ def head_filter_crawl_demo(sf_dir: str):
         )
     finally:
         engine.shutdown()
-
-
-def adaptive_embedding_demo(sf_dir: str):
-    """Embedding-strategy adaptive crawl (reference EmbeddingStrategy,
-    adaptive_crawler.py:587-990): query point cloud → coverage-gap link
-    selection → mean-best-similarity confidence (rows-only; hashing
-    embedder stands in for the absent model)."""
-    from ..sources.corpus import CorpusParams, SyntheticTransport
-    from .adaptive import AdaptiveConfig, EmbeddingAdaptiveCrawler
-
-    params = CorpusParams(n_hosts=2, pages_per_host=50, seed=42)
-    crawler = EmbeddingAdaptiveCrawler(
-        SyntheticTransport(params),
-        query="crawl frontier data stream",
-        config=AdaptiveConfig(max_pages=12, top_k_links=3,
-                              confidence_threshold=0.95, min_gain_threshold=0.0),
-    )
-    out = crawler.digest("http://site0.test/")
-    return pa.table(
-        {
-            "rank": pa.array(range(len(out["crawl_order"])), type=pa.int32()),
-            "url": pa.array(out["crawl_order"], type=pa.string()),
-            "confidence": pa.array(
-                [round(out["confidence"], 4)] * len(out["crawl_order"]),
-                type=pa.float64(),
-            ),
-        }
-    )
 
 
 def link_preview_demo(sf_dir: str):
@@ -4265,16 +4142,11 @@ QUERIES = {
     "user_funnel_stages": user_funnel_stages,
     "jaccard_neardup_exact": jaccard_neardup_exact_pairs,
     # -------- rows-only demos (no SQL surface) --------
-    "llm_extract_demo": llm_extract_demo,
     "docs_interleaved": docs_interleaved,
     "fit_markdown_demo": fit_markdown_demo,
     "seeder_sitemap_demo": seeder_sitemap_demo,
     "head_filter_crawl_demo": head_filter_crawl_demo,
-    "seeder_cc_demo": seeder_cc_demo,
     "raw_markdown_demo": raw_markdown_demo,
-    "cosine_cluster_demo": cosine_cluster_demo,
-    "adaptive_digest_demo": adaptive_digest_demo,
-    "adaptive_embedding_demo": adaptive_embedding_demo,
     "link_preview_demo": link_preview_demo,
     "media_catalog_crawl": media_catalog_crawl,
     "crawl_bfs_demo": crawl_bfs_demo,
@@ -4954,8 +4826,8 @@ ORACLE_SQL = {
     "spans_flat": _sql_spans_flat(),
     "media_catalog": _sql_media_catalog(),
     # still rows-only by design: fit_markdown_demo / seeder_sitemap_demo /
-    # adaptive_digest_demo / crawl_bfs_demo / docs_interleaved run the crawl
-    # engine over synthetic sites (inputs aren't the parquet tables), and
+    # crawl_bfs_demo / docs_interleaved run the crawl engine over synthetic
+    # sites (inputs aren't the parquet tables), and
     # embedding_neardup's LSH sibling covers the SQL-checkable math.
 }
 

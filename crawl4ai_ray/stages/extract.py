@@ -7,11 +7,6 @@ the stdlib ``html.parser``:
   * link records — href normalized by the generic ``normalize_url``, text,
     title, base_domain, internal/external split, first-wins per-page dedup by
     normalized href (content_scraping_strategy.py:255-311, 303-307).
-  * image scoring (``extract_media``, not part of the per-page stage: the
-    spans carry every media ref) — icon/button/logo rejection; +1 for
-    width>150, height>150, alt, early position (idx/total<0.5), known
-    format, srcset; keep if score > IMAGE_SCORE_THRESHOLD=2
-    (content_scraping_strategy.py:410-515, config.py:94).
   * metadata — title/description/keywords/author + og:/twitter:/article:
     fallbacks (utils.py:1497-1580).
   * the **interleaved spans column** (our data model, SURVEY.md §1.2): a
@@ -34,9 +29,6 @@ import pyarrow as pa
 from ..hashing import h64
 from ..urlnorm import get_base_domain, is_absolute_http, is_external_url, normalize_url
 
-IMAGE_SCORE_THRESHOLD = 2  # config.py:94
-IMAGE_DESCRIPTION_MIN_WORD_THRESHOLD = 1  # config.py:48
-
 VOID_TAGS = frozenset(
     "img br hr meta link input source area base col embed track wbr".split()
 )
@@ -48,7 +40,6 @@ BLOCK_TAGS = frozenset(
         "figure figcaption form fieldset dl dt dd address hr br"
     ).split()
 )
-_IMAGE_FORMATS = ("jpg", "jpeg", "png", "webp", "avif", "gif")
 _WS_RE = re.compile(r"\s+")
 
 
@@ -138,100 +129,6 @@ def parse_dom_indexed(html: str):
     except Exception:
         pass
     return builder.root, builder.index
-
-
-def parse_srcset(srcset: str) -> list[dict]:
-    """srcset → [{url, width}] (content_scraping_strategy.py:42-60)."""
-    out = []
-    for part in srcset.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split()
-        url = pieces[0]
-        width = None
-        if len(pieces) > 1 and pieces[1].endswith("w"):
-            width = pieces[1][:-1]
-        out.append({"url": url, "width": width})
-    return out
-
-
-def _closest_parent_text(node: Node, min_words: int = IMAGE_DESCRIPTION_MIN_WORD_THRESHOLD):
-    """Walk ancestors until one has ≥min_words of text
-    (content_scraping_strategy.py:380-395: requires element.text non-empty,
-    i.e. a direct text child before any element)."""
-    current = node.parent
-    while current is not None:
-        direct_text = next(
-            (c for c in current.children if isinstance(c, str) and c.strip()), None
-        )
-        if direct_text is not None:
-            content = current.text_content()
-            if len(content.split()) >= min_words:
-                return content.strip()
-        current = current.parent
-    return None
-
-
-def score_image(img: Node, index: int, total_images: int) -> tuple[int, str | None]:
-    """Reference image scoring (content_scraping_strategy.py:410-470).
-
-    Returns (score, detected_format); score <= 0 means rejected outright.
-    """
-    style = img.get("style", "") or ""
-    alt = img.get("alt", "") or ""
-    src = img.get("src", "") or ""
-    data_src = img.get("data-src", "") or ""
-    srcset = img.get("srcset", "") or ""
-    data_srcset = img.get("data-srcset", "") or ""
-
-    if "display:none" in style:
-        return (-1, None)
-    parent = img.parent
-    if parent is not None:
-        if parent.tag in ("button", "input"):
-            return (-1, None)
-        parent_classes = (parent.get("class", "") or "").split()
-        if any(
-            ("button" in cls or "icon" in cls or "logo" in cls)
-            for cls in parent_classes
-        ):
-            return (-1, None)
-    if (src and any(c in src for c in ("button", "icon", "logo"))) or (
-        alt and any(c in alt for c in ("button", "icon", "logo"))
-    ):
-        return (-1, None)
-
-    score = 0
-    width = img.get("width")
-    if width and width.isdigit():
-        score += 1 if int(width) > 150 else 0
-    height = img.get("height")
-    if height and height.isdigit():
-        score += 1 if int(height) > 150 else 0
-    if alt:
-        score += 1
-    score += index / total_images < 0.5
-
-    detected_format = None
-    for u in (src, data_src, srcset, data_srcset):
-        if u:
-            matches = [f for f in _IMAGE_FORMATS if f in u.lower()]
-            if matches:
-                detected_format = matches[0]
-                score += 1
-                break
-
-    if srcset or data_srcset:
-        score += 1
-    # ancestor <picture>
-    anc = img.parent
-    while anc is not None:
-        if anc.tag == "picture":
-            score += 1
-            break
-        anc = anc.parent
-    return (score, detected_format)
 
 
 def extract_metadata(root: Node, index=None) -> dict:
@@ -425,58 +322,6 @@ def extract_links(
             "link_pos": pos,
         }
     return list(internal.values()), list(external.values())
-
-
-def extract_media(root: Node, index=None) -> dict:
-    """images/videos/audios lists (content_scraping_strategy.py:314-359)."""
-    images: list[dict] = []
-    videos: list[dict] = []
-    audios: list[dict] = []
-    imgs = index["img"] if index is not None else [n for n in root.iter() if n.tag == "img"]
-    total = len(imgs)
-    for idx, img in enumerate(imgs):
-        score, detected_format = score_image(img, idx, total)
-        if score <= IMAGE_SCORE_THRESHOLD:
-            continue
-        base_info = {
-            "alt": img.get("alt", "") or "",
-            "desc": _closest_parent_text(img),
-            "score": score,
-            "type": "image",
-            "group_id": idx,
-            "format": detected_format,
-        }
-        unique: set[str] = set()
-
-        def add_variant(src, width=None):
-            if src and not src.startswith("data:") and src not in unique:
-                unique.add(src)
-                variant = dict(base_info, src=src)
-                if width:
-                    variant["width"] = width
-                images.append(variant)
-
-        add_variant(img.get("src") or "")
-        add_variant(img.get("data-src") or "")
-        for attr in ("srcset", "data-srcset"):
-            val = img.get(attr)
-            if val:
-                for source in parse_srcset(val):
-                    add_variant(source["url"], source["width"])
-    for kind, bucket in (("video", videos), ("audio", audios)):
-        nodes = index[kind] if index is not None else [n for n in root.iter() if n.tag == kind]
-        for node in nodes:
-            info = {
-                "src": node.get("src"),
-                "alt": node.get("alt"),
-                "type": kind,
-                "description": _closest_parent_text(node),
-            }
-            bucket.append(info)
-            for c in node.children:
-                if not isinstance(c, str) and c.tag == "source" and c.get("src"):
-                    bucket.append(dict(info, src=c.get("src")))
-    return {"images": images, "videos": videos, "audios": audios}
 
 
 def spans_to_markdown(spans: list[dict]) -> str:

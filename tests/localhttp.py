@@ -50,11 +50,6 @@ class _State:
         self.etag_salt = 0  # bump: every ETag rotates, content unchanged
         self.log: list[dict] = []
         self.lock = threading.Lock()
-        # Common Crawl index endpoint: scripted 503 burst (decremented per
-        # index query) to exercise the (1,3,7)s retry schedule on the wire
-        self.cc_fail_503 = 0
-        self.cc_index_id = "CC-MAIN-2026-04"
-        self.cc_pages_per_domain = 5
 
     def version(self, i: int) -> int:
         return self.versions.get(i, 0)
@@ -151,36 +146,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
             self._reply(200, f'<?xml version="1.0"?><urlset>{locs}</urlset>'.encode(),
                         {"Content-Type": "application/xml"})
-        elif p == "/collinfo.json":
-            body = json.dumps(
-                [{"id": st.cc_index_id}, {"id": "CC-MAIN-2025-50"}]
-            ).encode()
-            self._reply(200, body, {"Content-Type": "application/json"})
-        elif "-index" in p.split("?", 1)[0]:
-            # CC index query: /{index-id}-index?url=<glob>&output=json —
-            # JSONL records like index.commoncrawl.org; scripted 503s first
-            with st.lock:
-                fail = st.cc_fail_503 > 0
-                if fail:
-                    st.cc_fail_503 -= 1
-            if fail:
-                self._reply(503, b"Slow Down")
-                return
-            from urllib.parse import parse_qs, urlparse
-
-            q = parse_qs(urlparse(p).query)
-            glob = q.get("url", ["*"])[0]
-            # glob shapes: '*.domain/*' or '*.domain*' → extract the domain
-            dom = glob.lstrip("*.").split("/", 1)[0].rstrip("*")
-            lines = "\n".join(
-                json.dumps(
-                    {"url": f"http://{dom}/p/{i}", "status": "200",
-                     "mime": "text/html"}
-                )
-                for i in range(st.cc_pages_per_domain)
-            )
-            self._reply(200, lines.encode(),
-                        {"Content-Type": "application/x-ndjson"})
         elif p.startswith("/status/"):
             self._reply(int(p.rsplit("/", 1)[1]))
         elif p == "/slow":

@@ -1,6 +1,6 @@
-"""Extract-stage unit tests: links (first-wins dedup), image scoring,
-metadata fallbacks, the interleaved span traversal, and the head
-fingerprint taken from each page's one parse."""
+"""Extract-stage unit tests: links (first-wins dedup), metadata fallbacks,
+the interleaved span traversal, and the head fingerprint taken from each
+page's one parse."""
 
 import re
 
@@ -10,16 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from crawl4ai_ray.functions.fit_html import head_fingerprint
 from crawl4ai_ray.hashing import h64
 from crawl4ai_ray.sources.corpus import CorpusParams, SyntheticTransport, page_url
-from crawl4ai_ray.stages.extract import (
-    IMAGE_SCORE_THRESHOLD,
-    extract_batch,
-    extract_media,
-    extract_page,
-    parse_dom,
-    parse_dom_indexed,
-    parse_srcset,
-    score_image,
-)
+from crawl4ai_ray.stages.extract import extract_batch, extract_page, parse_dom
 
 PAGE = """
 <html><head>
@@ -66,16 +57,6 @@ def test_links_first_wins_and_split():
     assert internal["http://x.com/a"]["link_pos"] == 0
 
 
-def test_image_scoring():
-    media = extract_media(*parse_dom_indexed(PAGE))
-    srcs = [i["src"] for i in media["images"]]
-    assert "http://x.com/img/big.jpg" in srcs  # width+height+alt+format+early
-    assert all("icon" not in s for s in srcs)  # icon rejected
-    big = next(i for i in media["images"] if i["src"].endswith("big.jpg"))
-    assert big["score"] > IMAGE_SCORE_THRESHOLD
-    assert big["format"] == "jpg"
-
-
 def test_spans_interleaving():
     page = extract_page(PAGE, "http://x.com/page")
     spans = page["spans"]
@@ -93,25 +74,6 @@ def test_spans_interleaving():
     assert [s["offset"] for s in spans] == list(range(len(spans)))
     # li texts are separate spans
     assert "A link" in texts and "B link" in texts
-
-
-def test_srcset_parse():
-    assert parse_srcset("a.jpg 100w, b.jpg 200w") == [
-        {"url": "a.jpg", "width": "100"},
-        {"url": "b.jpg", "width": "200"},
-    ]
-
-
-def test_score_image_rejections():
-    root = parse_dom('<button><img src="x.jpg"></button>')
-    img = next(n for n in root.iter() if n.tag == "img")
-    assert score_image(img, 0, 1)[0] == -1
-    root = parse_dom('<div class="logo-box"><img src="x.jpg"></div>')
-    img = next(n for n in root.iter() if n.tag == "img")
-    assert score_image(img, 0, 1)[0] == -1
-    root = parse_dom('<div><img src="x.jpg" style="display:none"></div>')
-    img = next(n for n in root.iter() if n.tag == "img")
-    assert score_image(img, 0, 1)[0] == -1
 
 
 def test_extract_batch_arrow():

@@ -278,72 +278,3 @@ def test_seeder_over_live_http(site):
     # head fetch: title parsed from ONLY the streamed <head> section
     head = t.fetch_head(f"{base}/page/4")
     assert head.get("title") == "page 4"
-
-
-# ---------------------------------------------------------------- CC index
-def test_cc_index_client_live_http_with_503_retry(tmp_path):
-    """VERDICT r4 item #3: seed real domains end-to-end through the live
-    HTTP Common Crawl client — collinfo latest-index resolution, streaming
-    JSONL index query, and the (1,3,7)s 503-retry schedule exercised on
-    the wire (scripted 503 burst, injectable sleep so no wall-clock
-    wait)."""
-    from crawl4ai_ray.sources.cc import (
-        CCHttpError,
-        CCSeederSource,
-        HttpCCIndexClient,
-    )
-
-    with local_server(n_pages=4) as (base, state):
-        state.cc_fail_503 = 2
-        client = HttpCCIndexClient(base_url=base)
-        slept = []
-        src = CCSeederSource(
-            client, cache_dir=str(tmp_path / "cc"), sleep=slept.append
-        )
-        # latest index comes from the live collinfo endpoint
-        assert src.index_id == state.cc_index_id
-        urls = list(src.urls_for_domain("example.com", pattern="*"))
-        assert urls == [f"http://example.com/p/{i}" for i in range(5)]
-        # two 503s → two scheduled sleeps from the reference's (1,3,7)s plan
-        assert slept == [1, 3]
-        # the index queries really hit the wire: 2 failed + 1 ok
-        hits = state.requests_for(f"/{state.cc_index_id}-index")
-        assert len(hits) == 3
-        # cache hit: second call must not touch the server
-        n_before = len(state.requests_for("/"))
-        urls2 = list(src.urls_for_domain("example.com", pattern="*"))
-        assert urls2 == urls and len(state.requests_for("/")) == n_before
-
-
-def test_cc_index_client_maps_errors(tmp_path):
-    from crawl4ai_ray.sources.cc import CCHttpError, HttpCCIndexClient
-
-    with local_server(n_pages=2) as (base, state):
-        client = HttpCCIndexClient(base_url=base)
-        with pytest.raises(CCHttpError) as ei:
-            client(f"{base}/status/404")
-        assert ei.value.status_code == 404
-    # connection refused after server teardown → CCHttpError(0)
-    with pytest.raises(CCHttpError) as ei:
-        client(f"{base}/collinfo.json")
-    assert ei.value.status_code == 0
-
-
-def test_cc_seed_urls_dataset_over_live_http(ray_session, tmp_path):
-    """The Dataset fan-out path (cc_seed_urls → CCSeederStage actors) over
-    the real client against the local server."""
-    from crawl4ai_ray.sources.cc import HttpCCIndexClient, cc_seed_urls
-
-    with local_server(n_pages=4) as (base, state):
-        rows = cc_seed_urls(
-            ["alpha.test", "beta.test"],
-            client_factory=lambda: HttpCCIndexClient(base_url=base),
-            cache_dir=str(tmp_path / "cc2"),
-            index_id=state.cc_index_id,
-        ).take_all()
-    got = {(r["domain"], r["url"]) for r in rows}
-    assert got == {
-        (d, f"http://{d}/p/{i}")
-        for d in ("alpha.test", "beta.test")
-        for i in range(5)
-    }

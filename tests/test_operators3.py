@@ -1,14 +1,9 @@
 """Tests for wave 3: seeder (sitemap recursion, filtering, BM25 ranking),
-adaptive crawler (confidence/stop/digest), link scoring + head join."""
+link scoring + head join."""
 
 import pytest
 
-from crawl4ai_ray.pipelines.adaptive import (
-    AdaptiveConfig,
-    AdaptiveCrawler,
-    tokenize,
-)
-from crawl4ai_ray.sources.corpus import CorpusParams, SyntheticTransport
+from crawl4ai_ray.sources.corpus import CorpusParams
 from crawl4ai_ray.sources.seeder import (
     SeederStage,
     SyntheticSitemapTransport,
@@ -67,44 +62,6 @@ def test_seed_urls_bm25_ranked(ray_session):
     scores = tbl.column("relevance_score").to_pylist()
     assert scores == sorted(scores, reverse=True)
     assert tbl.column("status").to_pylist() == ["valid"] * 10
-
-
-def test_adaptive_tokenize():
-    assert tokenize("Hello, world! a of the big-data") == ["Hello", "world", "the", "big", "data"]
-
-
-def test_adaptive_digest(ray_session):
-    crawler = AdaptiveCrawler(
-        SyntheticTransport(PARAMS),
-        query="crawl frontier data",
-        config=AdaptiveConfig(max_pages=8, top_k_links=3, confidence_threshold=0.95),
-    )
-    out = crawler.digest("http://site0.test/")
-    assert 0 < out["pages_crawled"] <= 8
-    assert out["crawl_order"][0] == "http://site0.test"
-    assert set(out["metrics"]) >= {"coverage", "consistency", "saturation"}
-    assert 0.0 <= out["confidence"] <= 1.0
-    # deterministic
-    crawler2 = AdaptiveCrawler(
-        SyntheticTransport(PARAMS),
-        query="crawl frontier data",
-        config=AdaptiveConfig(max_pages=8, top_k_links=3, confidence_threshold=0.95),
-    )
-    out2 = crawler2.digest("http://site0.test/")
-    assert out2["crawl_order"] == out["crawl_order"]
-    # state is JSON-serializable (reference resume contract)
-    import json
-
-    json.dumps(out["state"])
-
-
-def test_adaptive_stops_on_confidence(ray_session):
-    crawler = AdaptiveCrawler(
-        SyntheticTransport(PARAMS), query="data",
-        config=AdaptiveConfig(max_pages=100, confidence_threshold=0.1),
-    )
-    out = crawler.digest("http://site0.test/")
-    assert out["pages_crawled"] <= 4  # stopped early, not by page cap
 
 
 def test_link_intrinsic_score():
@@ -217,164 +174,6 @@ def test_xpath_nested_and_list_fields():
     ]
 
 
-# ------------------------------------------------------------------ cc seeder
-
-def test_cc_match_vectors():
-    """Reference _match semantics (async_url_seeder.py:178-183)."""
-    from crawl4ai_ray.sources.cc import cc_match
-
-    assert cc_match("http://a.test/p/1", "*/p/*")
-    assert cc_match("https://www.a.test/p/1", "a.test/p/*")  # www-stripped
-    assert cc_match("http://a.test/p/1", "a.test/*")  # scheme-stripped
-    assert not cc_match("http://a.test/q/1", "*/p/*")
-
-
-def test_cc_glob_construction():
-    from crawl4ai_ray.sources.cc import cc_glob_for_domain
-
-    assert cc_glob_for_domain("example.com") == "*.example.com/*"
-    assert cc_glob_for_domain("https://example.com") == "*.example.com/*"
-    assert cc_glob_for_domain("example.com/blog") == "*.example.com/blog*"
-    assert cc_glob_for_domain(".example.com?q=1#f") == "*.example.com/*"
-
-
-def test_cc_seeder_retry_cache_and_filter(tmp_path):
-    from crawl4ai_ray.sources.cc import CCHttpError, CCSeederSource, SyntheticCCClient
-
-    sleeps = []
-    # two 503s then success: reference schedule sleeps 1 then 3
-    client = SyntheticCCClient(pages_per_domain=10, fail_503=2)
-    src = CCSeederSource(client, str(tmp_path / "c1"), index_id="CC-TEST",
-                         sleep=sleeps.append)
-    got = list(src.urls_for_domain("site0.test", "*/p/*"))
-    assert len(got) == 10 and sleeps == [1, 3]
-
-    # cache hit: no further client calls, pattern applied on the cached file
-    n_calls = len(client.calls)
-    again = list(src.urls_for_domain("site0.test", "*/p/*"))
-    assert again == got and len(client.calls) == n_calls
-    subset = list(src.urls_for_domain("site0.test", "*/p/1*"))
-    assert subset == [u for u in got if "/p/1" in u]
-
-    # 4× 503 exhausts (1,3,7) and raises
-    bad = SyntheticCCClient(fail_503=4)
-    src_bad = CCSeederSource(bad, str(tmp_path / "c2"), index_id="CC-TEST",
-                             sleep=sleeps.append)
-    import pytest as _pytest
-
-    with _pytest.raises(CCHttpError):
-        list(src_bad.urls_for_domain("site1.test"))
-
-
-def test_cc_latest_index_ttl_cache(tmp_path):
-    from crawl4ai_ray.sources.cc import CCSeederSource, SyntheticCCClient
-
-    client = SyntheticCCClient()
-    src = CCSeederSource(client, str(tmp_path), sleep=lambda s: None)
-    assert src.index_id == "CC-MAIN-2024-10"
-    # second source in same cache dir reads the TTL cache, no collinfo call
-    n = len(client.calls)
-    src2 = CCSeederSource(client, str(tmp_path), sleep=lambda s: None)
-    assert src2.latest_index() == "CC-MAIN-2024-10" and len(client.calls) == n
-
-
-def test_cc_seed_urls_pipeline(tmp_path, ray_session):
-    from crawl4ai_ray.sources.cc import SyntheticCCClient, cc_seed_urls
-
-    out = cc_seed_urls(
-        ["site0.test", "site1.test"],
-        client_factory=lambda: SyntheticCCClient(pages_per_domain=5),
-        cache_dir=str(tmp_path / "cc"),
-        index_id="CC-TEST",
-        pattern="*/p/*",
-        max_urls=8,
-    ).take_all()
-    assert len(out) == 8
-    assert out[0]["domain"] == "site0.test" and "/p/" in out[0]["url"]
-
-
-# --------------------------------------------------------- cosine clustering
-
-def test_linkage_clusters_planted_groups():
-    """Two tight token-overlap groups + an outlier: the dendrogram cut must
-    recover exactly the planted partition (every linkage method)."""
-    import numpy as np
-
-    from crawl4ai_ray.functions.cosine_cluster import (
-        cosine_pdist,
-        fcluster_distance,
-        hashed_embedding,
-        linkage_merge_heights,
-    )
-
-    chunks = [
-        "alpha beta gamma delta alpha beta",
-        "alpha beta gamma delta epsilon",
-        "stream batch merge sort shuffle",
-        "stream batch merge sort partition",
-        "completely unrelated xylophone zebra quark",
-    ]
-    emb = hashed_embedding(chunks)
-    for method in ("single", "complete", "average", "ward"):
-        merges = linkage_merge_heights(cosine_pdist(emb), len(chunks), method)
-        labels = fcluster_distance(merges, len(chunks), max_dist=0.6)
-        assert labels[0] == labels[1], method
-        assert labels[2] == labels[3], method
-        assert labels[0] != labels[2] != labels[4], method
-        # heights are monotone non-decreasing for these methods
-        hs = [m[0] for m in merges]
-        assert all(b >= a - 1e-12 for a, b in zip(hs, hs[1:])), method
-
-
-def test_cosine_clusterer_reference_shape():
-    """Pipeline semantics: word-count filter drops small clusters, output is
-    [{index, tags, content}] sorted by label, semantic pre-filter backfills
-    to at_least_k (reference extraction_strategy.py:242-296,403-452)."""
-    from crawl4ai_ray.functions.cosine_cluster import CosineClusterer
-
-    cl = CosineClusterer(word_count_threshold=8, max_dist=0.6)
-    chunks = [
-        "alpha beta gamma delta alpha beta",
-        "alpha beta gamma delta epsilon",
-        "tiny one",  # its own cluster, under the word threshold → dropped
-    ]
-    out = cl.cluster(chunks)
-    assert len(out) == 1
-    assert set(out[0]) == {"index", "tags", "content"}
-    assert out[0]["content"].startswith("alpha beta gamma")
-    assert out[0]["tags"]  # tagger filled
-
-    # semantic pre-filter: query matches the stream-group only
-    cl2 = CosineClusterer(
-        semantic_filter="stream batch merge", word_count_threshold=2,
-        sim_threshold=0.5, max_dist=0.4,
-    )
-    docs = ["stream batch merge sort", "alpha beta gamma", "stream batch x"]
-    kept = cl2.filter_documents_embeddings(docs, cl2.semantic_filter, at_least_k=1)
-    assert kept[0] == "stream batch merge sort"
-
-
-def test_cosine_cluster_stage(ray_session):
-    import ray.data
-
-    from crawl4ai_ray.functions.cosine_cluster import CosineClusterStage
-
-    ds = ray.data.from_items(
-        [
-            {"doc_id": 1, "text": "alpha beta gamma delta epsilon zeta eta theta\nalpha beta gamma delta epsilon zeta eta iota"},
-            {"doc_id": 2, "text": "short\nbits"},
-        ]
-    )
-    out = ds.map_batches(
-        CosineClusterStage,
-        fn_constructor_kwargs=dict(word_count_threshold=8, max_dist=0.6),
-        batch_format="pyarrow",
-        concurrency=1,
-    ).take_all()
-    assert {r["doc_id"] for r in out} == {1}  # doc 2's clusters under threshold
-    assert all(r["content"] for r in out)
-
-
 # ------------------------------------------------------------- multimodal 2
 
 def test_media_resize_and_frame_sample_stages(ray_session):
@@ -419,57 +218,6 @@ def test_media_resize_and_frame_sample_stages(ray_session):
     # non-video rows unchanged
     assert sum(1 for r in frames if r["media_ref"] == "media://a/img0") == 1
     assert sum(1 for r in frames if r["media_ref"] == "media://b/a0") == 1
-
-
-# ------------------------------------------------- embedding adaptive crawl
-
-def test_embedding_adaptive_digest(ray_session):
-    """EmbeddingStrategy semantics: confidence = mean best query-point
-    similarity vs KB (grows as relevant pages land), gap-closing link
-    ranking, deterministic across runs."""
-    from crawl4ai_ray.pipelines.adaptive import (
-        AdaptiveConfig,
-        EmbeddingAdaptiveCrawler,
-    )
-    from crawl4ai_ray.sources.corpus import CorpusParams, SyntheticTransport
-
-    params = CorpusParams(n_hosts=2, pages_per_host=40, seed=42)
-    def run():
-        c = EmbeddingAdaptiveCrawler(
-            SyntheticTransport(params),
-            query="crawl frontier data stream",
-            config=AdaptiveConfig(max_pages=10, top_k_links=3,
-                                  confidence_threshold=0.95,
-                                  min_gain_threshold=0.0),
-        )
-        return c.digest("http://site0.test/")
-
-    out1, out2 = run(), run()
-    assert out1["crawl_order"] == out2["crawl_order"]  # deterministic
-    assert out1["pages_crawled"] >= 2
-    assert 0.0 < out1["confidence"] <= 1.0
-    assert "coverage_score" in out1["metrics"]
-
-
-def test_embedding_adaptive_gap_scoring():
-    """A link whose text matches an uncovered query point outranks an
-    off-topic link; near-duplicate-of-KB links get the overlap penalty."""
-    from crawl4ai_ray.pipelines.adaptive import AdaptiveConfig, EmbeddingAdaptiveCrawler
-
-    c = EmbeddingAdaptiveCrawler(
-        None, query="vector index probe scan", config=AdaptiveConfig()
-    )
-    # seed KB with off-topic docs → query points are all gaps
-    c._update_state([
-        {"url": "u1", "markdown": "totally unrelated cooking recipes and baking"},
-    ])
-    c.state.pending_links = [
-        {"href": "http://x/a", "text": "vector index probe scan details", "title": ""},
-        {"href": "http://x/b", "text": "cooking recipes and baking", "title": ""},
-    ]
-    ranked = c.rank_links()
-    assert ranked[0][0]["href"] == "http://x/a"
-    assert ranked[0][1] > ranked[1][1]
 
 
 # ------------------------------------------------------------ link preview
@@ -523,99 +271,6 @@ def test_link_preview_stage_filters_and_scores(ray_session):
     assert max(r["relevance_score"] for r in out) == 1.0
     assert all(r["head_title"] for r in out)
     assert all(r["total_score"] >= 0 for r in out)
-
-
-def test_embedding_adaptive_state_roundtrip():
-    """kb/query embeddings survive the JSON checkpoint round-trip with the
-    same confidence (reference CrawlState save/load incl. embeddings)."""
-    import json
-
-    from crawl4ai_ray.pipelines.adaptive import AdaptiveConfig, EmbeddingAdaptiveCrawler
-
-    a = EmbeddingAdaptiveCrawler(None, query="vector probe scan", config=AdaptiveConfig())
-    a._update_state([
-        {"url": "u1", "markdown": "vector probe scan details and more words"},
-        {"url": "u2", "markdown": "unrelated cooking content entirely"},
-    ])
-    conf = a.confidence()
-    blob = json.dumps(a.state_jsonable())
-
-    b = EmbeddingAdaptiveCrawler(None, query="vector probe scan", config=AdaptiveConfig())
-    b.load_state(json.loads(blob))
-    assert b.confidence() == conf
-    assert b.state.crawl_order == ["u1", "u2"]
-    assert b.kb_embeddings.shape == a.kb_embeddings.shape
-
-
-# ------------------------------------------------------------ llm extract
-class TestLLMExtraction:
-    def test_parse_blocks_happy_path(self):
-        from crawl4ai_ray.functions.llm_extract import parse_blocks
-
-        out = parse_blocks('<blocks>[{"index": 0, "tags": ["t"], "content": ["x"]}]</blocks>')
-        assert out == [{"index": 0, "tags": ["t"], "content": ["x"], "error": False}]
-
-    def test_parse_blocks_fallback_scans_json_objects(self):
-        from crawl4ai_ray.functions.llm_extract import parse_blocks
-
-        noisy = 'preamble {"index": 1, "tags": ["a"]} mid {"broken": } {"index": 2} END'
-        out = parse_blocks(noisy)
-        parsed = [b for b in out if not b.get("error")]
-        errs = [b for b in out if b.get("error")]
-        assert [b["index"] for b in parsed] == [1, 2]
-        assert len(errs) == 1 and "error" in errs[0]["tags"]
-
-    def test_stage_extracts_and_accounts_tokens(self):
-        import json
-
-        import pyarrow as pa
-
-        from crawl4ai_ray.functions.llm_extract import LLMExtractionStage
-
-        long_text = " ".join(f"word{i}" for i in range(500))
-        batch = pa.table(
-            {"doc_id": pa.array([1, 2], type=pa.int64()),
-             "text": pa.array([long_text, "short text only"])}
-        )
-        stage = LLMExtractionStage(chunk_token_threshold=128, overlap_rate=0.1)
-        out = stage(batch)
-        assert out.column_names == [
-            "doc_id", "extracted_content", "n_blocks",
-            "prompt_tokens", "completion_tokens", "total_tokens",
-        ]
-        blocks = json.loads(out.column("extracted_content")[0].as_py())
-        assert len(blocks) >= 2 and all(b["error"] is False for b in blocks)
-        # multi-chunk doc accumulated more prompt tokens than the short one
-        assert out.column("prompt_tokens")[0].as_py() > out.column("prompt_tokens")[1].as_py() > 0
-        assert stage.total_usage.total_tokens == sum(out.column("total_tokens").to_pylist())
-        # deterministic: same input → same output
-        assert stage(batch).column("extracted_content").to_pylist() == out.column(
-            "extracted_content"
-        ).to_pylist()
-
-    def test_error_client_yields_error_block(self):
-        import json
-
-        import pyarrow as pa
-
-        from crawl4ai_ray.functions.llm_extract import LLMExtractionStage
-
-        class Boom:
-            def complete(self, prompt):
-                raise RuntimeError("rate limited")
-
-        stage = LLMExtractionStage(client_factory=Boom)
-        out = stage(pa.table({"doc_id": pa.array([1], type=pa.int64()),
-                              "text": pa.array(["hello world"])}))
-        blocks = json.loads(out.column("extracted_content")[0].as_py())
-        assert blocks[0]["error"] is True and blocks[0]["tags"] == ["error"]
-
-    def test_query_entry_runs(self, ray_session):
-        from crawl4ai_ray.pipelines.queries import QUERIES
-
-        out = QUERIES["llm_extract_demo"]("/root/testdata/sf0.001")
-        t = out.limit(5).take_all()
-        assert len(t) == 5 and all(r["n_blocks"] >= 1 for r in t)
 
 
 def test_header_probe_decoder_real_containers():
@@ -820,91 +475,3 @@ def test_media_decode_stage_with_selected_factory(ray_session):
         .take_all()
     )
     assert out[0]["meta"]["width"] == 3 and out[0]["meta"]["format"] == "png"
-
-
-# ----------------------------------------------------- LLM response cache
-def test_llm_response_cache_skips_repeated_chunks(tmp_path):
-    """Reference content_filter_strategy.py:877-881 semantics: responses
-    cache under md5(content + instruction).  A repeated chunk must skip
-    the client call (call count flat, TokenUsage unchanged) while
-    returning identical blocks; the persisted side table pre-warms a
-    fresh actor so even its FIRST call is a hit."""
-    from crawl4ai_ray.functions.llm_extract import FakeLLMClient, LLMExtractionStage
-
-    calls = {"n": 0}
-
-    class CountingClient(FakeLLMClient):
-        def complete(self, prompt):
-            calls["n"] += 1
-            return super().complete(prompt)
-
-    cache_dir = str(tmp_path / "llmcache")
-    stage = LLMExtractionStage(
-        client_factory=CountingClient, instruction="summarize",
-        cache_dir=cache_dir,
-    )
-    text = "alpha beta gamma " * 30
-    blocks1, usage1 = stage.extract_one("http://x/a", text)
-    n_after_first = calls["n"]
-    assert n_after_first >= 1 and usage1.total_tokens > 0
-    total_before = stage.total_usage.total_tokens
-
-    # same content again (other doc id/url — key is content+instruction)
-    blocks2, usage2 = stage.extract_one("http://x/b", text)
-    assert calls["n"] == n_after_first            # client NOT called
-    assert stage.cache_hits >= 1
-    assert usage2.total_tokens == 0               # no call → no usage
-    assert stage.total_usage.total_tokens == total_before
-    strip = lambda bs: [{k: v for k, v in b.items()} for b in bs]
-    assert strip(blocks2) == strip(blocks1)
-
-    # different instruction misses (key includes the instruction)
-    stage2 = LLMExtractionStage(
-        client_factory=CountingClient, instruction="translate",
-    )
-    stage2.extract_one("http://x/a", text)
-    assert calls["n"] > n_after_first
-
-    # persisted side table pre-warms a brand-new actor
-    stage.flush_cache()
-    calls["n"] = 0
-    warm = LLMExtractionStage(
-        client_factory=CountingClient, instruction="summarize",
-        cache_dir=cache_dir,
-    )
-    blocks3, usage3 = warm.extract_one("http://x/c", text)
-    assert calls["n"] == 0 and usage3.total_tokens == 0
-    assert strip(blocks3) == strip(blocks1)
-
-    # cache off → every repeat pays the call
-    cold = LLMExtractionStage(
-        client_factory=CountingClient, instruction="summarize",
-        response_cache=False,
-    )
-    cold.extract_one("http://x/a", text)
-    cold.extract_one("http://x/a", text)
-    assert calls["n"] >= 2
-
-
-def test_llm_cache_prompt_mode_is_url_sensitive():
-    """cache_key='prompt' hashes the exact prompt, so the same content
-    under a different URL pays the call (no cross-document replay of a
-    URL-conditioned response); 'content' mode (reference parity) dedups
-    across documents."""
-    from crawl4ai_ray.functions.llm_extract import FakeLLMClient, LLMExtractionStage
-
-    calls = {"n": 0}
-
-    class CountingClient(FakeLLMClient):
-        def complete(self, prompt):
-            calls["n"] += 1
-            return super().complete(prompt)
-
-    text = "alpha beta gamma " * 10
-    strict = LLMExtractionStage(client_factory=CountingClient, cache_key="prompt")
-    strict.extract_one("http://x/a", text)
-    n1 = calls["n"]
-    strict.extract_one("http://x/b", text)   # different URL → different prompt
-    assert calls["n"] == 2 * n1
-    strict.extract_one("http://x/a", text)   # exact repeat → hit
-    assert calls["n"] == 2 * n1 and strict.cache_hits >= 1

@@ -35,6 +35,7 @@ EXTENSIONS = {
     "crawl4ai_ray/functions/scorers.py": "URL scorers, passed in as CrawlConfig.scorer_factory",
     "crawl4ai_ray/state/proxy.py": "proxy rotation, passed in as FetchStage(proxy_strategy=...)",
     "crawl4ai_ray/sources/browser_transport.py": "a browser fetcher, passed in as the engine's transport",
+    "crawl4ai_ray/sources/http_transport.py": "a live HTTP fetcher, passed in as the engine's transport",
 }
 
 

@@ -1,6 +1,5 @@
 """Round-5 additions: size-adaptive revenue dim-join regime equivalence,
-DuckDB-CAST-aligned JSON coercion, bucketcap probe batch-count guard,
-LLM-cache atomic flush."""
+DuckDB-CAST-aligned JSON coercion, bucketcap probe batch-count guard."""
 
 import numpy as np
 import pyarrow as pa
@@ -149,29 +148,6 @@ def test_bucketcap_probe_marker_fallback(ray_session, monkeypatch, decisions):
         f"_probe_oversized: floor bounded-block (floor={max_bucket // 7 + 1}, "
         f"threshold={floor_t})",
     ]
-
-
-def test_llm_cache_flush_is_atomic(tmp_path):
-    """flush_cache writes temp-then-rename; no *.tmp survives and a sibling
-    actor warm-loads the flushed entries."""
-    import os
-
-    from crawl4ai_ray.functions.llm_extract import LLMExtractionStage
-
-    cache_dir = str(tmp_path / "cache")
-    a = LLMExtractionStage(instruction="x", cache_dir=cache_dir)
-    a.extract_one("http://x/a", "alpha beta " * 30)
-    assert a.flush_cache() > 0
-    files = os.listdir(cache_dir)
-    assert files and all(f.endswith(".parquet") for f in files)
-    b = LLMExtractionStage(instruction="x", cache_dir=cache_dir)
-    assert b.cache  # warm-loaded
-
-    # corrupt straggler must not kill a fresh actor's warm load
-    with open(os.path.join(cache_dir, "zz-corrupt.parquet"), "wb") as f:
-        f.write(b"not a parquet file")
-    c = LLMExtractionStage(instruction="x", cache_dir=cache_dir)
-    assert c.cache  # survived, still warm
 
 
 def test_conditional_head_accepts_proxy_kwarg():
